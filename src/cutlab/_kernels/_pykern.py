@@ -10,13 +10,12 @@ import numpy as np
 
 
 def cut_value(indptr, indices, weights, mask):
+    # every CSR entry (u, v) with u inside and v outside; `indices` holds one
+    # padding slot when the graph has no edges, so slice it to indptr[-1]
     inside = mask.astype(bool)
-    total = 0
-    for u in np.nonzero(inside)[0]:
-        lo, hi = indptr[u], indptr[u + 1]
-        nbrs = indices[lo:hi]
-        total += int(weights[lo:hi][~inside[nbrs]].sum())
-    return total
+    m2 = int(indptr[-1])
+    crossing = np.repeat(inside, indptr[1:] - indptr[:-1]) & ~inside[indices[:m2]]
+    return int(weights[:m2][crossing].sum())
 
 
 def _all_masks(n):

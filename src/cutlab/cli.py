@@ -41,7 +41,7 @@ def cmd_maxflow(args) -> int:
     print(f"cut {' '.join(map(str, res.mincut_source_side))}")
     print(f"rounds {res.round_count}")
     print(f"cut_queries {ledger.cut_count}")
-    print(f"bis_queries {ledger.bis_count}")
+    print(f"bis_queries {cache.logical_bis}")
     if args.transcript:
         ledger.write_transcript(args.transcript)
     return 0

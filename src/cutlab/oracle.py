@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -320,10 +320,13 @@ class Flow:
             fv[u] = -new
 
     def across(self, A: Iterable[int], B: Iterable[int]) -> int:
+        rows = [row for row in map(self._adj.get, A) if row]
+        if not rows:
+            return 0
         bset = set(B)
         total = 0
-        for a in A:
-            for v, val in self._adj.get(a, {}).items():
+        for row in rows:
+            for v, val in row.items():
                 if v in bset:
                     total += val
         return total
@@ -461,10 +464,15 @@ class BaseView(OracleView):
     def __init__(self, instance: GraphInstance, ledger: Optional[QueryLedger] = None):
         self._instance = instance
         self._ledger = ledger or QueryLedger()
-        self._base = self
         self._verts = tuple(range(instance.n))
         self._uni = frozenset(self._verts)
         self.n = instance.n
+
+    @property
+    def _base(self) -> "BaseView":
+        # a property, not an attribute, so a view is not its own referent and
+        # dies (with its ledger and transcript) by reference counting alone
+        return self
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
@@ -543,6 +551,11 @@ class AugmentedView(OracleView):
                 vedges.append((b, y, 1))
                 vedges.append((y, self.s_sink, 1))
         self.virtual_edges = vedges
+        # per-vertex index of the virtual edges: vertex -> {neighbour: capacity}
+        self._vadj: dict[int, dict[int, int]] = {}
+        for u, v, w in vedges:
+            self._vadj.setdefault(u, {})[v] = w
+            self._vadj.setdefault(v, {})[u] = w
         self.virtual_ids = frozenset(
             [self.s_source, self.s_sink]
             + [x for subs in self.source_bundle.values() for x in subs]
@@ -561,33 +574,38 @@ class AugmentedView(OracleView):
     def unit_real_capacities(self) -> bool:
         return self.scale == 1 and self.parent.unit_real_capacities()
 
-    def _virtual_crossing(self, inside: set) -> int:
+    def _virtual_to(self, u: int, B: Iterable[int]) -> int:
+        """Virtual capacity between u and the vertices of B, in O(|B|)."""
+        nbrs = self._vadj.get(u)
+        if not nbrs:
+            return 0
+        return sum([nbrs.get(v, 0) for v in B])
+
+    def _virtual_crossing(self, ids: tuple[int, ...]) -> int:
+        inside = set(ids)
         total = 0
-        for u, v, w in self.virtual_edges:
-            if (u in inside) != (v in inside):
-                total += w
+        for u in ids:
+            for v, w in self._vadj.get(u, {}).items():
+                if v not in inside:
+                    total += w
         return total
 
     def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
         if len(ids) == 0 or len(ids) == self.universe_size:
             return CutPlan(None, 1, 0)
-        inside = set(ids)
-        real = canon(v for v in ids if v not in self.virtual_ids)
-        offset = self._virtual_crossing(inside)
+        # ids is sorted, so its real part is too
+        real = tuple([v for v in ids if v not in self.virtual_ids])
+        offset = self._virtual_crossing(ids)
         plan = self.parent.cut_plan(real)
         return CutPlan(plan.base_ids, plan.coeff * self.scale, plan.offset * self.scale + offset)
 
     def pair_known(self, A, B) -> Optional[int]:
-        aset, bset = set(A), set(B)
-        a_real = aset - self.virtual_ids
-        b_real = bset - self.virtual_ids
-        virt = 0
-        for u, v, w in self.virtual_edges:
-            if (u in aset and v in bset) or (u in bset and v in aset):
-                virt += w
+        virt = sum([self._virtual_to(a, B) for a in A])
+        a_real = tuple([v for v in A if v not in self.virtual_ids])
+        b_real = tuple([v for v in B if v not in self.virtual_ids])
         if not a_real or not b_real:
             return virt
-        sub = self.parent.pair_known(canon(a_real), canon(b_real))
+        sub = self.parent.pair_known(a_real, b_real)
         if sub is None:
             return None
         return virt + self.scale * sub
@@ -601,14 +619,10 @@ class AugmentedView(OracleView):
         raise QueryInputError(f"{terminal} is not an augmented terminal")
 
     def singleton_decompose(self, u, B):
-        bset = set(B)
-        extra = 0
-        for a, b, w in self.virtual_edges:
-            if (a == u and b in bset) or (b == u and a in bset):
-                extra += w
+        extra = self._virtual_to(u, B)
         if u in self.virtual_ids:
             return (extra, None, (), 1)
-        b_real = canon(bset - self.virtual_ids)
+        b_real = tuple([v for v in B if v not in self.virtual_ids])
         if not b_real:
             return (extra, None, (), 1)
         sub = self.parent.singleton_decompose(u, b_real)
@@ -821,11 +835,11 @@ class CutCache:
         return total + val
 
     def residual_between(
-        self, view: OracleView, f: Optional[Flow], A: Iterable[int], B: Iterable[int]
+        self, view: OracleView, f: Optional[Flow], A: Sequence[int], B: Sequence[int]
     ) -> int:
         """Total residual capacity from A into B; one logical BIS. A None
-        flow means the zero flow."""
-        A, B = canon(A), canon(B)
+        flow means the zero flow. The order of A and B does not matter:
+        every base set is put in canonical order before it is charged."""
         self.logical_bis += 1
         if len(A) == 1:
             dec = view.singleton_decompose(A[0], B)

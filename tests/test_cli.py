@@ -24,6 +24,8 @@ def test_cli_maxflow(b6_file, tmp_path, capsys):
     assert rc == 0
     assert "value 1" in out
     assert "cut 0 1 2" in out
+    bis = [ln for ln in out.splitlines() if ln.startswith("bis_queries ")]
+    assert len(bis) == 1 and int(bis[0].split()[1]) > 0
     records = QueryLedger.parse_transcript(transcript.read_text())
     g = generate(InstanceSpec("two_cliques_bridge", 6))
     assert QueryLedger.replay(records, g)

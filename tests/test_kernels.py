@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cutlab._kernels import _pykern
+from cutlab.oracle import GraphInstance
 from conftest import random_graph
 
 try:
@@ -31,13 +32,24 @@ def brute_min_cut(g):
     return best
 
 
+def direct_cut(g, side):
+    inside = set(side)
+    return sum(w for (u, v), w in g.edges.items() if (u in inside) != (v in inside))
+
+
 @pytest.mark.parametrize("name,impl", IMPLS)
 def test_cut_value_matches_instance(name, impl):
-    for seed in range(4):
-        g = random_graph(9, 0.5, seed, W=3)
-        mask = np.zeros(g.n, dtype=np.uint8)
-        mask[[1, 3, 4]] = 1
-        assert impl.cut_value(g._indptr, g._indices, g._weights, mask) == g.cut_of((1, 3, 4))
+    # against a direct sum over the edge list: GraphInstance.cut_of calls
+    # the kernel itself, so it cannot serve as the reference
+    graphs = [random_graph(9, 0.5, seed, W=3) for seed in range(3)]
+    graphs += [random_graph(8, 0.4, 5), GraphInstance(6, {}), GraphInstance(1, {})]
+    for g in graphs:
+        for bits in range(1 << g.n):  # every side, the empty and full ones included
+            side = [v for v in range(g.n) if (bits >> v) & 1]
+            mask = np.zeros(g.n, dtype=np.uint8)
+            mask[side] = 1
+            got = impl.cut_value(g._indptr, g._indices, g._weights, mask)
+            assert got == direct_cut(g, side), (g, side)
 
 
 @pytest.mark.parametrize("name,impl", IMPLS)

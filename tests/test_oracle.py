@@ -2,8 +2,10 @@
 consistency against explicitly materialized expansions, and the file and
 transcript formats."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from cutlab.oracle import (
     QueryInputError,
     QueryLedger,
 )
+from cutlab.mincut import global_mincut
 from conftest import make_view, random_graph, random_valid_flow, residual_capacity
 
 
@@ -128,15 +131,16 @@ def test_residual_bis_full_enumeration_small():
 # views against explicit materializations
 
 
-def materialize_augmented(g, aug):
-    """Explicit adjacency of the augmented graph for brute-force cuts."""
+def materialize_augmented(parent_edges, aug):
+    """Explicit adjacency of the augmented graph for brute-force cuts, from
+    the explicit adjacency {(u, v): capacity} of its parent view."""
     cap = {}
 
     def add(u, v, w):
         key = (min(u, v), max(u, v))
         cap[key] = cap.get(key, 0) + w
 
-    for (u, v), w in g.edges.items():
+    for (u, v), w in parent_edges.items():
         add(u, v, w * aug.scale)
     for u, v, w in aug.virtual_edges:
         add(u, v, w)
@@ -152,7 +156,7 @@ def test_augmented_view_consistency_full_enumeration(b6):
     g = b6
     view, ledger, _ = make_view(g)
     aug = AugmentedView(view, [(0, 2)], [(5, 2)], scale=1)
-    cap = materialize_augmented(g, aug)
+    cap = materialize_augmented(g.edges, aug)
     verts = aug.vertices()
     assert len(verts) == 6 + 2 + 4  # four subdivision vertices
     rng = random.Random(1)
@@ -160,6 +164,79 @@ def test_augmented_view_consistency_full_enumeration(b6):
         k = rng.randint(1, len(verts) - 1)
         side = rng.sample(verts, k)
         assert aug.cut_query(side) == brute_cut_of(cap, verts, side)
+
+
+def contracted_edges(g, cv):
+    """Explicit adjacency of a contracted view: parallel edges into s_r merge."""
+    cap = {}
+    for (u, v), w in g.edges.items():
+        uu = u if u in cv.keep else cv.s_r
+        vv = v if v in cv.keep else cv.s_r
+        if uu != vv:
+            key = (min(uu, vv), max(uu, vv))
+            cap[key] = cap.get(key, 0) + w
+    return cap
+
+
+def induced_view(view, g, part):
+    """Induced view on `part` with its true crossing capacities, plus its
+    explicit adjacency."""
+    w_out = {
+        v: sum(w for (a, b), w in g.edges.items() if (a == v and b not in part) or (b == v and a not in part))
+        for v in part
+    }
+    edges = {(u, v): w for (u, v), w in g.edges.items() if u in part and v in part}
+    return InducedView(view, part, w_out), edges
+
+
+@pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced"])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
+    """Every vertex kind (virtual source and sink, subdivision vertices,
+    terminals, plain vertices) against random sets B: the singleton
+    residual, capacity, pair_known and cut_query paths must all agree with
+    sums over the explicitly materialized augmented graph."""
+    for seed in range(2):
+        g = random_graph(9, 0.5, seed, W=1 + seed)
+        view, ledger, cache = make_view(g)
+        if parent_kind == "base":
+            parent, parent_edges = view, g.edges
+        elif parent_kind == "contracted":
+            parent = ContractedView(view, (0, 2, 3, 5, 6))
+            parent_edges = contracted_edges(g, parent)
+        else:
+            parent, parent_edges = induced_view(view, g, (0, 1, 3, 4, 6, 8))
+        pv = parent.vertices()
+        aug = AugmentedView(parent, [(pv[0], 2), (pv[1], 1)], [(pv[-1], 3)], scale=scale)
+        cap = materialize_augmented(parent_edges, aug)
+        verts = aug.vertices()
+        assert pv[2] in verts and pv[2] not in aug.virtual_ids  # a plain vertex
+
+        def c(u, v):
+            return cap.get((min(u, v), max(u, v)), 0)
+
+        rng = random.Random(seed)
+        for u in verts:
+            others = [v for v in verts if v != u]
+            for _ in range(6):
+                B = sorted(rng.sample(others, rng.randint(1, len(others))))
+                want = sum(c(u, b) for b in B)
+                assert cache.residual_between(aug, None, (u,), B) == want, (u, B)
+                shuffled = rng.sample(B, len(B))
+                assert cache.residual_between(aug, None, (u,), shuffled) == want, (u, shuffled)
+                known = aug.pair_known((u,), tuple(B))
+                assert known is None or known == want, (u, B)
+                for v in B[:3]:
+                    assert cache.capacity(aug, u, v) == c(u, v), (u, v)
+            side = rng.sample(verts, rng.randint(1, len(verts) - 1))
+            assert aug.cut_query(side) == brute_cut_of(cap, verts, side), side
+        for _ in range(20):
+            A = tuple(sorted(rng.sample(verts, 3)))
+            rest = [v for v in verts if v not in A]
+            B = tuple(sorted(rng.sample(rest, rng.randint(1, len(rest)))))
+            known = aug.pair_known(A, B)
+            assert known is None or known == sum(c(a, b) for a in A for b in B), (A, B)
+        assert QueryLedger.replay(ledger.transcript, g)
 
 
 def test_augmented_view_examples(b6):
@@ -201,17 +278,8 @@ def test_contracted_view_full_enumeration():
     for seed in range(3):
         g = random_graph(9, 0.5, seed, W=2)
         view, _, _ = make_view(g)
-        keep = (0, 2, 3, 6)
-        cv = ContractedView(view, keep)
-        # explicit contracted adjacency
-        cap = {}
-        for (u, v), w in g.edges.items():
-            uu = u if u in keep else cv.s_r
-            vv = v if v in keep else cv.s_r
-            if uu == vv:
-                continue
-            key = (min(uu, vv), max(uu, vv))
-            cap[key] = cap.get(key, 0) + w
+        cv = ContractedView(view, (0, 2, 3, 6))
+        cap = contracted_edges(g, cv)
         verts = cv.vertices()
         for k in range(1, len(verts)):
             for side in itertools.combinations(verts, k):
@@ -223,20 +291,7 @@ def test_induced_view_full_enumeration():
         g = random_graph(10, 0.4, seed)
         view, _, _ = make_view(g)
         part = (1, 3, 4, 7, 8)
-        w_out = {
-            v: sum(
-                g.edges.get((min(v, u), max(v, u)), 0)
-                for u in range(g.n)
-                if u not in part
-            )
-            for v in part
-        }
-        iv = InducedView(view, part, w_out)
-        cap = {
-            (u, v): w
-            for (u, v), w in g.edges.items()
-            if u in part and v in part
-        }
+        iv, cap = induced_view(view, g, part)
         for k in range(1, len(part)):
             for side in itertools.combinations(part, k):
                 assert iv.cut_query(side) == brute_cut_of(cap, part, side)
@@ -279,6 +334,22 @@ def test_replay_fails_on_different_instance(b6, k4):
     recs = QueryLedger.parse_transcript(ledger.transcript_text())
     other = GraphInstance(6, {(0, 1): 1})
     assert not QueryLedger.replay(recs, other)
+
+
+def test_base_view_freed_without_cycle_collector():
+    # a solve must leave no reference cycle through the view: its ledger and
+    # transcript are freed as soon as the caller drops them
+    g = random_graph(12, 0.5, 3)
+    gc.disable()
+    try:
+        view, ledger, cache = make_view(g)
+        global_mincut(view, cache)
+        assert ledger.transcript
+        ref = weakref.ref(view)
+        del view, ledger, cache
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_phase_tags(b6):
