@@ -1,7 +1,5 @@
-"""Numpy fallbacks for the compiled kernels.
-
-Semantics (including tie-breaking by lowest mask) match cutlab._core exactly;
-the test suite cross-checks the two implementations on random instances.
+"""The oracle's cut evaluation on neighbour bitsets, and the exhaustive
+numpy cut scans behind the reference checkers (ties go to the lowest mask).
 """
 
 from __future__ import annotations
@@ -9,13 +7,47 @@ from __future__ import annotations
 import numpy as np
 
 
-def cut_value(indptr, indices, weights, mask):
-    # every CSR entry (u, v) with u inside and v outside; `indices` holds one
-    # padding slot when the graph has no edges, so slice it to indptr[-1]
-    inside = mask.astype(bool)
-    m2 = int(indptr[-1])
-    crossing = np.repeat(inside, indptr[1:] - indptr[:-1]) & ~inside[indices[:m2]]
-    return int(weights[:m2][crossing].sum())
+def _bad_ids(n):
+    return IndexError(f"vertex ids must be ints in [0, {n})")
+
+
+def cut_value(planes, n, ids):
+    """Capacity of the edges between the vertex set `ids` and the rest.
+
+    `planes` holds (k, rows) pairs: rows[v] is the bitset of the neighbours
+    of v joined by an edge whose capacity has bit k set. The sum runs over
+    the smaller side T of the cut (S itself on a tie):
+    cut = sum_k 2^k sum_{v in T} popcount(rows_k[v] & ~T). `ids` is a
+    sequence; a repeated id counts once. Raises IndexError unless every id
+    is an int in [0, n)."""
+    side = ids
+    inside = 0
+    try:
+        # the bound comes before any shift: 1 << v allocates v bits
+        if ids and max(ids) >= n:
+            raise _bad_ids(n)
+        for v in ids:
+            inside |= 1 << v
+    except (TypeError, ValueError, OverflowError):  # a negative or non-int id
+        raise _bad_ids(n) from None
+    if type(inside) is not int:  # numpy ints
+        raise _bad_ids(n)
+    size = inside.bit_count()
+    if 2 * size > n:
+        inside ^= (1 << n) - 1
+        side = []
+        rest = inside
+        while rest:
+            low = rest & -rest
+            side.append(low.bit_length() - 1)
+            rest ^= low
+    elif size != len(side):
+        side = set(side)
+    outside = ~inside
+    total = 0
+    for k, rows in planes:
+        total += sum([(rows[v] & outside).bit_count() for v in side]) << k
+    return total
 
 
 def _all_masks(n):
@@ -91,8 +123,8 @@ def best_conductance_cut(n, eu, ev, ew):
     if valid.size == 0:
         return -1, -1, 0
     # Exact rational minimisation of cuts/small: repeatedly jump to the first
-    # strictly-better mask, then take the first exact tie, which reproduces
-    # the compiled loop's lowest-mask tie-break.
+    # strictly-better mask, then take the first exact tie, which is the
+    # lowest-mask tie-break.
     cand = valid[0]
     while True:
         better = valid[cuts[valid] * small[cand] < cuts[cand] * small[valid]]

@@ -21,6 +21,7 @@ ledgers may be used from different threads without coordination.
 from __future__ import annotations
 
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -78,26 +79,23 @@ class GraphInstance:
         self.n = n
         self.edges = dict(sorted(norm.items()))
         self.W = max(self.edges.values(), default=1)
-        self._build_csr()
+        self._planes = self._build_planes()
 
-    def _build_csr(self):
-        n = self.n
-        deg = np.zeros(n + 1, dtype=np.int64)
-        for (u, v), _ in self.edges.items():
-            deg[u + 1] += 1
-            deg[v + 1] += 1
-        indptr = np.cumsum(deg)
-        indices = np.zeros(max(int(indptr[-1]), 1), dtype=np.int64)
-        weights = np.zeros_like(indices)
-        cursor = indptr[:-1].copy()
+    def _build_planes(self):
+        """One bitset per vertex and weight bit k: rows[v] holds the
+        neighbours of v joined by an edge whose capacity has bit k set.
+        Returns the (k, rows) pairs of the planes that hold an edge."""
+        planes = [[0] * self.n for _ in range(self.W.bit_length())]
         for (u, v), w in self.edges.items():
-            indices[cursor[u]] = v
-            weights[cursor[u]] = w
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            weights[cursor[v]] = w
-            cursor[v] += 1
-        self._indptr, self._indices, self._weights = indptr, indices, weights
+            k = 0
+            while w:
+                if w & 1:
+                    rows = planes[k]
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                w >>= 1
+                k += 1
+        return tuple((k, tuple(rows)) for k, rows in enumerate(planes) if any(rows))
 
     def __eq__(self, other):
         return (
@@ -114,11 +112,23 @@ class GraphInstance:
         return len(self.edges)
 
     def cut_of(self, ids: Iterable[int]) -> int:
-        mask = np.zeros(self.n, dtype=np.uint8)
-        lst = list(ids)
-        if lst:
-            mask[lst] = 1
-        return _kernels.cut_value(self._indptr, self._indices, self._weights, mask)
+        """Capacity of the edges leaving `ids`; a repeated id counts once.
+        Raises QueryInputError for an id that is not an integer in [0, n)."""
+        side = ids if type(ids) is tuple else tuple(ids)
+        try:
+            return _kernels.cut_value(self._planes, self.n, side)
+        except IndexError:
+            pass
+        # the kernel takes Python ints only: convert other integer types
+        # (numpy's) and refuse everything else
+        try:
+            side = tuple(map(operator.index, side))
+        except TypeError:
+            raise QueryInputError("vertex ids must be integers") from None
+        for v in side:
+            if not 0 <= v < self.n:
+                raise QueryInputError(f"vertex {v} outside [0, {self.n})")
+        return _kernels.cut_value(self._planes, self.n, side)
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         adj: dict[int, dict[int, int]] = {v: {} for v in range(self.n)}
@@ -128,8 +138,9 @@ class GraphInstance:
         return adj
 
     def degree(self, v: int) -> int:
-        lo, hi = self._indptr[v], self._indptr[v + 1]
-        return int(self._weights[lo:hi].sum())
+        if not 0 <= v < self.n:  # a negative v would index from the end
+            raise QueryInputError(f"vertex {v} outside [0, {self.n})")
+        return sum(rows[v].bit_count() << k for k, rows in self._planes)
 
     def edge_arrays(self):
         m = max(len(self.edges), 1)

@@ -1,21 +1,11 @@
-"""Compiled and numpy kernels must agree with each other and with direct
-itertools enumeration on small instances."""
+"""The kernels must agree with direct itertools enumeration and with direct
+sums over the edge list on small instances."""
 
 import itertools
 
-import numpy as np
-import pytest
-
-from cutlab._kernels import _pykern
+from cutlab import _kernels
 from cutlab.oracle import GraphInstance
 from conftest import random_graph
-
-try:
-    from cutlab import _core
-except ImportError:
-    _core = None
-
-IMPLS = [("numpy", _pykern)] + ([("compiled", _core)] if _core else [])
 
 
 def arrays(g):
@@ -37,40 +27,56 @@ def direct_cut(g, side):
     return sum(w for (u, v), w in g.edges.items() if (u in inside) != (v in inside))
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_cut_value_matches_instance(name, impl):
-    # against a direct sum over the edge list: GraphInstance.cut_of calls
-    # the kernel itself, so it cannot serve as the reference
+def kernel_graphs():
     graphs = [random_graph(9, 0.5, seed, W=3) for seed in range(3)]
     graphs += [random_graph(8, 0.4, 5), GraphInstance(6, {}), GraphInstance(1, {})]
+    # a capacity of 2^40 + 5 adds the planes 2 and 40 to the planes 0 and 1
+    edges = dict(random_graph(8, 0.5, 7, W=3).edges)
+    edges[next(iter(edges))] = (1 << 40) + 5
+    graphs.append(GraphInstance(8, edges))
+    return graphs
+
+
+def test_cut_value_matches_instance():
+    # against a direct sum over the edge list: GraphInstance.cut_of calls
+    # the kernel itself, so it cannot serve as the reference
+    graphs = kernel_graphs()
+    assert [k for k, _ in graphs[-1]._planes] == [0, 1, 2, 40]
     for g in graphs:
-        for bits in range(1 << g.n):  # every side, the empty and full ones included
-            side = [v for v in range(g.n) if (bits >> v) & 1]
-            mask = np.zeros(g.n, dtype=np.uint8)
-            mask[side] = 1
-            got = impl.cut_value(g._indptr, g._indices, g._weights, mask)
-            assert got == direct_cut(g, side), (g, side)
+        # every side, the empty and full ones included; for even n that
+        # covers both sides of each |S| = n/2 tie, where the kernel sums over S
+        for bits in range(1 << g.n):
+            side = tuple(v for v in range(g.n) if (bits >> v) & 1)
+            want = direct_cut(g, side)
+            assert _kernels.cut_value(g._planes, g.n, side) == want, (g, side)
+            if side:  # a repeated id counts once
+                assert _kernels.cut_value(g._planes, g.n, side + side[:1]) == want, (g, side)
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_min_cut_scan_vs_brute(name, impl):
+def test_degree_matches_edge_list():
+    for g in kernel_graphs():
+        for v in range(g.n):
+            want = sum(w for (a, b), w in g.edges.items() if v in (a, b))
+            assert g.degree(v) == want, (g, v)
+
+
+def test_min_cut_scan_vs_brute():
     for seed in range(4):
         g = random_graph(8, 0.45, seed, W=2)
         eu, ev, ew = arrays(g)
-        val, mask = impl.min_cut_scan(g.n, eu, ev, ew)
+        val, mask = _kernels.min_cut_scan(g.n, eu, ev, ew)
         side = [v for v in range(g.n) if (mask >> v) & 1]
         assert val == brute_min_cut(g)
         assert g.cut_of(side) == val
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_separation_violation_vs_brute(name, impl):
+def test_separation_violation_vs_brute():
     for seed in range(4):
         g = random_graph(8, 0.4, seed)
         eu, ev, ew = arrays(g)
         r_mask = (1 << 0) | (1 << 5)
         for c in (0, 1, 2, 3):
-            got = impl.separation_violation(g.n, eu, ev, ew, r_mask, c)
+            got = _kernels.separation_violation(g.n, eu, ev, ew, r_mask, c)
             brute = None
             for mask in range(1, 1 << (g.n - 1)):
                 side = [v for v in range(g.n) if (mask >> v) & 1]
@@ -81,15 +87,14 @@ def test_separation_violation_vs_brute(name, impl):
             assert got == (brute if brute is not None else -1)
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_min_isolating_vs_brute(name, impl):
+def test_min_isolating_vs_brute():
     for seed in range(3):
         g = random_graph(8, 0.5, seed)
         eu, ev, ew = arrays(g)
         R = [0, 3, 6]
         for r in R:
             forbidden = sum(1 << x for x in R if x != r)
-            val, mask = impl.min_isolating(g.n, eu, ev, ew, r, forbidden)
+            val, mask = _kernels.min_isolating(g.n, eu, ev, ew, r, forbidden)
             best = None
             free = [v for v in range(g.n) if v != r and v not in R]
             for k in range(len(free) + 1):
@@ -104,15 +109,14 @@ def test_min_isolating_vs_brute(name, impl):
             assert g.cut_of(side) == val
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_expansion_violation_vs_brute(name, impl):
+def test_expansion_violation_vs_brute():
     for seed in range(3):
         g = random_graph(8, 0.4, seed)
         eu, ev, ew = arrays(g)
         core = [0, 2, 4, 6]
         core_mask = sum(1 << v for v in core)
         num, den = 3, 2
-        got = impl.expansion_violation(g.n, eu, ev, ew, core_mask, num, den)
+        got = _kernels.expansion_violation(g.n, eu, ev, ew, core_mask, num, den)
         brute = -1
         for mask in range(1, 1 << (g.n - 1)):
             side = [v for v in range(g.n) if (mask >> v) & 1]
@@ -124,12 +128,11 @@ def test_expansion_violation_vs_brute(name, impl):
         assert got == brute
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-def test_best_conductance_vs_brute(name, impl):
+def test_best_conductance_vs_brute():
     for seed in range(3):
         g = random_graph(7, 0.5, seed, W=2)
         eu, ev, ew = arrays(g)
-        cross, vol, mask = impl.best_conductance_cut(g.n, eu, ev, ew)
+        cross, vol, mask = _kernels.best_conductance_cut(g.n, eu, ev, ew)
         deg = {v: g.degree(v) for v in range(g.n)}
         total = sum(deg.values())
         best = None
@@ -143,20 +146,3 @@ def test_best_conductance_vs_brute(name, impl):
             if best is None or c * best[1] < best[0] * small:
                 best = (c, small, m)
         assert (cross, vol, mask) == best
-
-
-def test_both_impls_agree_everywhere():
-    if _core is None:
-        pytest.skip("compiled kernels unavailable")
-    for seed in range(6):
-        g = random_graph(9, 0.45, seed, W=2)
-        eu, ev, ew = arrays(g)
-        assert _core.min_cut_scan(g.n, eu, ev, ew) == _pykern.min_cut_scan(g.n, eu, ev, ew)
-        assert _core.best_conductance_cut(g.n, eu, ev, ew) == _pykern.best_conductance_cut(
-            g.n, eu, ev, ew
-        )
-        r_mask = 0b100101
-        for c in (1, 2):
-            assert _core.separation_violation(
-                g.n, eu, ev, ew, r_mask, c
-            ) == _pykern.separation_violation(g.n, eu, ev, ew, r_mask, c)

@@ -7,6 +7,7 @@ import itertools
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from cutlab.oracle import (
@@ -18,6 +19,7 @@ from cutlab.oracle import (
     InducedView,
     QueryInputError,
     QueryLedger,
+    TranscriptRecord,
 )
 from cutlab.mincut import global_mincut
 from conftest import make_view, random_graph, random_valid_flow, residual_capacity
@@ -52,6 +54,21 @@ def test_cut_query_out_of_range(b6):
     view, _, _ = make_view(b6)
     with pytest.raises(QueryInputError):
         view.cut_query([0, 99])
+
+
+def test_ids_outside_the_graph_are_refused(p4):
+    # a negative id must not wrap around to the last vertex
+    for bad in [(-1,), (4,), (0, 4), (1, -2), (0.5,), (10**12,)]:
+        with pytest.raises(QueryInputError):
+            p4.cut_of(bad)
+    with pytest.raises(QueryInputError):
+        QueryLedger.replay([TranscriptRecord(0, (-1,), 1, "")], p4)
+    for bad in (-1, 4):
+        with pytest.raises(QueryInputError):
+            p4.degree(bad)
+    assert p4.cut_of((1, 1)) == p4.cut_of((1,)) == 2  # duplicates count once
+    assert p4.cut_of(np.array([3], dtype=np.int64)) == 1
+    assert p4.cut_of(x for x in (0, 1)) == 1
 
 
 def test_pair_capacity_examples(k3, b6):
