@@ -16,7 +16,14 @@ from .expander import decompose
 from .isolating import isolating_cuts
 from .maxflow import dinitz_maxflow
 from .mincut import dominating_set, global_mincut
-from .oracle import BaseView, CutCache, GraphInstance, QueryLedger
+from .oracle import (
+    BaseView,
+    CutCache,
+    GraphFormatError,
+    GraphInstance,
+    QueryInputError,
+    QueryLedger,
+)
 
 
 def _ids(text: str) -> list[int]:
@@ -207,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphFormatError, QueryInputError) as exc:
+        print(f"cutlab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,22 +75,6 @@ class Params:
         expr = math.ceil(inv**3 + inv)
         return min(expr, r_size - 1)
 
-    def internal_capacity(self, n: int) -> int:
-        return max(1, math.ceil(1.0 / self.phi_for(n)))
-
-    def describe(self) -> dict:
-        return {
-            "profile": self.profile,
-            "phi": self.phi,
-            "beta": self.beta,
-            "zeta": self.zeta,
-            "theta_core": self.theta_core,
-            "bad_fraction": self.bad_fraction,
-            "rounds_base": self.rounds_base,
-            "phi_x": self.phi_x,
-            "reset_policy": self.reset_policy,
-        }
-
 
 DESK = Params()
 PAPER = Params(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DESK, Params
-from .oracle import ContractViolation, CutCache, Flow, OracleView, QueryInputError
+from .oracle import ContractViolation, CutCache, Flow, OracleView, QueryInputError, mask_of
 from .primitives import BfsTree, bfs_tree, find_neighbor
 
 
@@ -98,18 +98,21 @@ def blocking_flow_round(
     s = layered.layers[0][0]
     t = layered.layers[-1][0]
     d = layered.d
-    alive: list[set[int]] = [set(layer) for layer in layered.layers]
+    # the vertices of each layer not yet found to be dead ends, as a sorted
+    # list and as a bitmask
+    alive = [sorted(layer) for layer in layered.layers]
+    alive_mask = [mask_of(layer) for layer in layered.layers]
     delta = Flow(s, t)
     stack = [s]
     while stack:
         u = stack[-1]
         depth = len(stack) - 1
-        candidates = sorted(alive[depth + 1])
-        v = find_neighbor(cache, view, f, (u,), candidates)
+        v = find_neighbor(cache, view, f, (u,), alive[depth + 1], alive_mask[depth + 1])
         if v is None:
             stack.pop()
             if depth > 0:
-                alive[depth].discard(u)
+                alive[depth].remove(u)
+                alive_mask[depth] ^= 1 << u
             continue
         stack.append(v)
         if len(stack) == d + 1:

@@ -338,6 +338,9 @@ def global_mincut(
     n = view.universe_size
     if n < 2:
         raise QueryInputError("global min cut needs n >= 2")
+    if not view.unit_real_capacities():
+        # the dominating-set argument below holds for simple graphs only
+        raise QueryInputError("global min cut needs unit edge capacities")
     if cache is None:
         cache = CutCache(view.base_view)
     ledger = view.ledger

@@ -49,6 +49,29 @@ def canon(ids: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
+def mask_of(ids: Iterable[int]) -> int:
+    """Bitmask with bit v set for every vertex v of `ids`."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
+
+
+def ids_of(mask: int) -> list[int]:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for p in _BYTE_BITS[byte]:
+                out.append(base + p)
+        base += 8
+    return out
+
+
 # ---------------------------------------------------------------------------
 # hidden graph
 
@@ -251,9 +274,6 @@ class QueryLedger:
     def record_bis(self) -> None:
         self.bis_count += 1
 
-    def snapshot(self) -> tuple[int, int]:
-        return self.cut_count, self.bis_count
-
     # -- transcript format: one JSON object per line
 
     def transcript_text(self) -> str:
@@ -342,6 +362,13 @@ class Flow:
                     total += val
         return total
 
+    def out_to(self, u: int, X: int) -> int:
+        """Net flow from u into the vertices of the bitmask X."""
+        row = self._adj.get(u)
+        if not row:
+            return 0
+        return sum([val for v, val in row.items() if X >> v & 1])
+
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
         out = []
@@ -370,6 +397,22 @@ class CutPlan(NamedTuple):
     base_ids: Optional[tuple[int, ...]]  # None: no base query needed
     coeff: int
     offset: int
+
+
+class LinearForm(NamedTuple):
+    """Capacity between one view vertex u and a bitmask X of view vertices:
+
+        c_view(u, X) = sum(w * |m & X| for w, m in terms) + scale * c_base(base_u, X & keep)
+
+    The terms are virtual neighbourhoods, known for free. The base part is
+    empty when X & keep is; base_u None means the form cannot express a
+    nonempty base part (a contracted view lies below), and the caller falls
+    back to cut plans."""
+
+    terms: tuple[tuple[int, int], ...]
+    scale: int
+    base_u: Optional[int]
+    keep: int
 
 
 class OracleView:
@@ -414,11 +457,9 @@ class OracleView:
     def known_capacity(self, u: int, v: int) -> Optional[int]:
         return self.pair_known((u,), (v,))
 
-    def singleton_decompose(
-        self, u: int, B: tuple[int, ...]
-    ) -> Optional[tuple[int, Optional[int], tuple[int, ...], int]]:
-        """Express c_view(u, B) as known + scale * c_base(u, B_real), or None
-        when this view cannot (contracted views fall back to cut plans)."""
+    def linear_form(self, u: int) -> Optional[LinearForm]:
+        """The capacity of u towards any vertex set, as a LinearForm, or
+        None when this view has none (contracted views use cut plans)."""
         return None
 
     def _check_subset(self, ids: tuple[int, ...]) -> None:
@@ -478,6 +519,8 @@ class BaseView(OracleView):
         self._verts = tuple(range(instance.n))
         self._uni = frozenset(self._verts)
         self.n = instance.n
+        self._all = (1 << instance.n) - 1
+        self._forms: dict[int, LinearForm] = {}
 
     @property
     def _base(self) -> "BaseView":
@@ -500,8 +543,11 @@ class BaseView(OracleView):
             return CutPlan(None, 1, 0)
         return CutPlan(ids, 1, 0)
 
-    def singleton_decompose(self, u, B):
-        return (0, u, B, 1)
+    def linear_form(self, u: int) -> LinearForm:
+        form = self._forms.get(u)
+        if form is None:
+            form = self._forms[u] = LinearForm((), 1, u, self._all)
+        return form
 
     def raw_cut(self, base_ids: tuple[int, ...]) -> int:
         answer = self._instance.cut_of(base_ids)
@@ -562,11 +608,14 @@ class AugmentedView(OracleView):
                 vedges.append((b, y, 1))
                 vedges.append((y, self.s_sink, 1))
         self.virtual_edges = vedges
-        # per-vertex index of the virtual edges: vertex -> {neighbour: capacity}
-        self._vadj: dict[int, dict[int, int]] = {}
-        for u, v, w in vedges:
-            self._vadj.setdefault(u, {})[v] = w
-            self._vadj.setdefault(v, {})[u] = w
+        # every virtual edge has capacity 1, so a vertex's virtual edges are
+        # the bitmask of its virtual neighbours
+        self._vmask: dict[int, int] = {}
+        for u, v, _w in vedges:
+            self._vmask[u] = self._vmask.get(u, 0) | 1 << v
+            self._vmask[v] = self._vmask.get(v, 0) | 1 << u
+        self._parent_mask = mask_of(pverts)
+        self._forms: dict[int, LinearForm] = {}
         self.virtual_ids = frozenset(
             [self.s_source, self.s_sink]
             + [x for subs in self.source_bundle.values() for x in subs]
@@ -585,21 +634,10 @@ class AugmentedView(OracleView):
     def unit_real_capacities(self) -> bool:
         return self.scale == 1 and self.parent.unit_real_capacities()
 
-    def _virtual_to(self, u: int, B: Iterable[int]) -> int:
-        """Virtual capacity between u and the vertices of B, in O(|B|)."""
-        nbrs = self._vadj.get(u)
-        if not nbrs:
-            return 0
-        return sum([nbrs.get(v, 0) for v in B])
-
     def _virtual_crossing(self, ids: tuple[int, ...]) -> int:
-        inside = set(ids)
-        total = 0
-        for u in ids:
-            for v, w in self._vadj.get(u, {}).items():
-                if v not in inside:
-                    total += w
-        return total
+        outside = ~mask_of(ids)
+        vmask = self._vmask
+        return sum([(vmask[u] & outside).bit_count() for u in ids if u in vmask])
 
     def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
         if len(ids) == 0 or len(ids) == self.universe_size:
@@ -611,7 +649,9 @@ class AugmentedView(OracleView):
         return CutPlan(plan.base_ids, plan.coeff * self.scale, plan.offset * self.scale + offset)
 
     def pair_known(self, A, B) -> Optional[int]:
-        virt = sum([self._virtual_to(a, B) for a in A])
+        bmask = mask_of(B)
+        vmask = self._vmask
+        virt = sum([(vmask[a] & bmask).bit_count() for a in A if a in vmask])
         a_real = tuple([v for v in A if v not in self.virtual_ids])
         b_real = tuple([v for v in B if v not in self.virtual_ids])
         if not a_real or not b_real:
@@ -629,18 +669,28 @@ class AugmentedView(OracleView):
             return f.across(self.sink_bundle[terminal], (self.s_sink,))
         raise QueryInputError(f"{terminal} is not an augmented terminal")
 
-    def singleton_decompose(self, u, B):
-        extra = self._virtual_to(u, B)
+    def linear_form(self, u: int) -> LinearForm:
+        form = self._forms.get(u)
+        if form is None:
+            form = self._forms[u] = self._build_form(u)
+        return form
+
+    def _build_form(self, u: int) -> LinearForm:
+        vm = self._vmask.get(u, 0)
+        terms = ((1, vm),) if vm else ()
         if u in self.virtual_ids:
-            return (extra, None, (), 1)
-        b_real = tuple([v for v in B if v not in self.virtual_ids])
-        if not b_real:
-            return (extra, None, (), 1)
-        sub = self.parent.singleton_decompose(u, b_real)
+            return LinearForm(terms, 1, None, 0)
+        sub = self.parent.linear_form(u)
         if sub is None:
-            return None
-        s_extra, base_u, base_b, s_scale = sub
-        return (extra + self.scale * s_extra, base_u, base_b, self.scale * s_scale)
+            # the parent's vertices cannot be expressed: fall back whenever
+            # X reaches them
+            return LinearForm(terms, 1, None, self._parent_mask)
+        s = self.scale
+        terms += tuple((s * w, m) for w, m in sub.terms)
+        # a virtual id may equal the id of a base vertex outside the parent
+        # (an induced parent need not hold the highest ids), so the base
+        # part keeps the parent's vertices only
+        return LinearForm(terms, s * sub.scale, sub.base_u, sub.keep & self._parent_mask)
 
 
 class ContractedView(OracleView):
@@ -744,9 +794,9 @@ class InducedView(OracleView):
     def pair_known(self, A, B) -> Optional[int]:
         return self.parent.pair_known(A, B)
 
-    def singleton_decompose(self, u, B):
+    def linear_form(self, u: int) -> Optional[LinearForm]:
         # pair capacities inside the part equal the parent's
-        return self.parent.singleton_decompose(u, B)
+        return self.parent.linear_form(u)
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +814,13 @@ class CutCache:
     def __init__(self, base: BaseView):
         self.base = base
         self._memo: dict[tuple[int, ...], int] = {}
-        # learned hidden-graph pair capacities; blocks of total capacity zero
-        # (and, on unit graphs, saturated blocks) teach all members at once
-        self._pairs: dict[int, dict[int, int]] = {}
+        # learned hidden-graph pair capacities, as bitsets laid out like
+        # GraphInstance._planes: bit v of _known[u] says c(u, v) is learned,
+        # and bit v of _planes[k][u] says its bit k is set. Blocks of total
+        # capacity zero (and, on unit graphs, saturated blocks) teach all
+        # members at once
+        self._known = [0] * base.n
+        self._planes: list[list[int]] = []
         self._unit_base = base._instance.W == 1
         self.logical_cuts = 0
         self.logical_pairs = 0
@@ -804,65 +858,80 @@ class CutCache:
             raise ContractViolation("inconsistent cut answers in pair_capacity")
         return total // 2
 
-    def _learn(self, u: int, v: int, c: int) -> None:
-        self._pairs.setdefault(u, {})[v] = c
-        self._pairs.setdefault(v, {})[u] = c
+    def _learn(self, u: int, block: int, members: Iterable[int], c: int) -> None:
+        """Record capacity c between u and every vertex of the bitmask block,
+        whose vertices are `members`."""
+        known, planes = self._known, self._planes
+        bit = 1 << u
+        known[u] |= block
+        for v in members:
+            known[v] |= bit
+        while len(planes) < c.bit_length():
+            planes.append([0] * len(known))
+        for k, rows in enumerate(planes):
+            if c >> k & 1:
+                rows[u] |= block
+                for v in members:
+                    rows[v] |= bit
 
-    def base_pair_sum(self, u: int, B: tuple[int, ...]) -> int:
-        """Total hidden-graph capacity between u and the set B, served from
-        the learned-pair table where possible and querying only the unknown
-        remainder. Zero-capacity remainders (and full ones on unit graphs)
-        teach every member pair at once."""
-        known = self._pairs.get(u, {})
+    def base_pair_sum(self, u: int, X: int) -> int:
+        """Total hidden-graph capacity between u and the bitmask X of base
+        vertices, served from the learned pairs where possible and querying
+        only the unknown remainder. A remainder of one vertex, of capacity
+        zero, or (on unit graphs) of full capacity teaches every member."""
         total = 0
-        unknown = []
-        for v in B:
-            c = known.get(v)
-            if c is None:
-                unknown.append(v)
-            else:
-                total += c
+        for k, rows in enumerate(self._planes):
+            total += (rows[u] & X).bit_count() << k
+        unknown = X & ~self._known[u]
         if not unknown:
             return total
-        if len(unknown) == 1:
-            v = unknown[0]
-            cut_u = self.cut(self.base, (u,))
-            cut_v = self.cut(self.base, (v,))
-            cut_uv = self.cut(self.base, (u, v))
-            c = (cut_u + cut_v - cut_uv) // 2
-            self._learn(u, v, c)
-            return total + c
-        rest = tuple(unknown)
+        if unknown & (unknown - 1):
+            rest = tuple(ids_of(unknown))
+        else:
+            rest = (unknown.bit_length() - 1,)
         val = self.cut(self.base, (u,)) + self.cut(self.base, rest) - self.cut(self.base, (u,) + rest)
         if val % 2 or val < 0:
             raise ContractViolation("inconsistent cut answers in base_pair_sum")
         val //= 2
-        if val == 0:
-            for v in unknown:
-                self._learn(u, v, 0)
-        elif self._unit_base and val == len(unknown):
-            for v in unknown:
-                self._learn(u, v, 1)
+        if len(rest) == 1 or val == 0:
+            self._learn(u, unknown, rest, val)
+        elif self._unit_base and val == len(rest):
+            self._learn(u, unknown, rest, 1)
         return total + val
 
+    def _singleton(self, view: OracleView, u: int, X: int) -> Optional[int]:
+        """c_view(u, X) from the view's linear form of u, or None when the
+        form cannot express it."""
+        form = view.linear_form(u)
+        if form is None:
+            return None
+        terms, scale, base_u, keep = form
+        real = X & keep
+        if real and base_u is None:
+            return None
+        cap = 0
+        for w, m in terms:
+            cap += w * (m & X).bit_count()
+        if real:
+            cap += scale * self.base_pair_sum(base_u, real)
+        return cap
+
     def residual_between(
-        self, view: OracleView, f: Optional[Flow], A: Sequence[int], B: Sequence[int]
+        self, view: OracleView, f: Optional[Flow], A: Sequence[int], X: int
     ) -> int:
-        """Total residual capacity from A into B; one logical BIS. A None
-        flow means the zero flow. The order of A and B does not matter:
-        every base set is put in canonical order before it is charged."""
+        """Total residual capacity from the view vertices A into the bitmask
+        X of view vertices; one logical BIS. A None flow means the zero
+        flow."""
         self.logical_bis += 1
         if len(A) == 1:
-            dec = view.singleton_decompose(A[0], B)
-            if dec is not None:
-                extra, base_u, base_b, scale = dec
-                cap = extra
-                if base_u is not None and base_b:
-                    cap += scale * self.base_pair_sum(base_u, base_b)
-                val = cap - (f.across(A, B) if f is not None else 0)
+            u = A[0]
+            cap = self._singleton(view, u, X)
+            if cap is not None:
+                val = cap - (f.out_to(u, X) if f is not None else 0)
                 if val < 0:
                     raise ContractViolation("negative residual capacity: invalid flow")
                 return val
+        B = ids_of(X)
         val = self.pair_capacity(view, A, B) - (f.across(A, B) if f is not None else 0)
         if val < 0:
             raise ContractViolation("negative residual capacity: invalid flow")
@@ -872,11 +941,7 @@ class CutCache:
         known = view.known_capacity(u, v)
         if known is not None:
             return known
-        dec = view.singleton_decompose(u, (v,))
-        if dec is not None:
-            extra, base_u, base_b, scale = dec
-            cap = extra
-            if base_u is not None and base_b:
-                cap += scale * self.base_pair_sum(base_u, base_b)
+        cap = self._singleton(view, u, 1 << v)
+        if cap is not None:
             return cap
         return self.pair_capacity(view, (u,), (v,))

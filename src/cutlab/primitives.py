@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .oracle import CutCache, Flow, OracleView, QueryInputError, canon
+from .oracle import CutCache, Flow, OracleView, QueryInputError, canon, mask_of
 
 
 @dataclass
@@ -18,15 +18,6 @@ class BfsTree:
     def reached(self) -> tuple[int, ...]:
         return canon(self.dist)
 
-    def layers(self) -> list[list[int]]:
-        if not self.dist:
-            return []
-        depth = max(self.dist.values())
-        out: list[list[int]] = [[] for _ in range(depth + 1)]
-        for v in sorted(self.dist):
-            out[self.dist[v]].append(v)
-        return out
-
 
 def find_neighbor(
     cache: CutCache,
@@ -34,32 +25,37 @@ def find_neighbor(
     f: Optional[Flow],
     A: Iterable[int],
     B: Sequence[int],
+    mask: Optional[int] = None,
 ) -> Optional[int]:
-    """Lowest-id vertex of B with a residual edge from A, or None.
+    """Lowest-id vertex of B with a residual edge from A, or None. `mask`
+    is the bitmask of B when the caller already holds it.
 
     Costs one BIS when there is no neighbor, and 1 + ceil(log2 |B|) BIS
-    otherwise. The halving always splits at the sorted-id midpoint and keeps
-    the residual total of the unexplored half by subtraction, so descending
-    into the upper half costs nothing extra.
+    otherwise. The halving always splits at the sorted-id midpoint. When the
+    lower half has no residual capacity, the upper half holds all of the
+    current total, which is positive, so descending into it costs nothing
+    extra.
     """
     A = canon(A)
     B = sorted(B)
-    if set(A) & set(B):
-        raise QueryInputError("find_neighbor sets must be disjoint")
+    cur = mask_of(B) if mask is None else mask
+    for a in A:
+        if cur >> a & 1:
+            raise QueryInputError("find_neighbor sets must be disjoint")
     if not B:
         return None
-    total = cache.residual_between(view, f, A, B)
-    if total <= 0:
+    if cache.residual_between(view, f, A, cur) <= 0:
         return None
-    while len(B) > 1:
-        mid = (len(B) + 1) // 2
-        low = B[:mid]
-        low_val = cache.residual_between(view, f, A, low)
-        if low_val > 0:
-            B, total = low, low_val
+    # cur is the bitmask of B[lo:hi]
+    lo, hi = 0, len(B)
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        low = cur & ((1 << B[mid]) - 1)
+        if cache.residual_between(view, f, A, low) > 0:
+            cur, hi = low, mid
         else:
-            B, total = B[mid:], total - low_val
-    return B[0]
+            cur, lo = cur ^ low, mid
+    return B[lo]
 
 
 def neighborhood(
@@ -68,18 +64,23 @@ def neighborhood(
     f: Optional[Flow],
     U: Iterable[int],
     candidates: Iterable[int],
+    mask: Optional[int] = None,
 ) -> list[int]:
     """All residual neighbors of U among the candidates, in increasing id
-    order, by repeated find_neighbor with found vertices removed."""
+    order, by repeated find_neighbor with found vertices removed. `mask` is
+    the bitmask of the candidates when the caller already holds it."""
     U = canon(U)
     remaining = sorted(candidates)
+    if mask is None:
+        mask = mask_of(remaining)
     found: list[int] = []
     while True:
-        v = find_neighbor(cache, view, f, U, remaining)
+        v = find_neighbor(cache, view, f, U, remaining, mask)
         if v is None:
             return found
         found.append(v)
         remaining.remove(v)
+        mask ^= 1 << v
 
 
 def bfs_tree(
@@ -97,6 +98,7 @@ def bfs_tree(
         undiscovered = [v for v in view.vertices() if v != root]
     else:
         undiscovered = sorted(set(within) - {root})
+    mask = mask_of(undiscovered)
     tree = BfsTree(root=root, parent={root: None}, dist={root: 0})
     frontier = [root]
     while frontier and undiscovered:
@@ -104,10 +106,11 @@ def bfs_tree(
         for u in frontier:
             if not undiscovered:
                 break
-            for v in neighborhood(cache, view, f, (u,), undiscovered):
+            for v in neighborhood(cache, view, f, (u,), undiscovered, mask):
                 tree.parent[v] = u
                 tree.dist[v] = tree.dist[u] + 1
                 undiscovered.remove(v)
+                mask ^= 1 << v
                 next_frontier.append(v)
         frontier = sorted(next_frontier)
     return tree

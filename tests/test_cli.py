@@ -95,3 +95,15 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
     rc = main(["mincut", "--graph", b6_file, "--config", str(cfg)])
     assert rc == 0
     assert "value 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["mincut"], ["verify", "--algo", "mincut"]])
+def test_cli_refuses_capacitated_mincut(tmp_path, capsys, command):
+    path = tmp_path / "w6.graph"
+    generate(InstanceSpec("random_gnp", 8, 9, (("W", 6), ("p", 0.5)))).dump(path)
+    rc = main([command[0], "--graph", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "unit edge capacities" in err[0]

@@ -295,6 +295,17 @@ def test_global_mincut_disconnected():
         global_mincut(view2, cache=cache2)
 
 
+def test_global_mincut_refuses_capacitated_graphs():
+    # the dominating-set argument holds for simple graphs only: on this W=6
+    # instance the degree cut 6 used to come back, where the minimum is 5
+    g = random_graph(8, 0.5, 9, W=6)
+    assert reference_mincut(g)[0] == 5
+    view, ledger, cache = make_view(g)
+    with pytest.raises(QueryInputError):
+        global_mincut(view, cache=cache)
+    assert ledger.cut_count == 0
+
+
 def test_global_mincut_reference_sweep():
     for g in small_corpus(max_n=14, seeds=2):
         view, _, cache = make_view(g)

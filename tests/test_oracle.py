@@ -20,6 +20,7 @@ from cutlab.oracle import (
     QueryInputError,
     QueryLedger,
     TranscriptRecord,
+    mask_of,
 )
 from cutlab.mincut import global_mincut
 from conftest import make_view, random_graph, random_valid_flow, residual_capacity
@@ -206,13 +207,17 @@ def induced_view(view, g, part):
     return InducedView(view, part, w_out), edges
 
 
-@pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced"])
+@pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced", "induced_low", "augmented"])
 @pytest.mark.parametrize("scale", [1, 2])
 def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
     """Every vertex kind (virtual source and sink, subdivision vertices,
     terminals, plain vertices) against random sets B: the singleton
-    residual, capacity, pair_known and cut_query paths must all agree with
-    sums over the explicitly materialized augmented graph."""
+    residual (under the zero flow and under a nonzero valid flow), capacity,
+    pair_known and cut_query paths must all agree with sums over the
+    explicitly materialized augmented graph. The augmented parent nests two
+    scales and puts a terminal on a virtual vertex of the parent; the
+    induced_low part leaves out the highest base ids, so virtual ids reuse
+    them."""
     for seed in range(2):
         g = random_graph(9, 0.5, seed, W=1 + seed)
         view, ledger, cache = make_view(g)
@@ -221,13 +226,20 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
         elif parent_kind == "contracted":
             parent = ContractedView(view, (0, 2, 3, 5, 6))
             parent_edges = contracted_edges(g, parent)
-        else:
+        elif parent_kind == "induced":
             parent, parent_edges = induced_view(view, g, (0, 1, 3, 4, 6, 8))
+        elif parent_kind == "induced_low":
+            parent, parent_edges = induced_view(view, g, (0, 1, 3, 4, 6))
+        else:
+            parent = AugmentedView(view, [(0, 1), (4, 2)], [(8, 2)], scale=3)
+            parent_edges = materialize_augmented(g.edges, parent)
         pv = parent.vertices()
         aug = AugmentedView(parent, [(pv[0], 2), (pv[1], 1)], [(pv[-1], 3)], scale=scale)
         cap = materialize_augmented(parent_edges, aug)
         verts = aug.vertices()
         assert pv[2] in verts and pv[2] not in aug.virtual_ids  # a plain vertex
+        flow = random_valid_flow(GraphInstance(verts[-1] + 1, cap), aug.s_source, aug.s_sink, seed)
+        assert flow.value > 0
 
         def c(u, v):
             return cap.get((min(u, v), max(u, v)), 0)
@@ -238,9 +250,9 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
             for _ in range(6):
                 B = sorted(rng.sample(others, rng.randint(1, len(others))))
                 want = sum(c(u, b) for b in B)
-                assert cache.residual_between(aug, None, (u,), B) == want, (u, B)
-                shuffled = rng.sample(B, len(B))
-                assert cache.residual_between(aug, None, (u,), shuffled) == want, (u, shuffled)
+                assert cache.residual_between(aug, None, (u,), mask_of(B)) == want, (u, B)
+                residual = want - sum(flow.get(u, b) for b in B)
+                assert cache.residual_between(aug, flow, (u,), mask_of(B)) == residual, (u, B)
                 known = aug.pair_known((u,), tuple(B))
                 assert known is None or known == want, (u, B)
                 for v in B[:3]:
@@ -400,12 +412,46 @@ def test_cache_only_charges_fresh_sets(b6):
 
 def test_cache_learned_pairs_zero_block(b6):
     view, ledger, cache = make_view(b6)
-    # 0 has no edges into {3,4,5}: one probe teaches all three pairs
-    assert cache.base_pair_sum(0, (3, 4, 5)) == 0
+    # 0 has no edges into {3,4,5}: one probe teaches all three pairs, in both
+    # directions
+    assert cache.base_pair_sum(0, mask_of((3, 4, 5))) == 0
     q = ledger.cut_count
-    assert cache.base_pair_sum(0, (3,)) == 0
-    assert cache.base_pair_sum(0, (4, 5)) == 0
+    assert cache.base_pair_sum(0, mask_of((3,))) == 0
+    assert cache.base_pair_sum(0, mask_of((4, 5))) == 0
+    assert cache.base_pair_sum(4, mask_of((0,))) == 0
     assert ledger.cut_count == q
+    # 3 is joined to all of {2,4,5}: on a unit graph the full block is learned
+    assert cache.base_pair_sum(3, mask_of((2, 4, 5))) == 3
+    q = ledger.cut_count
+    assert cache.base_pair_sum(3, mask_of((2, 5))) == 2
+    assert cache.base_pair_sum(2, mask_of((3,))) == 1
+    assert ledger.cut_count == q
+    # a remainder of one vertex is learned with its capacity
+    assert cache.base_pair_sum(2, mask_of((0, 3))) == 2
+    q = ledger.cut_count
+    assert cache.base_pair_sum(0, mask_of((2, 3, 4, 5))) == 1
+    assert ledger.cut_count == q
+
+
+def test_cache_learned_capacities_above_one():
+    """On a W=3 graph every pair learned from a one-vertex remainder keeps
+    its full capacity, across all three bit planes, and is read back for
+    free through CutCache.capacity and base_pair_sum."""
+    for seed in range(3):
+        g = random_graph(12, 0.6, seed, W=3)
+        assert g.W == 3
+        view, ledger, cache = make_view(g)
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        for u, v in pairs:
+            assert cache.capacity(view, u, v) == g.edges.get((u, v), 0)
+        assert any(w >= 2 for w in g.edges.values())
+        q = ledger.cut_count
+        for u, v in pairs:
+            assert cache.capacity(view, v, u) == g.edges.get((u, v), 0)
+        for u in range(12):
+            X = mask_of(v for v in range(12) if v != u)
+            assert cache.base_pair_sum(u, X) == g.degree(u)
+        assert ledger.cut_count == q
 
 
 def test_cache_agrees_with_contract_ops():

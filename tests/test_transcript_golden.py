@@ -29,6 +29,13 @@ def _maxflow(spec, s, t):
     return dinitz_maxflow(view, s, t, cache).value, ledger
 
 
+def _maxflow_pairs(spec, pairs):
+    # every pair runs on the same cache, so later pairs start from the
+    # capacities the earlier ones learned
+    view, ledger, cache = make_view(generate(spec))
+    return tuple(dinitz_maxflow(view, s, t, cache).value for s, t in pairs), ledger
+
+
 def _decompose(spec):
     g = generate(spec)
     view, ledger, cache = make_view(g)
@@ -65,6 +72,22 @@ GOLDEN = [
         3,
         374,
         "f06363b9275c2a4bdd502e8a2de4267ca576ba3d8e9f361eb133cf0229187605",
+    ),
+    (
+        "mincut_expander_d3_n128",
+        lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
+        6,
+        1939,
+        "ecd8d14c89f81c700d70f36011585936c9c4d6e75902722edd6ff7a3c5d2fdd5",
+    ),
+    (
+        "maxflow_gnp_w3_n48_shared_cache",
+        lambda: _maxflow_pairs(
+            InstanceSpec("random_gnp", 48, 3).with_params(p=0.3, W=3), ((0, 47), (7, 30))
+        ),
+        (24, 18),
+        1464,
+        "429993771581a99bf403328a0b8748ef2bfed958dd31161158da2d3d8351045e",
     ),
     (
         "decompose_two_cliques_n16",
