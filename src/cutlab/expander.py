@@ -12,6 +12,7 @@ edges are learned once and subtracted at zero query cost thereafter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -121,6 +122,24 @@ class WitnessGraph:
 # cut player
 
 
+@functools.cache
+def bisection_table(k: int) -> np.ndarray:
+    """Read-only boolean table of every bisection of k slots with slot 0 on
+    side A: row i marks side A of the i-th combination of the other k/2 - 1
+    members, in itertools.combinations order. Built once per k."""
+    rows = math.comb(k - 1, k // 2 - 1)
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, k), k // 2 - 1)),
+        dtype=np.intp,
+        count=rows * (k // 2 - 1),
+    ).reshape(rows, k // 2 - 1)
+    table = np.zeros((rows, k), dtype=bool)
+    table[:, 0] = True
+    table[np.arange(rows)[:, None], members] = True
+    table.flags.writeable = False
+    return table
+
+
 def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bisection of the witness slots: the exact minimum-crossing bisection
     by exhaustive search up to the configured limit, else a deterministic
@@ -136,13 +155,17 @@ def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...],
         W[index[v], index[u]] += c
     deg = W.sum(axis=1)
     if k <= params.cut_player_exact_limit:
-        combos = list(itertools.combinations(range(1, k), k // 2 - 1))
-        M = np.zeros((len(combos), k), dtype=np.int64)
-        M[:, 0] = 1
-        for i, combo in enumerate(combos):
-            M[i, list(combo)] = 1
-        crossing = M @ deg - np.einsum("ij,jl,il->i", M, W, M)
-        pick = M[int(np.argmin(crossing))]
+        M = bisection_table(k)
+        # crossing = M @ deg - rowsum((M @ W) * M) in exact int64. P = M @ W
+        # is summed one row of W at a time, so the boolean table is never
+        # copied to int64 and P is the only N x k temporary
+        P = np.zeros(M.shape, dtype=np.int64)
+        for i in range(k):
+            np.add(P, W[i], out=P, where=M[:, i, None])
+        np.subtract(deg, P, out=P)
+        np.multiply(P, M, out=P)
+        # argmin keeps the first minimum in the table's order
+        pick = M[int(np.argmin(P.sum(axis=1)))]
     else:
         # power iteration for an approximate Fiedler direction, fixed seed
         d = np.maximum(deg, 1).astype(float)
@@ -159,8 +182,8 @@ def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...],
         # smallest k/2 by (value, slot id); complement of the dominant
         # mixing direction approximates the sparse direction
         order = sorted(range(k), key=lambda i: (x[i], slots[i]))
-        pick = np.zeros(k, dtype=np.int64)
-        pick[order[: k // 2]] = 1
+        pick = np.zeros(k, dtype=bool)
+        pick[order[: k // 2]] = True
     A = tuple(slots[i] for i in range(k) if pick[i])
     B = tuple(slots[i] for i in range(k) if not pick[i])
     return A, B

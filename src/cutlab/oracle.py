@@ -20,6 +20,7 @@ ledgers may be used from different threads without coordination.
 
 from __future__ import annotations
 
+import bisect
 import json
 import operator
 from contextlib import contextmanager
@@ -808,8 +809,9 @@ class CutCache:
 
     Every view reduces a cut query to (base set, coeff, offset); the cache
     answers previously-seen base sets (and their complements) without
-    touching the oracle again. Counters track logical operations so query
-    budgets can be expressed in BIS calls independently of cache hits."""
+    touching the oracle again. `logical_bis` counts logical BIS calls, so
+    query budgets can be expressed in BIS calls independently of cache
+    hits."""
 
     def __init__(self, base: BaseView):
         self.base = base
@@ -822,8 +824,6 @@ class CutCache:
         self._known = [0] * base.n
         self._planes: list[list[int]] = []
         self._unit_base = base._instance.W == 1
-        self.logical_cuts = 0
-        self.logical_pairs = 0
         self.logical_bis = 0
 
     def _key(self, ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -834,7 +834,6 @@ class CutCache:
 
     def cut(self, view: OracleView, ids: Iterable[int]) -> int:
         ids = canon(ids)
-        self.logical_cuts += 1
         if len(ids) == 0 or len(ids) == view.universe_size:
             return 0
         plan = view.cut_plan(ids)
@@ -849,7 +848,6 @@ class CutCache:
 
     def pair_capacity(self, view: OracleView, A: Iterable[int], B: Iterable[int]) -> int:
         A, B = canon(A), canon(B)
-        self.logical_pairs += 1
         known = view.pair_known(A, B)
         if known is not None:
             return known
@@ -886,10 +884,12 @@ class CutCache:
         if not unknown:
             return total
         if unknown & (unknown - 1):
-            rest = tuple(ids_of(unknown))
+            rest = ids_of(unknown)
         else:
-            rest = (unknown.bit_length() - 1,)
-        val = self.cut(self.base, (u,)) + self.cut(self.base, rest) - self.cut(self.base, (u,) + rest)
+            rest = [unknown.bit_length() - 1]
+        union = rest.copy()
+        bisect.insort(union, u)  # already sorted, so cut() canonicalises it in one pass
+        val = self.cut(self.base, (u,)) + self.cut(self.base, rest) - self.cut(self.base, union)
         if val % 2 or val < 0:
             raise ContractViolation("inconsistent cut answers in base_pair_sum")
         val //= 2

@@ -28,7 +28,9 @@ def find_neighbor(
     mask: Optional[int] = None,
 ) -> Optional[int]:
     """Lowest-id vertex of B with a residual edge from A, or None. `mask`
-    is the bitmask of B when the caller already holds it.
+    is the bitmask of B when the caller already holds it; a caller that
+    passes it must also pass A as a sequence and B sorted by increasing id,
+    which are then used as given.
 
     Costs one BIS when there is no neighbor, and 1 + ceil(log2 |B|) BIS
     otherwise. The halving always splits at the sorted-id midpoint. When the
@@ -36,9 +38,11 @@ def find_neighbor(
     current total, which is positive, so descending into it costs nothing
     extra.
     """
-    A = canon(A)
-    B = sorted(B)
-    cur = mask_of(B) if mask is None else mask
+    if mask is None:
+        A = canon(A)
+        B = sorted(B)
+        mask = mask_of(B)
+    cur = mask
     for a in A:
         if cur >> a & 1:
             raise QueryInputError("find_neighbor sets must be disjoint")

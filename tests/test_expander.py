@@ -2,11 +2,16 @@
 decomposition, with exhaustive witness/expansion checks at small sizes."""
 
 import itertools
+import math
+import random
 from collections import Counter
+
+import pytest
 
 from cutlab.config import DESK, PINNED
 from cutlab.expander import (
     WitnessGraph,
+    bisection_table,
     cut_player,
     decompose,
     matching_player,
@@ -51,6 +56,46 @@ def test_cut_player_exhaustive_minimises_crossing():
 
     best = min(crossing(c) for c in itertools.combinations((0, 1, 2, 3), 2))
     assert crossing(A) == best
+
+
+def _first_min_bisection(X):
+    """Brute force: the first minimum-crossing bisection over side-A sets
+    that hold the lowest slot, in lexicographic order."""
+    slots = X.slots
+    edges = X.combined()
+    best = None
+    for rest in itertools.combinations(slots[1:], len(slots) // 2 - 1):
+        side = {slots[0], *rest}
+        cross = sum(c for (u, v), c in edges.items() if (u in side) != (v in side))
+        if best is None or cross < best[0]:
+            best = (cross, side)
+    A = tuple(s for s in slots if s in best[1])
+    return A, tuple(s for s in slots if s not in best[1])
+
+
+@pytest.mark.parametrize("k", range(2, 16, 2))
+def test_cut_player_exact_matches_brute_force(k):
+    rng = random.Random(k)
+    slots = tuple(sorted(rng.sample(range(5, 10 * k), k)))
+    pairs = list(itertools.combinations(slots, 2))
+    cases = [witness(slots, 0)]  # empty witness: every crossing is 0
+    cases.append(witness(slots, k - 1, edges={p: 3 for p in pairs}))  # all tied
+    for _ in range(4):
+        edges = Counter({p: rng.randint(1, 9) for p in rng.sample(pairs, min(len(pairs), 2 * k))})
+        fakes = Counter({p: rng.randint(1, 2) for p in rng.sample(pairs, min(len(pairs), k // 2))})
+        cases.append(witness(slots, 1, edges=edges, fakes=fakes))
+    for X in cases:
+        assert cut_player(X) == _first_min_bisection(X)
+    assert cut_player(cases[0]) == (slots[: k // 2], slots[k // 2 :])
+
+
+def test_bisection_table_is_memoised_and_read_only():
+    table = bisection_table(8)
+    assert table is bisection_table(8)
+    assert table.shape == (math.comb(7, 3), 8) and table.dtype == bool
+    assert table[:, 0].all() and (table.sum(axis=1) == 4).all()
+    with pytest.raises(ValueError):
+        table[0, 1] = True
 
 
 def test_cut_player_spectral_path_is_deterministic():

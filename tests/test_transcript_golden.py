@@ -96,6 +96,14 @@ GOLDEN = [
         64,
         "889ead02ef898b605bc8f5586e7b0f37963e14f8d4d95385ac20c67017707e7f",
     ),
+    (
+        # 8 exact cut-player calls at k=16 slots and 1 spectral call at k=32
+        "decompose_two_cliques_n32",
+        lambda: _decompose(InstanceSpec("two_cliques_bridge", 32)),
+        2,
+        151,
+        "5d17ce84bb2bc7959d9e1a363dfe0fe410565b68aad33e6c9c205d7d53e4ec62",
+    ),
 ]
 
 
