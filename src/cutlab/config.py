@@ -92,9 +92,9 @@ PROFILES = {"desk": DESK, "paper": PAPER}
 # regression-guards them at +-0% (any increase fails).
 PINNED = {
     # bfs_tree logical BIS calls <= C1_BFS * n * log2(n)
-    "C1_BFS": 1.13,
+    "C1_BFS": 0.72,
     # dominating_set charged cut queries <= C2_DOMSET * n * log2(n)
-    "C2_DOMSET": 1.59,
+    "C2_DOMSET": 1.26,
     # blocking-flow rounds <= C_ROUNDS * (n^(2/3) * W + 1)
     "C_ROUNDS": 0.49,
     # global_mincut charged cut queries <= C_GLOBAL * n^(5/3) * log2(n)^K_GLOBAL

@@ -319,9 +319,13 @@ class QueryLedger:
 
 
 class Flow:
-    """Antisymmetric integral flow assignment: get(u, v) == -get(v, u)."""
+    """Antisymmetric integral flow assignment: get(u, v) == -get(v, u).
 
-    __slots__ = ("source", "sink", "value", "_adj")
+    Each row is held twice: as a dict (get, support, across, copy) and as
+    signed bit planes (out_to). Bit v of _pos[u][k] (of _neg[u][k]) says
+    f(u, v) is positive (negative) and bit k of its magnitude is set."""
+
+    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg")
 
     def __init__(self, source: int, sink: int):
         if source == sink:
@@ -330,6 +334,8 @@ class Flow:
         self.sink = sink
         self.value = 0
         self._adj: dict[int, dict[int, int]] = {}
+        self._pos: dict[int, list[int]] = {}
+        self._neg: dict[int, list[int]] = {}
 
     @classmethod
     def zero(cls, source: int, sink: int) -> "Flow":
@@ -343,13 +349,37 @@ class Flow:
             return
         fu = self._adj.setdefault(u, {})
         fv = self._adj.setdefault(v, {})
-        new = fu.get(v, 0) + amount
+        old = fu.get(v, 0)
+        new = old + amount
         if new == 0:
             fu.pop(v, None)
             fv.pop(u, None)
         else:
             fu[v] = new
             fv[u] = -new
+        self._flip(u, 1 << v, old)
+        self._flip(u, 1 << v, new)
+        self._flip(v, 1 << u, -old)
+        self._flip(v, 1 << u, -new)
+
+    def _flip(self, u: int, bit: int, val: int) -> None:
+        """Toggle `bit` in the planes of u that hold the value val; applied
+        to the old and then the new value, it moves an entry."""
+        if not val:
+            return
+        rows = self._pos if val > 0 else self._neg
+        planes = rows.get(u)
+        if planes is None:
+            planes = rows[u] = []
+        mag = abs(val)
+        while len(planes) < mag.bit_length():
+            planes.append(0)
+        k = 0
+        while mag:
+            if mag & 1:
+                planes[k] ^= bit
+            mag >>= 1
+            k += 1
 
     def across(self, A: Iterable[int], B: Iterable[int]) -> int:
         rows = [row for row in map(self._adj.get, A) if row]
@@ -365,10 +395,16 @@ class Flow:
 
     def out_to(self, u: int, X: int) -> int:
         """Net flow from u into the vertices of the bitmask X."""
-        row = self._adj.get(u)
-        if not row:
-            return 0
-        return sum([val for v, val in row.items() if X >> v & 1])
+        total = 0
+        planes = self._pos.get(u)
+        if planes:
+            for k, m in enumerate(planes):
+                total += (m & X).bit_count() << k
+        planes = self._neg.get(u)
+        if planes:
+            for k, m in enumerate(planes):
+                total -= (m & X).bit_count() << k
+        return total
 
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
@@ -387,6 +423,8 @@ class Flow:
         f = Flow(self.source, self.sink)
         f.value = self.value
         f._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        f._pos = {u: list(planes) for u, planes in self._pos.items()}
+        f._neg = {u: list(planes) for u, planes in self._neg.items()}
         return f
 
 
@@ -811,7 +849,12 @@ class CutCache:
     answers previously-seen base sets (and their complements) without
     touching the oracle again. `logical_bis` counts logical BIS calls, so
     query budgets can be expressed in BIS calls independently of cache
-    hits."""
+    hits.
+
+    Pair capacities are learned from every block whose total is known: from
+    the probes themselves (base_pair_sum), and from the totals a caller
+    gets by subtraction without a probe (deduce), which charge nothing and
+    count no BIS."""
 
     def __init__(self, base: BaseView):
         self.base = base
@@ -872,14 +915,35 @@ class CutCache:
                 for v in members:
                     rows[v] |= bit
 
+    def _learned_sum(self, u: int, X: int) -> int:
+        """Learned capacity between base vertex u and the bitmask X."""
+        total = 0
+        for k, rows in enumerate(self._planes):
+            total += (rows[u] & X).bit_count() << k
+        return total
+
+    def _learn_block(self, u: int, unknown: int, rest: Optional[list[int]], val: int) -> None:
+        """Learn what a total of val between u and the nonempty bitmask of
+        unlearned vertices `unknown` (listed in `rest`, or None to list it
+        here) teaches: every member's capacity when the block is one vertex,
+        has total zero, or (on unit graphs) is saturated."""
+        single = not unknown & (unknown - 1)
+        if single or val == 0:
+            c = val
+        elif self._unit_base and val == unknown.bit_count():
+            c = 1
+        else:
+            return
+        if rest is None:
+            rest = [unknown.bit_length() - 1] if single else ids_of(unknown)
+        self._learn(u, unknown, rest, c)
+
     def base_pair_sum(self, u: int, X: int) -> int:
         """Total hidden-graph capacity between u and the bitmask X of base
         vertices, served from the learned pairs where possible and querying
         only the unknown remainder. A remainder of one vertex, of capacity
         zero, or (on unit graphs) of full capacity teaches every member."""
-        total = 0
-        for k, rows in enumerate(self._planes):
-            total += (rows[u] & X).bit_count() << k
+        total = self._learned_sum(u, X)
         unknown = X & ~self._known[u]
         if not unknown:
             return total
@@ -893,11 +957,39 @@ class CutCache:
         if val % 2 or val < 0:
             raise ContractViolation("inconsistent cut answers in base_pair_sum")
         val //= 2
-        if len(rest) == 1 or val == 0:
-            self._learn(u, unknown, rest, val)
-        elif self._unit_base and val == len(rest):
-            self._learn(u, unknown, rest, 1)
+        self._learn_block(u, unknown, rest, val)
         return total + val
+
+    def deduce(
+        self, view: OracleView, f: Optional[Flow], u: int, X: int, residual: int
+    ) -> None:
+        """Learn from a residual total from u into the bitmask X of view
+        vertices that the caller derived without a probe (a parent's total
+        minus a sibling's), so the cache never saw it. It is the view's
+        capacity only when f carries no net flow from u into X; then the
+        form's virtual terms are removed, the rest divided by the form's
+        scale, and the block learned by the rules of base_pair_sum. Charges
+        nothing and counts no logical BIS."""
+        if f is not None and f.out_to(u, X):
+            return
+        form = view.linear_form(u)
+        if form is None:
+            return
+        terms, scale, base_u, keep = form
+        real = X & keep
+        if not real or base_u is None:
+            return
+        unknown = real & ~self._known[base_u]
+        if not unknown:
+            return
+        cap = residual
+        for w, m in terms:
+            cap -= w * (m & X).bit_count()
+        base, rem = divmod(cap, scale)
+        val = base - self._learned_sum(base_u, real)
+        if rem or val < 0:
+            raise ContractViolation("deduced residual disagrees with the linear form")
+        self._learn_block(base_u, unknown, None, val)
 
     def _singleton(self, view: OracleView, u: int, X: int) -> Optional[int]:
         """c_view(u, X) from the view's linear form of u, or None when the

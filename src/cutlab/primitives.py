@@ -1,5 +1,7 @@
 """Residual-graph discovery using only BIS-style queries: find one neighbor
-by binary search, enumerate a neighborhood, and grow a layered BFS tree."""
+by binary search, enumerate a whole neighborhood by group testing (one
+adaptive halving that probes low halves only and gets high halves by
+subtraction), and grow a layered BFS tree."""
 
 from __future__ import annotations
 
@@ -70,21 +72,51 @@ def neighborhood(
     candidates: Iterable[int],
     mask: Optional[int] = None,
 ) -> list[int]:
-    """All residual neighbors of U among the candidates, in increasing id
-    order, by repeated find_neighbor with found vertices removed. `mask` is
-    the bitmask of the candidates when the caller already holds it."""
+    """All residual neighbors of U among the candidates B, in increasing id
+    order, by one adaptive halving. `mask` is the bitmask of the candidates
+    when the caller already holds it.
+
+    One BIS probes all of B. Every block with a positive residual total then
+    splits at the sorted-id midpoint, as in find_neighbor: only the low half
+    is probed, and the high half's total is the block's minus the low
+    half's, since residual capacity from U is additive in the target set
+    under a valid flow. This costs one BIS when there is no neighbor and at
+    most 1 + d * ceil(log2 |B|) for d neighbors. For a one-vertex U, the high
+    halves found by subtraction with total zero, and those of one vertex,
+    go to CutCache.deduce, which learns them as a probe would have."""
     U = canon(U)
-    remaining = sorted(candidates)
+    B = sorted(candidates)
     if mask is None:
-        mask = mask_of(remaining)
+        mask = mask_of(B)
+    for a in U:
+        if mask >> a & 1:
+            raise QueryInputError("neighborhood sets must be disjoint")
+    if not B:
+        return []
+    total = cache.residual_between(view, f, U, mask)
+    if total <= 0:
+        return []
+    u = U[0] if len(U) == 1 else None
     found: list[int] = []
-    while True:
-        v = find_neighbor(cache, view, f, U, remaining, mask)
-        if v is None:
-            return found
-        found.append(v)
-        remaining.remove(v)
-        mask ^= 1 << v
+    # blocks B[lo:hi] with bitmask cur and positive total; the low half is
+    # pushed last, so it is split first and neighbors come out in order
+    stack = [(0, len(B), mask, total)]
+    while stack:
+        lo, hi, cur, total = stack.pop()
+        if hi - lo == 1:
+            found.append(B[lo])
+            continue
+        mid = lo + (hi - lo + 1) // 2
+        low = cur & ((1 << B[mid]) - 1)
+        low_total = cache.residual_between(view, f, U, low)
+        high_total = total - low_total
+        if u is not None and (high_total == 0 or hi - mid == 1):
+            cache.deduce(view, f, u, cur ^ low, high_total)
+        if high_total > 0:
+            stack.append((mid, hi, cur ^ low, high_total))
+        if low_total > 0:
+            stack.append((lo, mid, low, low_total))
+    return found
 
 
 def bfs_tree(

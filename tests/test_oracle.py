@@ -20,9 +20,12 @@ from cutlab.oracle import (
     QueryInputError,
     QueryLedger,
     TranscriptRecord,
+    ids_of,
     mask_of,
 )
+from cutlab.maxflow import dinitz_maxflow
 from cutlab.mincut import global_mincut
+from cutlab.primitives import neighborhood
 from conftest import make_view, random_graph, random_valid_flow, residual_capacity
 
 
@@ -468,6 +471,79 @@ def test_cache_agrees_with_contract_ops():
             assert cache.pair_capacity(view, A, B) == view2.pair_capacity(A, B)
 
 
+def assert_learned_sound(cache, g):
+    """Every learned pair reads back its hidden capacity from the planes."""
+    for u in range(g.n):
+        for v in ids_of(cache._known[u]):
+            got = sum(1 << k for k, rows in enumerate(cache._planes) if rows[u] >> v & 1)
+            assert got == g.edges.get((min(u, v), max(u, v)), 0), (u, v, got)
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_deduced_blocks_read_back_hidden_capacities(W):
+    """After neighborhood (under the zero flow and a nonzero valid flow),
+    dinitz_maxflow (on the base graph and on an augmented view with scale 2)
+    and global_mincut (unit graphs only), every learned pair holds its
+    hidden capacity."""
+    for seed in range(3):
+        g = random_graph(24, 0.3, seed, W=W)
+        view, _, cache = make_view(g)
+        f = random_valid_flow(g, 0, 23, seed)
+        assert f.value > 0
+        for u in range(g.n):
+            neighborhood(cache, view, f, (u,), [v for v in range(g.n) if v != u])
+        assert_learned_sound(cache, g)
+        view, _, cache = make_view(g)
+        for u in range(g.n):
+            neighborhood(cache, view, None, (u,), [v for v in range(g.n) if v != u])
+        assert_learned_sound(cache, g)
+        view, _, cache = make_view(g)
+        for s, t in ((0, 23), (5, 17), (11, 2)):
+            dinitz_maxflow(view, s, t, cache)
+        assert_learned_sound(cache, g)
+        view, _, cache = make_view(g)
+        aug = AugmentedView(view, [(0, 3), (4, 2)], [(23, 3), (9, 1)], scale=2)
+        assert dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache).value > 0
+        assert_learned_sound(cache, g)
+        if W == 1:
+            view, _, cache = make_view(g)
+            global_mincut(view, cache)
+            assert_learned_sound(cache, g)
+
+
+def test_deduce_removes_virtual_terms_and_scale():
+    """A block of one base vertex plus the terminal's subdivision vertices,
+    on an augmented view of scale 2: the virtual terms come off and the rest
+    is halved before learning. Deduction charges nothing."""
+    for seed in range(3):
+        g = random_graph(9, 0.6, seed, W=3)
+        view, ledger, cache = make_view(g)
+        aug = AugmentedView(view, [(0, 2)], [(8, 1)], scale=2)
+        subs = aug.source_bundle[0]
+        for r in range(1, 8):
+            residual = 2 * g.edges.get((0, r), 0) + len(subs)
+            cache.deduce(aug, None, 0, mask_of((r,) + subs), residual)
+        assert cache._known[0] == mask_of(range(1, 8))
+        assert_learned_sound(cache, g)
+        assert ledger.cut_count == 0 and cache.logical_bis == 0
+
+
+@pytest.mark.parametrize("W", [1, 2])
+def test_deduce_skips_blocks_the_flow_enters(W):
+    """0 pushes one unit into 5. The halving gets 5's residual by
+    subtraction (zero on the unit graph, one above it); it is not 5's
+    capacity, so 5 must stay unlearned."""
+    g = GraphInstance(6, {(0, 4): 1, (0, 5): W, (5, 1): 1})
+    view, _, cache = make_view(g)
+    f = Flow.zero(0, 1)
+    f.push(0, 5, 1)
+    f.push(5, 1, 1)
+    f.value = 1
+    assert neighborhood(cache, view, f, (0,), [3, 4, 5]) == ([4, 5] if W > 1 else [4])
+    assert cache._known[0] == mask_of((3, 4))
+    assert_learned_sound(cache, g)
+
+
 # ---------------------------------------------------------------------------
 # graph instance + file format
 
@@ -518,6 +594,30 @@ def test_flow_antisymmetry_and_across():
     f.push(1, 0, 2)  # cancel
     assert f.get(0, 1) == 0
     assert (0, 1) not in [(u, v) for u, v, _ in f.support()]
+
+
+def test_flow_out_to_matches_row_sums():
+    """Random pushes with values above 1 and cancellations: out_to (bit
+    planes) equals the sum over the dict row, also on a copy that diverges
+    afterwards."""
+    rng = random.Random(5)
+    for _ in range(20):
+        n = 10
+        f = Flow.zero(0, n - 1)
+        for _ in range(80):
+            u, v = rng.sample(range(n), 2)
+            if rng.random() < 0.25:
+                f.push(u, v, -f.get(u, v))  # cancel the entry
+            else:
+                f.push(u, v, rng.choice((-6, -3, -1, 1, 2, 5, 9)))
+        g = f.copy()
+        g.push(1, 2, 4)
+        for h in (f, g):
+            for u in range(n):
+                for _ in range(4):
+                    X = rng.getrandbits(n) & ~(1 << u)
+                    want = sum(val for v, val in h._adj.get(u, {}).items() if X >> v & 1)
+                    assert h.out_to(u, X) == want, (u, X)
 
 
 def test_random_valid_flows_conserve(b6):

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlab.config import PINNED
-from cutlab.oracle import Flow, QueryInputError
+from cutlab.maxflow import dinitz_maxflow
+from cutlab.oracle import (
+    AugmentedView,
+    ContractedView,
+    CutCache,
+    Flow,
+    InducedView,
+    QueryInputError,
+)
 from cutlab.primitives import bfs_tree, find_neighbor, neighborhood
 from conftest import (
     brute_residual_dist,
@@ -75,6 +83,71 @@ def test_neighborhood_matches_brute_on_random_graphs():
         assert neighborhood(cache, view, f, U, cands) == brute_residual_neighbors(
             g, f, U, cands
         )
+
+
+def scan_neighborhood(cache, view, f, U, candidates):
+    """Reference: list the neighbors one find_neighbor call at a time, each
+    probing everything not found yet."""
+    remaining = sorted(candidates)
+    found = []
+    while (v := find_neighbor(cache, view, f, U, remaining)) is not None:
+        found.append(v)
+        remaining.remove(v)
+    return found
+
+
+def _parity_views(g, seed):
+    """(name, view, flow) on every view kind, each flow a nonzero valid flow
+    of its view."""
+    view, _, cache = make_view(g)
+    n = g.n
+    yield "base", view, random_valid_flow(g, 0, n - 1, seed)
+    aug = AugmentedView(view, [(0, 2), (3, 1)], [(n - 1, 2)], scale=2)
+    yield "augmented", aug, dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache).flow
+    con = ContractedView(view, range(n - 4))
+    yield "contracted", con, dinitz_maxflow(con, 0, con.s_r, cache).flow
+    part = tuple(range(1, n, 2)) + (0,)
+    inside = set(part)
+    w_out = dict.fromkeys(part, 0)
+    for (a, b), w in g.edges.items():
+        if (a in inside) != (b in inside):
+            w_out[a if a in inside else b] += w
+    ind = InducedView(view, part, w_out)
+    yield "induced", ind, dinitz_maxflow(ind, 0, n - 1, cache).flow
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_neighborhood_matches_scan_on_every_view(W):
+    """neighborhood lists what the repeated find_neighbor scan lists, for
+    one- and multi-vertex U, under the zero flow and a nonzero valid flow,
+    with one BIS for an empty answer and at most 1 + d * ceil(log2 |B|)
+    otherwise."""
+    for seed in range(2):
+        g = random_graph(12, 0.45, seed, W=W)
+        rng = random.Random(seed)
+        for name, view, flow in _parity_views(g, seed):
+            assert flow.value > 0, name
+            verts = view.vertices()
+            cache, ref = CutCache(view.base_view), CutCache(view.base_view)
+            for f in (None, flow):
+                for _ in range(12):
+                    U = sorted(rng.sample(verts, rng.choice((1, 1, 2, 3))))
+                    others = [v for v in verts if v not in U]
+                    B = sorted(rng.sample(others, rng.randint(1, len(others))))
+                    before = cache.logical_bis
+                    got = neighborhood(cache, view, f, U, B)
+                    used = cache.logical_bis - before
+                    assert got == scan_neighborhood(ref, view, f, U, B), (name, U, B)
+                    if got:
+                        assert used <= 1 + len(got) * math.ceil(math.log2(len(B))), (name, U, B)
+                    else:
+                        assert used == 1, (name, U, B)
+
+
+def test_neighborhood_disjointness_error(p4):
+    view, _, cache = make_view(p4)
+    with pytest.raises(QueryInputError):
+        neighborhood(cache, view, None, [1], [1, 2])
 
 
 def test_bfs_tree_examples(p4, k4, b6):

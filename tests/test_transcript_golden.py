@@ -49,36 +49,36 @@ GOLDEN = [
         "mincut_expander_d3_n32",
         lambda: _mincut(InstanceSpec("expander_like", 32).with_params(degree=3)),
         6,
-        375,
-        "b4f08c115f395d1590dd4fbd265da811bb1f83700b231af863ee264bdf53987e",
+        338,
+        "ba442e1a6d3b55521f1f3507a8c513a286f15d705980795072beec0d16daf697",
     ),
     (
         "mincut_gnp_n24",
         lambda: _mincut(InstanceSpec("random_gnp", 24, 1).with_params(p=0.3)),
         3,
-        242,
-        "d8243071c3251dfca4cba285f299eda5f16390081bb9d4fdfbbf708566743f43",
+        166,
+        "4f4ba45f75b441f8af866bb11de361361820d3c1523cc67c1e49265a4572daca",
     ),
     (
         "maxflow_gnp_n32_0_31",
         lambda: _maxflow(GNP32, 0, 31),
         3,
-        255,
-        "2e790e5ced79a0dbebd501a0521f52c4e34e424b5e6ed14ee1946b6359366a50",
+        170,
+        "b54b09fe7158b7d28c03bb971d6b703c88a8317f434bdf435934672d693cc00d",
     ),
     (
         "maxflow_gnp_n32_5_17",
         lambda: _maxflow(GNP32, 5, 17),
         3,
-        374,
-        "f06363b9275c2a4bdd502e8a2de4267ca576ba3d8e9f361eb133cf0229187605",
+        273,
+        "38f1bfa80c8c956c57a4c220d1608eff2d4f11d832f32d4dd9d951eeb900296b",
     ),
     (
         "mincut_expander_d3_n128",
         lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
         6,
-        1939,
-        "ecd8d14c89f81c700d70f36011585936c9c4d6e75902722edd6ff7a3c5d2fdd5",
+        1815,
+        "5cbc665d373ae69ff68f199fcc35de5cb118adf6558f1396c31e82c783faf175",
     ),
     (
         "maxflow_gnp_w3_n48_shared_cache",
@@ -86,23 +86,23 @@ GOLDEN = [
             InstanceSpec("random_gnp", 48, 3).with_params(p=0.3, W=3), ((0, 47), (7, 30))
         ),
         (24, 18),
-        1464,
-        "429993771581a99bf403328a0b8748ef2bfed958dd31161158da2d3d8351045e",
+        863,
+        "3a89fd35572184421d0f70a5cff0304beaf93ad73351a28188cb4af09a478a23",
     ),
     (
         "decompose_two_cliques_n16",
         lambda: _decompose(InstanceSpec("two_cliques_bridge", 16)),
         2,
-        64,
-        "889ead02ef898b605bc8f5586e7b0f37963e14f8d4d95385ac20c67017707e7f",
+        63,
+        "64ddcbedaea030760d8e78f31add5052caf5181bd5c78e1072e13e31e62c4f64",
     ),
     (
         # 8 exact cut-player calls at k=16 slots and 1 spectral call at k=32
         "decompose_two_cliques_n32",
         lambda: _decompose(InstanceSpec("two_cliques_bridge", 32)),
         2,
-        151,
-        "5d17ce84bb2bc7959d9e1a363dfe0fe410565b68aad33e6c9c205d7d53e4ec62",
+        150,
+        "504b4f5c5e75796ca79f1ddd1736d5a4672c594af9421ac7d1b677750ad58648",
     ),
 ]
 
