@@ -7,43 +7,37 @@ from __future__ import annotations
 import numpy as np
 
 
-def _bad_ids(n):
-    return IndexError(f"vertex ids must be ints in [0, {n})")
+_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
 
 
-def cut_value(planes, n, ids):
-    """Capacity of the edges between the vertex set `ids` and the rest.
+def ids_of(mask):
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for p in _BYTE_BITS[byte]:
+                out.append(base + p)
+        base += 8
+    return out
+
+
+def cut_value(planes, n, inside):
+    """Capacity of the edges between the vertex set S and the rest, where
+    `inside` is the bitmask of S (bit v set for every v in S).
 
     `planes` holds (k, rows) pairs: rows[v] is the bitset of the neighbours
     of v joined by an edge whose capacity has bit k set. The sum runs over
     the smaller side T of the cut (S itself on a tie):
-    cut = sum_k 2^k sum_{v in T} popcount(rows_k[v] & ~T). `ids` is a
-    sequence; a repeated id counts once. Raises IndexError unless every id
-    is an int in [0, n)."""
-    side = ids
-    inside = 0
-    try:
-        # the bound comes before any shift: 1 << v allocates v bits
-        if ids and max(ids) >= n:
-            raise _bad_ids(n)
-        for v in ids:
-            inside |= 1 << v
-    except (TypeError, ValueError, OverflowError):  # a negative or non-int id
-        raise _bad_ids(n) from None
-    if type(inside) is not int:  # numpy ints
-        raise _bad_ids(n)
-    size = inside.bit_count()
-    if 2 * size > n:
-        inside ^= (1 << n) - 1
-        side = []
-        rest = inside
-        while rest:
-            low = rest & -rest
-            side.append(low.bit_length() - 1)
-            rest ^= low
-    elif size != len(side):
-        side = set(side)
-    outside = ~inside
+    cut = sum_k 2^k sum_{v in T} popcount(rows_k[v] & (V - T)). Raises
+    IndexError unless `inside` is a Python int in [0, 2^n)."""
+    if type(inside) is not int or inside >> n:
+        raise IndexError(f"vertex set must be a bitmask of ids in [0, {n})")
+    everyone = (1 << n) - 1
+    if 2 * inside.bit_count() > n:
+        inside ^= everyone
+    side = ids_of(inside)
+    outside = inside ^ everyone  # nonnegative, so & takes CPython's fast path
     total = 0
     for k, rows in planes:
         total += sum([(rows[v] & outside).bit_count() for v in side]) << k

@@ -32,6 +32,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    mask_of,
 )
 from .primitives import neighborhood
 
@@ -553,8 +554,9 @@ def _induce(
     w_small = {v: 0 for v in small}
     w_big = {v: 0 for v in big}
     unit = parent.unit_real_capacities()
+    big_mask = mask_of(big)
     for v in small:
-        for u in neighborhood(cache, parent, None, (v,), big):
+        for u in neighborhood(cache, parent, None, (v,), big, big_mask):
             c = 1 if unit else cache.capacity(parent, v, u)
             w_small[v] += c
             w_big[u] += c

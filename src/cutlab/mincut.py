@@ -25,6 +25,8 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    ids_of,
+    mask_of,
 )
 from .primitives import bfs_tree, neighborhood
 
@@ -50,38 +52,41 @@ def dominating_set(view: OracleView, cache: Optional[CutCache] = None) -> tuple[
     if cache is None:
         cache = CutCache(view.base_view)
     verts = view.vertices()
-    n = len(verts)
+    everyone = mask_of(verts)
     deg, delta, _ = degrees(view, cache)
-    alive = set(verts)
-    deleted: set[int] = set()
+    # vertices not yet deleted, and the members of R, as bitmasks
+    alive = everyone
+    in_R = 0
     R: list[int] = []
 
-    def take(w: int, candidates: Iterable[int]) -> None:
+    def take(w: int, candidates: int) -> None:
+        """Put w in R, and delete it and its neighbors among the bitmask
+        `candidates` of live vertices."""
+        nonlocal alive, in_R
         R.append(w)
-        alive.discard(w)
-        deleted.add(w)
-        for v in neighborhood(cache, view, None, (w,), sorted(candidates)):
-            alive.discard(v)
-            deleted.add(v)
+        in_R |= 1 << w
+        alive &= ~(1 << w)
+        found = neighborhood(cache, view, None, (w,), ids_of(candidates), candidates)
+        alive &= ~mask_of(found)
 
     for w in verts:
-        if w not in alive:
+        if not alive >> w & 1:
             continue
-        if len(alive) == n:
+        if alive == everyone:
             dw = deg[w]
         else:
-            rest = canon(alive - {w})
+            rest = ids_of(alive & ~(1 << w))
             dw = cache.pair_capacity(view, (w,), rest) if rest else 0
         if 2 * dw > delta:
-            take(w, alive - {w})
+            take(w, alive & ~(1 << w))
 
     while alive:
-        W1 = sorted(deleted - set(R))
-        W2 = sorted(alive)
+        W1 = ids_of(everyone & ~alive & ~in_R)  # deleted, but not in R
+        W2 = ids_of(alive)
         total = cache.pair_capacity(view, W1, W2) if W1 else 0
         if total <= 0:
             # only reachable when delta = 0 (isolated remainder)
-            take(W2[0], alive - {W2[0]})
+            take(W2[0], alive & ~(1 << W2[0]))
             continue
         cur, cur_val = W1, total
         while len(cur) > 1:

@@ -20,7 +20,6 @@ ledgers may be used from different threads without coordination.
 
 from __future__ import annotations
 
-import bisect
 import json
 import operator
 from contextlib import contextmanager
@@ -30,6 +29,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import ids_of
 
 MAX_TOTAL_CAPACITY = 1 << 62  # cut sums must stay inside 64-bit ints
 
@@ -56,21 +56,6 @@ def mask_of(ids: Iterable[int]) -> int:
     for v in ids:
         mask |= 1 << v
     return mask
-
-
-_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
-
-
-def ids_of(mask: int) -> list[int]:
-    """The vertices of a bitmask, in increasing order."""
-    out = []
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        if byte:
-            for p in _BYTE_BITS[byte]:
-                out.append(base + p)
-        base += 8
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +125,27 @@ class GraphInstance:
         Raises QueryInputError for an id that is not an integer in [0, n)."""
         side = ids if type(ids) is tuple else tuple(ids)
         try:
-            return _kernels.cut_value(self._planes, self.n, side)
-        except IndexError:
-            pass
-        # the kernel takes Python ints only: convert other integer types
-        # (numpy's) and refuse everything else
-        try:
-            side = tuple(map(operator.index, side))
-        except TypeError:
-            raise QueryInputError("vertex ids must be integers") from None
-        for v in side:
-            if not 0 <= v < self.n:
-                raise QueryInputError(f"vertex {v} outside [0, {self.n})")
-        return _kernels.cut_value(self._planes, self.n, side)
+            # Python ints in range; the bound comes before any shift, since
+            # 1 << v allocates v bits, and a negative v raises ValueError
+            if side and max(side) >= self.n:
+                raise IndexError
+            mask = 0
+            for v in side:
+                mask |= 1 << v
+            if type(mask) is not int:  # numpy ints
+                raise TypeError
+        except (IndexError, TypeError, ValueError, OverflowError):
+            # convert other integer types (numpy's), refuse everything else
+            mask = 0
+            for v in side:
+                try:
+                    v = operator.index(v)
+                except TypeError:
+                    raise QueryInputError("vertex ids must be integers") from None
+                if not 0 <= v < self.n:
+                    raise QueryInputError(f"vertex {v} outside [0, {self.n})")
+                mask |= 1 << v
+        return _kernels.cut_value(self._planes, self.n, mask)
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         adj: dict[int, dict[int, int]] = {v: {} for v in range(self.n)}
@@ -519,7 +512,7 @@ class OracleView:
         if plan.base_ids is None:
             self.ledger.record_zero(ids, plan.offset)
             return plan.offset
-        raw = self._base.raw_cut(plan.base_ids)
+        raw = self._base.raw_cut(mask_of(plan.base_ids))
         return plan.coeff * raw + plan.offset
 
     def pair_capacity(self, A: Iterable[int], B: Iterable[int]) -> int:
@@ -588,9 +581,14 @@ class BaseView(OracleView):
             form = self._forms[u] = LinearForm((), 1, u, self._all)
         return form
 
-    def raw_cut(self, base_ids: tuple[int, ...]) -> int:
-        answer = self._instance.cut_of(base_ids)
-        self._ledger.record_cut(base_ids, answer)
+    def raw_cut(self, S: int) -> int:
+        """Charge one query: the cut of the base set with bitmask S, which
+        the transcript records by its ids in increasing order."""
+        try:
+            answer = _kernels.cut_value(self._instance._planes, self.n, S)
+        except IndexError:
+            raise QueryInputError(f"base set not a set of vertices in [0, {self.n})") from None
+        self._ledger.record_cut(tuple(ids_of(S)), answer)
         return answer
 
 
@@ -847,9 +845,12 @@ class CutCache:
 
     Every view reduces a cut query to (base set, coeff, offset); the cache
     answers previously-seen base sets (and their complements) without
-    touching the oracle again. `logical_bis` counts logical BIS calls, so
-    query budgets can be expressed in BIS calls independently of cache
-    hits.
+    touching the oracle again. The memo is keyed by bitmask: of a set and
+    its complement, the smaller side, or on a tie the side that holds
+    vertex 0. The empty and the full set share the key 0, which holds their
+    cut 0 from the start, so neither is ever charged. `logical_bis` counts
+    logical BIS calls, so query budgets can be expressed in BIS calls
+    independently of cache hits.
 
     Pair capacities are learned from every block whose total is known: from
     the probes themselves (base_pair_sum), and from the totals a caller
@@ -858,7 +859,9 @@ class CutCache:
 
     def __init__(self, base: BaseView):
         self.base = base
-        self._memo: dict[tuple[int, ...], int] = {}
+        self._n = base.n
+        self._all = base._all
+        self._memo: dict[int, int] = {0: 0}
         # learned hidden-graph pair capacities, as bitsets laid out like
         # GraphInstance._planes: bit v of _known[u] says c(u, v) is learned,
         # and bit v of _planes[k][u] says its bit k is set. Blocks of total
@@ -869,11 +872,16 @@ class CutCache:
         self._unit_base = base._instance.W == 1
         self.logical_bis = 0
 
-    def _key(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.base.n
-        if len(ids) * 2 > n or (len(ids) * 2 == n and ids[0] != 0):
-            return tuple(sorted(set(self.base.vertices()) - set(ids)))
-        return ids
+    def _base_cut(self, S: int) -> int:
+        """Cut of the base set with bitmask S. The first use of S or of its
+        complement charges S itself; later uses read the memo."""
+        twice = 2 * S.bit_count()
+        n = self._n
+        key = S if twice < n or (twice == n and S & 1) else S ^ self._all
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = self.base.raw_cut(S)
+        return val
 
     def cut(self, view: OracleView, ids: Iterable[int]) -> int:
         ids = canon(ids)
@@ -882,12 +890,7 @@ class CutCache:
         plan = view.cut_plan(ids)
         if plan.base_ids is None:
             return plan.offset
-        key = self._key(plan.base_ids)
-        val = self._memo.get(key)
-        if val is None:
-            val = self.base.raw_cut(plan.base_ids)
-            self._memo[key] = val
-        return plan.coeff * val + plan.offset
+        return plan.coeff * self._base_cut(mask_of(plan.base_ids)) + plan.offset
 
     def pair_capacity(self, view: OracleView, A: Iterable[int], B: Iterable[int]) -> int:
         A, B = canon(A), canon(B)
@@ -922,11 +925,11 @@ class CutCache:
             total += (rows[u] & X).bit_count() << k
         return total
 
-    def _learn_block(self, u: int, unknown: int, rest: Optional[list[int]], val: int) -> None:
+    def _learn_block(self, u: int, unknown: int, val: int) -> None:
         """Learn what a total of val between u and the nonempty bitmask of
-        unlearned vertices `unknown` (listed in `rest`, or None to list it
-        here) teaches: every member's capacity when the block is one vertex,
-        has total zero, or (on unit graphs) is saturated."""
+        unlearned vertices `unknown` teaches: every member's capacity when
+        the block is one vertex, has total zero, or (on unit graphs) is
+        saturated."""
         single = not unknown & (unknown - 1)
         if single or val == 0:
             c = val
@@ -934,30 +937,26 @@ class CutCache:
             c = 1
         else:
             return
-        if rest is None:
-            rest = [unknown.bit_length() - 1] if single else ids_of(unknown)
+        rest = [unknown.bit_length() - 1] if single else ids_of(unknown)
         self._learn(u, unknown, rest, c)
 
     def base_pair_sum(self, u: int, X: int) -> int:
         """Total hidden-graph capacity between u and the bitmask X of base
         vertices, served from the learned pairs where possible and querying
-        only the unknown remainder. A remainder of one vertex, of capacity
-        zero, or (on unit graphs) of full capacity teaches every member."""
+        only the unknown remainder R, as cut({u}) + cut(R) - cut(R + u)
+        (the last is free when R + u is all of V). A remainder of one
+        vertex, of capacity zero, or (on unit graphs) of full capacity
+        teaches every member."""
         total = self._learned_sum(u, X)
         unknown = X & ~self._known[u]
         if not unknown:
             return total
-        if unknown & (unknown - 1):
-            rest = ids_of(unknown)
-        else:
-            rest = [unknown.bit_length() - 1]
-        union = rest.copy()
-        bisect.insort(union, u)  # already sorted, so cut() canonicalises it in one pass
-        val = self.cut(self.base, (u,)) + self.cut(self.base, rest) - self.cut(self.base, union)
+        bit = 1 << u
+        val = self._base_cut(bit) + self._base_cut(unknown) - self._base_cut(unknown | bit)
         if val % 2 or val < 0:
             raise ContractViolation("inconsistent cut answers in base_pair_sum")
         val //= 2
-        self._learn_block(u, unknown, rest, val)
+        self._learn_block(u, unknown, val)
         return total + val
 
     def deduce(
@@ -989,7 +988,7 @@ class CutCache:
         val = base - self._learned_sum(base_u, real)
         if rem or val < 0:
             raise ContractViolation("deduced residual disagrees with the linear form")
-        self._learn_block(base_u, unknown, None, val)
+        self._learn_block(base_u, unknown, val)
 
     def _singleton(self, view: OracleView, u: int, X: int) -> Optional[int]:
         """c_view(u, X) from the view's linear form of u, or None when the
@@ -1013,16 +1012,45 @@ class CutCache:
     ) -> int:
         """Total residual capacity from the view vertices A into the bitmask
         X of view vertices; one logical BIS. A None flow means the zero
-        flow."""
+        flow.
+
+        For a one-vertex A whose view has a linear form, the probe runs in
+        this frame: the form's virtual terms, the learned planes of the base
+        vertex, and u's flow planes are read here, and only an unknown
+        remainder goes to base_pair_sum, which charges it."""
         self.logical_bis += 1
         if len(A) == 1:
             u = A[0]
-            cap = self._singleton(view, u, X)
-            if cap is not None:
-                val = cap - (f.out_to(u, X) if f is not None else 0)
-                if val < 0:
-                    raise ContractViolation("negative residual capacity: invalid flow")
-                return val
+            form = view.linear_form(u)
+            if form is not None:
+                terms, scale, base_u, keep = form
+                real = X & keep
+                if not real or base_u is not None:
+                    val = 0
+                    for w, m in terms:
+                        val += w * (m & X).bit_count()
+                    if real:
+                        # _learned_sum and Flow.out_to are read inline: this
+                        # runs once per logical BIS
+                        base = 0
+                        for k, rows in enumerate(self._planes):
+                            base += (rows[base_u] & real).bit_count() << k
+                        unknown = real & ~self._known[base_u]
+                        if unknown:
+                            base += self.base_pair_sum(base_u, unknown)
+                        val += scale * base
+                    if f is not None:
+                        planes = f._pos.get(u)
+                        if planes:
+                            for k, m in enumerate(planes):
+                                val -= (m & X).bit_count() << k
+                        planes = f._neg.get(u)
+                        if planes:
+                            for k, m in enumerate(planes):
+                                val += (m & X).bit_count() << k
+                    if val < 0:
+                        raise ContractViolation("negative residual capacity: invalid flow")
+                    return val
         B = ids_of(X)
         val = self.pair_capacity(view, A, B) - (f.across(A, B) if f is not None else 0)
         if val < 0:

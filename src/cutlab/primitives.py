@@ -5,6 +5,7 @@ subtraction), and grow a layered BFS tree."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -74,7 +75,9 @@ def neighborhood(
 ) -> list[int]:
     """All residual neighbors of U among the candidates B, in increasing id
     order, by one adaptive halving. `mask` is the bitmask of the candidates
-    when the caller already holds it.
+    when the caller already holds it; as in find_neighbor, a caller that
+    passes it must also pass U as a sequence and the candidates as a
+    sequence sorted by increasing id, which are then used as given.
 
     One BIS probes all of B. Every block with a positive residual total then
     splits at the sorted-id midpoint, as in find_neighbor: only the low half
@@ -84,10 +87,12 @@ def neighborhood(
     most 1 + d * ceil(log2 |B|) for d neighbors. For a one-vertex U, the high
     halves found by subtraction with total zero, and those of one vertex,
     go to CutCache.deduce, which learns them as a probe would have."""
-    U = canon(U)
-    B = sorted(candidates)
     if mask is None:
+        U = canon(U)
+        B = sorted(candidates)
         mask = mask_of(B)
+    else:
+        B = candidates
     for a in U:
         if mask >> a & 1:
             raise QueryInputError("neighborhood sets must be disjoint")
@@ -134,18 +139,19 @@ def bfs_tree(
         undiscovered = [v for v in view.vertices() if v != root]
     else:
         undiscovered = sorted(set(within) - {root})
+    # the undiscovered vertices in increasing order, and as a bitmask
     mask = mask_of(undiscovered)
     tree = BfsTree(root=root, parent={root: None}, dist={root: 0})
     frontier = [root]
-    while frontier and undiscovered:
+    while frontier and mask:
         next_frontier: list[int] = []
         for u in frontier:
-            if not undiscovered:
+            if not mask:
                 break
             for v in neighborhood(cache, view, f, (u,), undiscovered, mask):
                 tree.parent[v] = u
                 tree.dist[v] = tree.dist[u] + 1
-                undiscovered.remove(v)
+                del undiscovered[bisect_left(undiscovered, v)]
                 mask ^= 1 << v
                 next_frontier.append(v)
         frontier = sorted(next_frontier)

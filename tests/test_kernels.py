@@ -3,6 +3,8 @@ sums over the edge list on small instances."""
 
 import itertools
 
+import pytest
+
 from cutlab import _kernels
 from cutlab.oracle import GraphInstance
 from conftest import random_graph
@@ -48,9 +50,15 @@ def test_cut_value_matches_instance():
         for bits in range(1 << g.n):
             side = tuple(v for v in range(g.n) if (bits >> v) & 1)
             want = direct_cut(g, side)
-            assert _kernels.cut_value(g._planes, g.n, side) == want, (g, side)
+            # the kernel takes the side as a bitmask; cut_of takes its ids
+            assert _kernels.cut_value(g._planes, g.n, bits) == want, (g, side)
+            assert g.cut_of(side) == want, (g, side)
             if side:  # a repeated id counts once
-                assert _kernels.cut_value(g._planes, g.n, side + side[:1]) == want, (g, side)
+                assert g.cut_of(side + side[:1]) == want, (g, side)
+        # a bit at n or above, a negative mask or a non-int is refused
+        for bad in (1 << g.n, (1 << (g.n + 1)) - 1, -1, 1.0):
+            with pytest.raises(IndexError):
+                _kernels.cut_value(g._planes, g.n, bad)
 
 
 def test_degree_matches_edge_list():

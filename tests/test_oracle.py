@@ -413,6 +413,39 @@ def test_cache_only_charges_fresh_sets(b6):
     assert ledger.cut_count == q2
 
 
+def test_cache_memo_is_keyed_by_either_side(b6):
+    """The memo holds one entry for a set and its complement, also for both
+    sides of an |S| = n/2 tie, and the transcript records each charged set
+    as it was asked. The empty and full sets are never charged."""
+    view, ledger, cache = make_view(b6)
+    # S, then V minus S: one charge
+    assert cache.cut(view, (1,)) == 2
+    assert cache.cut(view, (0, 2, 3, 4, 5)) == 2
+    assert ledger.cut_count == 1
+    # |S| = n/2 = 3: the side without vertex 0 first, then the one with it
+    assert cache.cut(view, (3, 4, 5)) == 1
+    assert cache.cut(view, (0, 1, 2)) == 1
+    # and a tie asked from the side with vertex 0 first
+    assert cache.cut(view, (0, 4, 5)) == 4
+    assert cache.cut(view, (1, 2, 3)) == 4
+    assert ledger.cut_count == 3
+    assert [rec.ids for rec in ledger.transcript] == [(1,), (3, 4, 5), (0, 4, 5)]
+    assert len(cache._memo) == 4  # the three sets and the empty/full entry
+    # base_pair_sum(u, V minus u) asks cut({u}), cut(V minus u) and cut(V):
+    # only the first is charged, the full set is free
+    view, ledger, cache = make_view(b6)
+    assert cache.base_pair_sum(3, mask_of(v for v in range(6) if v != 3)) == 3
+    assert ledger.cut_count == 1
+    assert [rec.ids for rec in ledger.transcript] == [(3,)]
+    # a one-vertex remainder is learned with its capacity, in both directions
+    view, ledger, cache = make_view(b6)
+    assert cache.base_pair_sum(2, mask_of((3,))) == 1
+    assert [rec.ids for rec in ledger.transcript] == [(2,), (3,), (2, 3)]
+    assert cache._known[2] == mask_of((3,)) and cache._known[3] == mask_of((2,))
+    assert cache.base_pair_sum(3, mask_of((2,))) == 1
+    assert ledger.cut_count == 3
+
+
 def test_cache_learned_pairs_zero_block(b6):
     view, ledger, cache = make_view(b6)
     # 0 has no edges into {3,4,5}: one probe teaches all three pairs, in both
