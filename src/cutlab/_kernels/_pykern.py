@@ -4,6 +4,8 @@ numpy cut scans behind the reference checkers (ties go to the lowest mask).
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 
@@ -22,6 +24,10 @@ def ids_of(mask):
     return out
 
 
+# bin() digits to selector bytes for itertools.compress
+_DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def cut_value(planes, n, inside):
     """Capacity of the edges between the vertex set S and the rest, where
     `inside` is the bitmask of S (bit v set for every v in S).
@@ -34,13 +40,22 @@ def cut_value(planes, n, inside):
     if type(inside) is not int or inside >> n:
         raise IndexError(f"vertex set must be a bitmask of ids in [0, {n})")
     everyone = (1 << n) - 1
-    if 2 * inside.bit_count() > n:
+    size = inside.bit_count()
+    if 2 * size > n:
         inside ^= everyone
-    side = ids_of(inside)
+        size = n - size
     outside = inside ^ everyone  # nonnegative, so & takes CPython's fast path
     total = 0
-    for k, rows in planes:
-        total += sum([(rows[v] & outside).bit_count() for v in side]) << k
+    if 8 * size < n:
+        # listing a small side costs less than scanning all n digits
+        side = ids_of(inside)
+        for k, rows in planes:
+            total += sum([(rows[v] & outside).bit_count() for v in side]) << k
+    else:
+        # select T's rows in C from its binary digits, lowest vertex first
+        picks = bin(inside)[:1:-1].encode().translate(_DIGIT_TO_BYTE)
+        for k, rows in planes:
+            total += sum([(r & outside).bit_count() for r in compress(rows, picks)]) << k
     return total
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -222,12 +221,51 @@ class GraphInstance:
 # ledger
 
 
-@dataclass(frozen=True)
 class TranscriptRecord:
-    seq: int
-    ids: tuple[int, ...]
-    answer: int
-    tag: str
+    """One query: sequence number, vertex set, answer and phase tag.
+    Records compare by value.
+
+    A charged query is recorded by the bitmask of its set (`from_mask`),
+    and `ids` lists it in increasing order when first read, so the set is
+    listed only when the transcript is."""
+
+    __slots__ = ("seq", "answer", "tag", "_ids", "_mask")
+
+    def __init__(self, seq: int, ids: Iterable[int], answer: int, tag: str):
+        self.seq = seq
+        self._ids = tuple(ids)
+        self.answer = answer
+        self.tag = tag
+
+    @classmethod
+    def from_mask(cls, seq: int, mask: int, answer: int, tag: str) -> "TranscriptRecord":
+        rec = cls.__new__(cls)
+        rec.seq = seq
+        rec._ids = None
+        rec._mask = mask
+        rec.answer = answer
+        rec.tag = tag
+        return rec
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        if self._ids is None:
+            self._ids = tuple(ids_of(self._mask))
+        return self._ids
+
+    def _fields(self):
+        return (self.seq, self.ids, self.answer, self.tag)
+
+    def __eq__(self, other):
+        if type(other) is not TranscriptRecord:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "TranscriptRecord(seq=%r, ids=%r, answer=%r, tag=%r)" % self._fields()
 
 
 class QueryLedger:
@@ -256,8 +294,9 @@ class QueryLedger:
         finally:
             self._tags.pop()
 
-    def record_cut(self, ids: tuple[int, ...], answer: int) -> None:
-        self.transcript.append(TranscriptRecord(self.cut_count, ids, answer, self.tag))
+    def record_cut(self, mask: int, answer: int) -> None:
+        """Charge one query: the base set with bitmask `mask`."""
+        self.transcript.append(TranscriptRecord.from_mask(self.cut_count, mask, answer, self.tag))
         self.cut_count += 1
         if self.tag:
             self.phase_tags[self.tag] = self.phase_tags.get(self.tag, 0) + 1
@@ -582,13 +621,12 @@ class BaseView(OracleView):
         return form
 
     def raw_cut(self, S: int) -> int:
-        """Charge one query: the cut of the base set with bitmask S, which
-        the transcript records by its ids in increasing order."""
+        """Charge one query: the cut of the base set with bitmask S."""
         try:
             answer = _kernels.cut_value(self._instance._planes, self.n, S)
         except IndexError:
             raise QueryInputError(f"base set not a set of vertices in [0, {self.n})") from None
-        self._ledger.record_cut(tuple(ids_of(S)), answer)
+        self._ledger.record_cut(S, answer)
         return answer
 
 
@@ -990,9 +1028,14 @@ class CutCache:
             raise ContractViolation("deduced residual disagrees with the linear form")
         self._learn_block(base_u, unknown, val)
 
-    def _singleton(self, view: OracleView, u: int, X: int) -> Optional[int]:
-        """c_view(u, X) from the view's linear form of u, or None when the
-        form cannot express it."""
+    def _from_form(
+        self, view: OracleView, f: Optional[Flow], u: int, X: int
+    ) -> Optional[int]:
+        """Residual capacity from view vertex u into the bitmask X of view
+        vertices under f (None: the zero flow), read from the view's linear
+        form of u, or None when the form cannot express it: the virtual
+        terms, plus scale times the base capacity (base_pair_sum), minus the
+        net flow from u into X."""
         form = view.linear_form(u)
         if form is None:
             return None
@@ -1000,57 +1043,29 @@ class CutCache:
         real = X & keep
         if real and base_u is None:
             return None
-        cap = 0
+        val = 0
         for w, m in terms:
-            cap += w * (m & X).bit_count()
+            val += w * (m & X).bit_count()
         if real:
-            cap += scale * self.base_pair_sum(base_u, real)
-        return cap
+            val += scale * self.base_pair_sum(base_u, real)
+        if f is not None:
+            val -= f.out_to(u, X)
+            if val < 0:
+                raise ContractViolation("negative residual capacity: invalid flow")
+        return val
 
     def residual_between(
         self, view: OracleView, f: Optional[Flow], A: Sequence[int], X: int
     ) -> int:
         """Total residual capacity from the view vertices A into the bitmask
         X of view vertices; one logical BIS. A None flow means the zero
-        flow.
-
-        For a one-vertex A whose view has a linear form, the probe runs in
-        this frame: the form's virtual terms, the learned planes of the base
-        vertex, and u's flow planes are read here, and only an unknown
-        remainder goes to base_pair_sum, which charges it."""
+        flow. A one-vertex A is answered from the view's linear form where
+        it has one, otherwise by cut plans."""
         self.logical_bis += 1
         if len(A) == 1:
-            u = A[0]
-            form = view.linear_form(u)
-            if form is not None:
-                terms, scale, base_u, keep = form
-                real = X & keep
-                if not real or base_u is not None:
-                    val = 0
-                    for w, m in terms:
-                        val += w * (m & X).bit_count()
-                    if real:
-                        # _learned_sum and Flow.out_to are read inline: this
-                        # runs once per logical BIS
-                        base = 0
-                        for k, rows in enumerate(self._planes):
-                            base += (rows[base_u] & real).bit_count() << k
-                        unknown = real & ~self._known[base_u]
-                        if unknown:
-                            base += self.base_pair_sum(base_u, unknown)
-                        val += scale * base
-                    if f is not None:
-                        planes = f._pos.get(u)
-                        if planes:
-                            for k, m in enumerate(planes):
-                                val -= (m & X).bit_count() << k
-                        planes = f._neg.get(u)
-                        if planes:
-                            for k, m in enumerate(planes):
-                                val += (m & X).bit_count() << k
-                    if val < 0:
-                        raise ContractViolation("negative residual capacity: invalid flow")
-                    return val
+            val = self._from_form(view, f, A[0], X)
+            if val is not None:
+                return val
         B = ids_of(X)
         val = self.pair_capacity(view, A, B) - (f.across(A, B) if f is not None else 0)
         if val < 0:
@@ -1061,7 +1076,7 @@ class CutCache:
         known = view.known_capacity(u, v)
         if known is not None:
             return known
-        cap = self._singleton(view, u, 1 << v)
+        cap = self._from_form(view, None, u, 1 << v)
         if cap is not None:
             return cap
         return self.pair_capacity(view, (u,), (v,))

@@ -2,6 +2,7 @@
 sums over the edge list on small instances."""
 
 import itertools
+import random
 
 import pytest
 
@@ -59,6 +60,19 @@ def test_cut_value_matches_instance():
         for bad in (1 << g.n, (1 << (g.n + 1)) - 1, -1, 1.0):
             with pytest.raises(IndexError):
                 _kernels.cut_value(g._planes, g.n, bad)
+    # on 40 vertices the kernel lists a smaller side of up to 4 vertices and
+    # selects the rows of a larger one: every side of at most 2 vertices,
+    # their complements, and random sides of every size
+    g = random_graph(40, 0.3, 11, W=3)
+    rng = random.Random(3)
+    sides = [s for size in range(3) for s in itertools.combinations(range(g.n), size)]
+    sides += [tuple(sorted(rng.sample(range(g.n), size))) for size in range(g.n + 1)]
+    for side in sides:
+        for s in (side, tuple(v for v in range(g.n) if v not in side)):
+            bits = sum(1 << v for v in s)
+            want = direct_cut(g, s)
+            assert _kernels.cut_value(g._planes, g.n, bits) == want, s
+            assert g.cut_of(s) == want, s
 
 
 def test_degree_matches_edge_list():

@@ -356,6 +356,12 @@ def test_ledger_replay_and_byte_stability(b6):
     assert led1.transcript_text() == led2.transcript_text()
     records = QueryLedger.parse_transcript(led1.transcript_text())
     assert QueryLedger.replay(records, b6)
+    # the charged sets are recorded as bitmasks and listed when read: a
+    # parsed record equals the one the ledger made
+    assert records == led2.transcript
+    rec = led2.transcript[0]
+    assert rec != TranscriptRecord(rec.seq, rec.ids, rec.answer + 1, rec.tag)
+    assert [rec.ids for rec in records] == [(0, 1), (0,), (3, 4), (0, 3, 4), (2,), (3,), (2, 3)]
     assert led1.cut_count == len(led1.transcript)
     assert led1.bis_count * 3 <= led1.cut_count
 
