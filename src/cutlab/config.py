@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .oracle import QueryInputError
+
 
 @dataclass(frozen=True)
 class Params:
@@ -36,13 +38,6 @@ class Params:
     cut_player_exact_limit: int = 20
     prune_exact_limit: int = 18
     witness_check_limit: int = 18
-    # stack reset policy in the blocking-flow search: "full" restarts at
-    # the source after every augmentation, "retreat" backs up only to the
-    # first saturated edge (cheaper benchmark toggle, off by default)
-    reset_policy: str = "full"
-    # splitter family size guard: |F| <= coeff * k^exponent * (log2 n + 1)^2
-    splitter_coeff: int = 8
-    splitter_exponent: int = 4
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:
@@ -125,7 +120,8 @@ def get_profile(name: str) -> Params:
 
 
 def load_config_overrides(path, base: Params) -> Params:
-    """Apply key=value overrides from a plain-text config file."""
+    """Apply key=value overrides from a plain-text config file. A malformed
+    line, an unknown key or a non-numeric value raises QueryInputError."""
     updates = {}
     with open(path) as fh:
         for ln in fh:
@@ -133,17 +129,20 @@ def load_config_overrides(path, base: Params) -> Params:
             if not ln or ln.startswith("#"):
                 continue
             if "=" not in ln:
-                raise ValueError(f"bad config line: {ln!r}")
+                raise QueryInputError(f"bad config line: {ln!r}")
             key, val = (part.strip() for part in ln.split("=", 1))
-            if not hasattr(base, key):
-                raise ValueError(f"unknown config key: {key!r}")
+            if key not in Params.__dataclass_fields__:
+                raise QueryInputError(f"unknown config key: {key!r}")
             current = getattr(base, key)
-            if key in ("profile", "reset_policy"):
-                updates[key] = val
-            elif val.lower() == "none":
-                updates[key] = None
-            elif isinstance(current, int) and not isinstance(current, bool):
-                updates[key] = int(val)
-            else:
-                updates[key] = float(val)
+            try:
+                if key == "profile":
+                    updates[key] = val
+                elif val.lower() == "none":
+                    updates[key] = None
+                elif isinstance(current, int) and not isinstance(current, bool):
+                    updates[key] = int(val)
+                else:
+                    updates[key] = float(val)
+            except ValueError:
+                raise QueryInputError(f"config key {key!r} needs a number, got {val!r}") from None
     return replace(base, **updates)

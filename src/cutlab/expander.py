@@ -521,8 +521,7 @@ def decompose(
             return
         side = canon(res.cut)
         rest = canon(set(sub_view.vertices()) - set(side))
-        side_view = _induce(sub_view, side, rest, cache)
-        rest_view = _induce(sub_view, rest, side, cache, reuse=side_view)
+        side_view, rest_view = _induce(sub_view, side, rest, cache)
         children = [
             (side_view, canon(set(terms) & set(side))),
             (rest_view, canon(set(terms) - set(side))),
@@ -541,27 +540,19 @@ def _induce(
     part: tuple[int, ...],
     other: tuple[int, ...],
     cache: CutCache,
-    reuse: Optional[InducedView] = None,
-) -> InducedView:
-    """Build the induced view for `part`, learning the crossing edges from
-    the smaller side (or reusing the mirror view's discovery)."""
-    if reuse is not None:
-        w_out = dict(reuse.cross_mirror)  # type: ignore[attr-defined]
-        iv = InducedView(parent, part, w_out)
-        iv.cross_mirror = reuse.w_out  # type: ignore[attr-defined]
-        return iv
+) -> tuple[InducedView, InducedView]:
+    """The induced views of `part` and `other`, which split the parent's
+    vertices, from one pass that learns the crossing edges from the smaller
+    side."""
     small, big = (part, other) if len(part) <= len(other) else (other, part)
     w_small = {v: 0 for v in small}
     w_big = {v: 0 for v in big}
     unit = parent.unit_real_capacities()
     big_mask = mask_of(big)
     for v in small:
-        for u in neighborhood(cache, parent, None, (v,), big, big_mask):
+        for u in neighborhood(cache, parent, None, v, big, big_mask):
             c = 1 if unit else cache.capacity(parent, v, u)
             w_small[v] += c
             w_big[u] += c
-    w_out = w_small if small is part else w_big
-    mirror = w_big if small is part else w_small
-    iv = InducedView(parent, part, w_out)
-    iv.cross_mirror = mirror  # type: ignore[attr-defined]
-    return iv
+    w_part, w_other = (w_small, w_big) if small is part else (w_big, w_small)
+    return InducedView(parent, part, w_part), InducedView(parent, other, w_other)

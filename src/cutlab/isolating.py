@@ -24,6 +24,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    mask_of,
 )
 from .primitives import bfs_tree
 
@@ -144,6 +145,7 @@ def isolating_cuts(
         classes.setdefault(signature(v), []).append(v)
 
     rset = set(R)
+    everyone = mask_of(view.vertices())
     records: list[TerminalRecord] = []
     regions: dict[int, tuple[int, ...]] = {}
     best: Optional[TerminalRecord] = None
@@ -159,14 +161,16 @@ def isolating_cuts(
         region = tree.reached()
         regions[r] = region
         keep = canon({r} | (set(region) - rset))
-        base_cv = ContractedView(view, keep)
-        direct = cache.pair_capacity(base_cv, (r,), (base_cv.s_r,))
+        # each kept vertex's capacity to the outside, which s_r contracts
+        outside = everyone & ~mask_of(keep)
+        w_out = {x: cache.residual_between(view, None, x, outside) for x in keep}
+        direct = w_out[r]
         lam: float
         if len(keep) == 1:
             lam = direct
             side = (r,)
         else:
-            cv = ContractedView(view, keep, drops={r: direct})
+            cv = ContractedView(view, keep, w_out, drops={r: direct})
             local = dinitz_maxflow(cv, r, cv.s_r, cache=cache, params=params)
             lam = direct + local.value
             side = local.mincut_source_side

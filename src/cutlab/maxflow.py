@@ -60,17 +60,6 @@ def _layers_from_tree(tree: BfsTree, s: int, t: int) -> Optional[LayeredGraph]:
     return LayeredGraph(layers=layers, dist=dist, d=d)
 
 
-def build_layered(
-    cache: CutCache, view: OracleView, f: Flow, s: int, t: int
-) -> Optional[LayeredGraph]:
-    """Layered graph of the current residual, or None when t is unreachable
-    (including the distance-cap guard)."""
-    tree = bfs_tree(cache, view, f, s)
-    if t not in tree.dist or tree.dist[t] > view.universe_size:
-        return None
-    return _layers_from_tree(tree, s, t)
-
-
 def _residual_capacity(cache: CutCache, view: OracleView, f: Flow, u: int, v: int) -> int:
     fv = f.get(u, v)
     known = view.known_capacity(u, v)
@@ -88,13 +77,10 @@ def blocking_flow_round(
     view: OracleView,
     f: Flow,
     layered: LayeredGraph,
-    reset_policy: str = "full",
 ) -> Flow:
     """Find a blocking flow in the layered graph, augment f with it, and
     return the increment. Dead-end vertices are deleted for the rest of the
     round; the layered graph is rebuilt by the caller afterwards."""
-    if reset_policy not in ("full", "retreat"):
-        raise QueryInputError("reset_policy must be 'full' or 'retreat'")
     s = layered.layers[0][0]
     t = layered.layers[-1][0]
     d = layered.d
@@ -107,7 +93,7 @@ def blocking_flow_round(
     while stack:
         u = stack[-1]
         depth = len(stack) - 1
-        v = find_neighbor(cache, view, f, (u,), alive[depth + 1], alive_mask[depth + 1])
+        v = find_neighbor(cache, view, f, u, alive[depth + 1], alive_mask[depth + 1])
         if v is None:
             stack.pop()
             if depth > 0:
@@ -123,19 +109,12 @@ def blocking_flow_round(
                     bottleneck = r
             if bottleneck is None or bottleneck < 1:
                 raise ContractViolation("found path with no residual capacity")
-            first_saturated = None
-            for i, (a, b) in enumerate(zip(stack, stack[1:])):
-                if first_saturated is None:
-                    if _residual_capacity(cache, view, f, a, b) == bottleneck:
-                        first_saturated = i
+            for a, b in zip(stack, stack[1:]):
                 f.push(a, b, bottleneck)
                 delta.push(a, b, bottleneck)
             f.value += bottleneck
             delta.value += bottleneck
-            if reset_policy == "retreat" and first_saturated is not None:
-                stack = stack[: first_saturated + 1]
-            else:
-                stack = [s]
+            stack = [s]
     return delta
 
 
@@ -168,7 +147,7 @@ def dinitz_maxflow(
                 f"source-sink distance did not increase: {layered.d} after {prev_d}"
             )
         prev_d = layered.d
-        delta = blocking_flow_round(cache, view, f, layered, params.reset_policy)
+        delta = blocking_flow_round(cache, view, f, layered)
         if delta.value < 1:
             raise ContractViolation("blocking flow round made no progress")
         rounds.append(RoundStats(layered.d, delta.value, view.ledger.cut_count))

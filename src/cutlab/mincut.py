@@ -66,7 +66,7 @@ def dominating_set(view: OracleView, cache: Optional[CutCache] = None) -> tuple[
         R.append(w)
         in_R |= 1 << w
         alive &= ~(1 << w)
-        found = neighborhood(cache, view, None, (w,), ids_of(candidates), candidates)
+        found = neighborhood(cache, view, None, w, ids_of(candidates), candidates)
         alive &= ~mask_of(found)
 
     for w in verts:

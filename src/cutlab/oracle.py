@@ -1,17 +1,17 @@
 """Hidden-graph cut oracle with exact query accounting.
 
 A GraphInstance holds the hidden capacitated simple graph. Algorithms only
-ever talk to it through an OracleView, which answers cut queries, charges
-them on a QueryLedger, and keeps a replayable transcript. Derived views
-(augmented, contracted, induced) decompose every one of their cut queries
-into at most one base-graph query plus arithmetic on explicitly known
-virtual structure, so only base-graph information ever costs anything.
+ever reach it through a view and the CutCache over it; the base view charges
+every base-graph query on a QueryLedger, which keeps a replayable
+transcript. Derived views (augmented, contracted, induced) reduce a cut to
+at most one base-graph cut plus arithmetic on explicitly known virtual
+structure (cut_plan), and the capacity of one vertex towards a vertex set
+to a LinearForm over base-graph capacities, so only base-graph information
+ever costs anything.
 
-The CutCache layers algorithm-side memoisation on top: a deterministic
+The CutCache charges through the base view and memoises: a deterministic
 algorithm never needs to issue the same base query twice, so the cache
 answers repeats for free while the ledger keeps counting real queries.
-The contract operations on the views themselves (cut_query, pair_capacity,
-bis_query, residual_bis) never memoise: their charges are exact by design.
 
 Concurrency: a view plus its ledger (and any cache over them) is
 single-owner, single-threaded state; distinct GraphInstances with distinct
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import operator
 from contextlib import contextmanager
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -269,16 +269,11 @@ class TranscriptRecord:
 
 
 class QueryLedger:
-    """Exact counters plus a replayable transcript of every charged query.
-
-    Empty/full-set conventions and queries answered purely from virtual
-    metadata are logged separately in `zero_cost` and charged nothing."""
+    """Exact counters plus a replayable transcript of every charged query."""
 
     def __init__(self):
         self.cut_count = 0
-        self.bis_count = 0
         self.transcript: list[TranscriptRecord] = []
-        self.zero_cost: list[TranscriptRecord] = []
         self.phase_tags: dict[str, int] = {}
         self._tags: list[str] = []
 
@@ -300,12 +295,6 @@ class QueryLedger:
         self.cut_count += 1
         if self.tag:
             self.phase_tags[self.tag] = self.phase_tags.get(self.tag, 0) + 1
-
-    def record_zero(self, ids: tuple[int, ...], answer: int) -> None:
-        self.zero_cost.append(TranscriptRecord(-1, ids, answer, self.tag))
-
-    def record_bis(self) -> None:
-        self.bis_count += 1
 
     # -- transcript format: one JSON object per line
 
@@ -353,7 +342,7 @@ class QueryLedger:
 class Flow:
     """Antisymmetric integral flow assignment: get(u, v) == -get(v, u).
 
-    Each row is held twice: as a dict (get, support, across, copy) and as
+    Each row is held twice: as a dict (get, support, copy) and as
     signed bit planes (out_to). Bit v of _pos[u][k] (of _neg[u][k]) says
     f(u, v) is positive (negative) and bit k of its magnitude is set."""
 
@@ -413,18 +402,6 @@ class Flow:
             mag >>= 1
             k += 1
 
-    def across(self, A: Iterable[int], B: Iterable[int]) -> int:
-        rows = [row for row in map(self._adj.get, A) if row]
-        if not rows:
-            return 0
-        bset = set(B)
-        total = 0
-        for row in rows:
-            for v, val in row.items():
-                if v in bset:
-                    total += val
-        return total
-
     def out_to(self, u: int, X: int) -> int:
         """Net flow from u into the vertices of the bitmask X."""
         total = 0
@@ -475,10 +452,9 @@ class LinearForm(NamedTuple):
 
         c_view(u, X) = sum(w * |m & X| for w, m in terms) + scale * c_base(base_u, X & keep)
 
-    The terms are virtual neighbourhoods, known for free. The base part is
-    empty when X & keep is; base_u None means the form cannot express a
-    nonempty base part (a contracted view lies below), and the caller falls
-    back to cut plans."""
+    The terms are virtual neighbourhoods and learned crossing capacities,
+    known for free. The base part is empty when X & keep is; base_u is None
+    only for a form with no base part (keep 0)."""
 
     terms: tuple[tuple[int, int], ...]
     scale: int
@@ -487,7 +463,9 @@ class LinearForm(NamedTuple):
 
 
 class OracleView:
-    """Common behaviour: validation, conventions, charging, BIS simulation."""
+    """A vertex universe over the hidden graph, with the reductions the
+    CutCache charges through: cut_plan for cuts, linear_form for the
+    capacity of one vertex towards a set."""
 
     kind = "base"
 
@@ -528,55 +506,9 @@ class OracleView:
     def known_capacity(self, u: int, v: int) -> Optional[int]:
         return self.pair_known((u,), (v,))
 
-    def linear_form(self, u: int) -> Optional[LinearForm]:
-        """The capacity of u towards any vertex set, as a LinearForm, or
-        None when this view has none (contracted views use cut plans)."""
-        return None
-
-    def _check_subset(self, ids: tuple[int, ...]) -> None:
-        uni = self.universe
-        for v in ids:
-            if v not in uni:
-                raise QueryInputError(f"vertex {v} outside the view universe")
-
-    # -- contract operations (exact charging, no memoisation)
-
-    def cut_query(self, ids: Iterable[int]) -> int:
-        ids = canon(ids)
-        self._check_subset(ids)
-        if len(ids) == 0 or len(ids) == self.universe_size:
-            self.ledger.record_zero(ids, 0)
-            return 0
-        plan = self.cut_plan(ids)
-        if plan.base_ids is None:
-            self.ledger.record_zero(ids, plan.offset)
-            return plan.offset
-        raw = self._base.raw_cut(mask_of(plan.base_ids))
-        return plan.coeff * raw + plan.offset
-
-    def pair_capacity(self, A: Iterable[int], B: Iterable[int]) -> int:
-        A, B = canon(A), canon(B)
-        if not A or not B:
-            raise QueryInputError("pair_capacity needs nonempty sets")
-        if set(A) & set(B):
-            raise QueryInputError("pair_capacity sets must be disjoint")
-        total = self.cut_query(A) + self.cut_query(B) - self.cut_query(A + B)
-        if total % 2 or total < 0:
-            raise ContractViolation("inconsistent cut answers in pair_capacity")
-        return total // 2
-
-    def bis_query(self, A: Iterable[int], B: Iterable[int]) -> bool:
-        val = self.pair_capacity(A, B)
-        self.ledger.record_bis()
-        return val > 0
-
-    def residual_bis(self, f: Flow, A: Iterable[int], B: Iterable[int]) -> bool:
-        A, B = canon(A), canon(B)
-        val = self.pair_capacity(A, B) - f.across(A, B)
-        self.ledger.record_bis()
-        if val < 0:
-            raise ContractViolation("negative residual capacity: invalid flow")
-        return val > 0
+    def linear_form(self, u: int) -> LinearForm:
+        """The capacity of u towards any vertex set, as a LinearForm."""
+        raise NotImplementedError
 
 
 class BaseView(OracleView):
@@ -739,9 +671,9 @@ class AugmentedView(OracleView):
     def bundle_flow(self, f: Flow, terminal: int) -> int:
         """Units the flow routes through a terminal's virtual bundle."""
         if terminal in self.source_bundle:
-            return f.across((self.s_source,), self.source_bundle[terminal])
+            return f.out_to(self.s_source, mask_of(self.source_bundle[terminal]))
         if terminal in self.sink_bundle:
-            return f.across(self.sink_bundle[terminal], (self.s_sink,))
+            return -f.out_to(self.s_sink, mask_of(self.sink_bundle[terminal]))
         raise QueryInputError(f"{terminal} is not an augmented terminal")
 
     def linear_form(self, u: int) -> LinearForm:
@@ -756,10 +688,6 @@ class AugmentedView(OracleView):
         if u in self.virtual_ids:
             return LinearForm(terms, 1, None, 0)
         sub = self.parent.linear_form(u)
-        if sub is None:
-            # the parent's vertices cannot be expressed: fall back whenever
-            # X reaches them
-            return LinearForm(terms, 1, None, self._parent_mask)
         s = self.scale
         terms += tuple((s * w, m) for w, m in sub.terms)
         # a virtual id may equal the id of a base vertex outside the parent
@@ -771,11 +699,20 @@ class AugmentedView(OracleView):
 class ContractedView(OracleView):
     """Everything outside `keep` is contracted into one vertex s_r, parallel
     edges merging into summed capacities. `drops` removes explicitly known
-    capacity between a kept vertex and s_r (used once its value is known)."""
+    capacity between a kept vertex and s_r (used once its value is known).
+    The parent capacity from each kept vertex to the contracted outside
+    (`w_out`) is learned once by the caller, as for InducedView; the linear
+    forms read it at zero query cost."""
 
     kind = "contracted"
 
-    def __init__(self, parent: OracleView, keep: Iterable[int], drops: Optional[dict[int, int]] = None):
+    def __init__(
+        self,
+        parent: OracleView,
+        keep: Iterable[int],
+        w_out: dict[int, int],
+        drops: Optional[dict[int, int]] = None,
+    ):
         super().__init__(parent.base_view)
         keep = canon(keep)
         puni = parent.universe
@@ -791,6 +728,10 @@ class ContractedView(OracleView):
         self._keepset = frozenset(keep)
         self.s_r = max(parent.vertices()) + 1
         self.drops = dict(drops or {})
+        # capacity between each kept vertex and s_r
+        self._to_s = {v: int(w_out.get(v, 0)) - self.drops.get(v, 0) for v in keep}
+        self._keep_mask = mask_of(keep)
+        self._forms: dict[int, LinearForm] = {}
         self._verts = tuple(sorted(keep + (self.s_r,)))
         self._uni = frozenset(self._verts)
 
@@ -804,6 +745,28 @@ class ContractedView(OracleView):
     def unit_real_capacities(self) -> bool:
         # edges into s_r are merged parallels, so they may exceed 1
         return False
+
+    def linear_form(self, u: int) -> LinearForm:
+        form = self._forms.get(u)
+        if form is None:
+            form = self._forms[u] = self._build_form(u)
+        return form
+
+    def _build_form(self, u: int) -> LinearForm:
+        if u == self.s_r:
+            # the kept vertices grouped by their capacity to s_r
+            groups: dict[int, int] = {}
+            for v, w in self._to_s.items():
+                if w:
+                    groups[w] = groups.get(w, 0) | 1 << v
+            return LinearForm(tuple(sorted(groups.items())), 1, None, 0)
+        sub = self.parent.linear_form(u)
+        w = self._to_s[u]
+        terms = sub.terms + ((w, 1 << self.s_r),) if w else sub.terms
+        # s_r may equal the id of a base vertex outside an induced parent
+        # (as in AugmentedView._build_form), so the base part keeps the kept
+        # vertices only
+        return LinearForm(terms, sub.scale, sub.base_u, sub.keep & self._keep_mask)
 
     def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
         if len(ids) == 0 or len(ids) == self.universe_size:
@@ -869,7 +832,7 @@ class InducedView(OracleView):
     def pair_known(self, A, B) -> Optional[int]:
         return self.parent.pair_known(A, B)
 
-    def linear_form(self, u: int) -> Optional[LinearForm]:
+    def linear_form(self, u: int) -> LinearForm:
         # pair capacities inside the part equal the parent's
         return self.parent.linear_form(u)
 
@@ -923,6 +886,8 @@ class CutCache:
 
     def cut(self, view: OracleView, ids: Iterable[int]) -> int:
         ids = canon(ids)
+        if not view.universe.issuperset(ids):
+            raise QueryInputError("vertex outside the view universe")
         if len(ids) == 0 or len(ids) == view.universe_size:
             return 0
         plan = view.cut_plan(ids)
@@ -932,6 +897,8 @@ class CutCache:
 
     def pair_capacity(self, view: OracleView, A: Iterable[int], B: Iterable[int]) -> int:
         A, B = canon(A), canon(B)
+        if not set(A).isdisjoint(B):
+            raise QueryInputError("pair_capacity sets must be disjoint")
         known = view.pair_known(A, B)
         if known is not None:
             return known
@@ -1009,12 +976,9 @@ class CutCache:
         nothing and counts no logical BIS."""
         if f is not None and f.out_to(u, X):
             return
-        form = view.linear_form(u)
-        if form is None:
-            return
-        terms, scale, base_u, keep = form
+        terms, scale, base_u, keep = view.linear_form(u)
         real = X & keep
-        if not real or base_u is None:
+        if not real:
             return
         unknown = real & ~self._known[base_u]
         if not unknown:
@@ -1028,21 +992,13 @@ class CutCache:
             raise ContractViolation("deduced residual disagrees with the linear form")
         self._learn_block(base_u, unknown, val)
 
-    def _from_form(
-        self, view: OracleView, f: Optional[Flow], u: int, X: int
-    ) -> Optional[int]:
+    def _from_form(self, view: OracleView, f: Optional[Flow], u: int, X: int) -> int:
         """Residual capacity from view vertex u into the bitmask X of view
         vertices under f (None: the zero flow), read from the view's linear
-        form of u, or None when the form cannot express it: the virtual
-        terms, plus scale times the base capacity (base_pair_sum), minus the
-        net flow from u into X."""
-        form = view.linear_form(u)
-        if form is None:
-            return None
-        terms, scale, base_u, keep = form
+        form of u: the virtual terms, plus scale times the base capacity
+        (base_pair_sum), minus the net flow from u into X."""
+        terms, scale, base_u, keep = view.linear_form(u)
         real = X & keep
-        if real and base_u is None:
-            return None
         val = 0
         for w, m in terms:
             val += w * (m & X).bit_count()
@@ -1054,29 +1010,14 @@ class CutCache:
                 raise ContractViolation("negative residual capacity: invalid flow")
         return val
 
-    def residual_between(
-        self, view: OracleView, f: Optional[Flow], A: Sequence[int], X: int
-    ) -> int:
-        """Total residual capacity from the view vertices A into the bitmask
-        X of view vertices; one logical BIS. A None flow means the zero
-        flow. A one-vertex A is answered from the view's linear form where
-        it has one, otherwise by cut plans."""
+    def residual_between(self, view: OracleView, f: Optional[Flow], u: int, X: int) -> int:
+        """Residual capacity from view vertex u into the bitmask X of view
+        vertices; one logical BIS. A None flow means the zero flow."""
         self.logical_bis += 1
-        if len(A) == 1:
-            val = self._from_form(view, f, A[0], X)
-            if val is not None:
-                return val
-        B = ids_of(X)
-        val = self.pair_capacity(view, A, B) - (f.across(A, B) if f is not None else 0)
-        if val < 0:
-            raise ContractViolation("negative residual capacity: invalid flow")
-        return val
+        return self._from_form(view, f, u, X)
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
         known = view.known_capacity(u, v)
         if known is not None:
             return known
-        cap = self._from_form(view, None, u, 1 << v)
-        if cap is not None:
-            return cap
-        return self.pair_capacity(view, (u,), (v,))
+        return self._from_form(view, None, u, 1 << v)

@@ -26,14 +26,14 @@ def find_neighbor(
     cache: CutCache,
     view: OracleView,
     f: Optional[Flow],
-    A: Iterable[int],
+    u: int,
     B: Sequence[int],
     mask: Optional[int] = None,
 ) -> Optional[int]:
-    """Lowest-id vertex of B with a residual edge from A, or None. `mask`
+    """Lowest-id vertex of B with a residual edge from u, or None. `mask`
     is the bitmask of B when the caller already holds it; a caller that
-    passes it must also pass A as a sequence and B sorted by increasing id,
-    which are then used as given.
+    passes it must also pass B sorted by increasing id, which is then used
+    as given.
 
     Costs one BIS when there is no neighbor, and 1 + ceil(log2 |B|) BIS
     otherwise. The halving always splits at the sorted-id midpoint. When the
@@ -42,23 +42,21 @@ def find_neighbor(
     extra.
     """
     if mask is None:
-        A = canon(A)
         B = sorted(B)
         mask = mask_of(B)
     cur = mask
-    for a in A:
-        if cur >> a & 1:
-            raise QueryInputError("find_neighbor sets must be disjoint")
+    if cur >> u & 1:
+        raise QueryInputError("find_neighbor sets must be disjoint")
     if not B:
         return None
-    if cache.residual_between(view, f, A, cur) <= 0:
+    if cache.residual_between(view, f, u, cur) <= 0:
         return None
     # cur is the bitmask of B[lo:hi]
     lo, hi = 0, len(B)
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
         low = cur & ((1 << B[mid]) - 1)
-        if cache.residual_between(view, f, A, low) > 0:
+        if cache.residual_between(view, f, u, low) > 0:
             cur, hi = low, mid
         else:
             cur, lo = cur ^ low, mid
@@ -69,39 +67,36 @@ def neighborhood(
     cache: CutCache,
     view: OracleView,
     f: Optional[Flow],
-    U: Iterable[int],
+    u: int,
     candidates: Iterable[int],
     mask: Optional[int] = None,
 ) -> list[int]:
-    """All residual neighbors of U among the candidates B, in increasing id
+    """All residual neighbors of u among the candidates B, in increasing id
     order, by one adaptive halving. `mask` is the bitmask of the candidates
     when the caller already holds it; as in find_neighbor, a caller that
-    passes it must also pass U as a sequence and the candidates as a
-    sequence sorted by increasing id, which are then used as given.
+    passes it must also pass the candidates as a sequence sorted by
+    increasing id, which is then used as given.
 
     One BIS probes all of B. Every block with a positive residual total then
     splits at the sorted-id midpoint, as in find_neighbor: only the low half
     is probed, and the high half's total is the block's minus the low
-    half's, since residual capacity from U is additive in the target set
+    half's, since residual capacity from u is additive in the target set
     under a valid flow. This costs one BIS when there is no neighbor and at
-    most 1 + d * ceil(log2 |B|) for d neighbors. For a one-vertex U, the high
-    halves found by subtraction with total zero, and those of one vertex,
-    go to CutCache.deduce, which learns them as a probe would have."""
+    most 1 + d * ceil(log2 |B|) for d neighbors. The high halves found by
+    subtraction with total zero, and those of one vertex, go to
+    CutCache.deduce, which learns them as a probe would have."""
     if mask is None:
-        U = canon(U)
         B = sorted(candidates)
         mask = mask_of(B)
     else:
         B = candidates
-    for a in U:
-        if mask >> a & 1:
-            raise QueryInputError("neighborhood sets must be disjoint")
+    if mask >> u & 1:
+        raise QueryInputError("neighborhood sets must be disjoint")
     if not B:
         return []
-    total = cache.residual_between(view, f, U, mask)
+    total = cache.residual_between(view, f, u, mask)
     if total <= 0:
         return []
-    u = U[0] if len(U) == 1 else None
     found: list[int] = []
     # blocks B[lo:hi] with bitmask cur and positive total; the low half is
     # pushed last, so it is split first and neighbors come out in order
@@ -113,9 +108,9 @@ def neighborhood(
             continue
         mid = lo + (hi - lo + 1) // 2
         low = cur & ((1 << B[mid]) - 1)
-        low_total = cache.residual_between(view, f, U, low)
+        low_total = cache.residual_between(view, f, u, low)
         high_total = total - low_total
-        if u is not None and (high_total == 0 or hi - mid == 1):
+        if high_total == 0 or hi - mid == 1:
             cache.deduce(view, f, u, cur ^ low, high_total)
         if high_total > 0:
             stack.append((mid, hi, cur ^ low, high_total))
@@ -148,7 +143,7 @@ def bfs_tree(
         for u in frontier:
             if not mask:
                 break
-            for v in neighborhood(cache, view, f, (u,), undiscovered, mask):
+            for v in neighborhood(cache, view, f, u, undiscovered, mask):
                 tree.parent[v] = u
                 tree.dist[v] = tree.dist[u] + 1
                 del undiscovered[bisect_left(undiscovered, v)]

@@ -95,6 +95,22 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
     rc = main(["mincut", "--graph", b6_file, "--config", str(cfg)])
     assert rc == 0
     assert "value 1" in capsys.readouterr().out
+    # a removed knob, an unknown key (a method name too) and a non-numeric
+    # value are refused in one line with status 2
+    for text, needle in (
+        ("reset_policy = full\n", "unknown config key"),
+        ("bogus = 1\n", "unknown config key"),
+        ("phi_for = 1\n", "unknown config key"),
+        ("phi = abc\n", "needs a number"),
+    ):
+        cfg.write_text(text)
+        rc = main(["maxflow", "--graph", b6_file, "--source", "0", "--sink", "5",
+                   "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2, text
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and needle in err[0], (text, err)
 
 
 @pytest.mark.parametrize("command", [["mincut"], ["verify", "--algo", "mincut"]])

@@ -1,15 +1,16 @@
 """Layered graphs, blocking flow, the full max-flow loop, and path
 decomposition, checked against explicit-graph references."""
 
-from cutlab.config import PINNED, Params
+from cutlab.config import PINNED
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
 from cutlab.maxflow import (
+    _layers_from_tree,
     blocking_flow_round,
-    build_layered,
     dinitz_maxflow,
     path_decomposition,
 )
 from cutlab.oracle import AugmentedView, Flow, GraphInstance
+from cutlab.primitives import bfs_tree
 from conftest import make_view, random_graph, residual_capacity
 
 
@@ -32,7 +33,7 @@ def k33_with_st() -> GraphInstance:
 
 def test_build_layered_b6(b6):
     view, _, cache = make_view(b6)
-    L = build_layered(cache, view, Flow.zero(0, 5), 0, 5)
+    L = _layers_from_tree(bfs_tree(cache, view, Flow.zero(0, 5), 0), 0, 5)
     # shortest path 0-2-3-5 has three hops
     assert L.d == 3
     assert L.layers[0] == [0]
@@ -47,12 +48,12 @@ def test_build_layered_unreachable_when_bridge_saturated(b6):
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
-    assert build_layered(cache, view, f, 0, 5) is None
+    assert _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5) is None
 
 
 def test_build_layered_k4(k4):
     view, _, cache = make_view(k4)
-    L = build_layered(cache, view, Flow.zero(0, 3), 0, 3)
+    L = _layers_from_tree(bfs_tree(cache, view, Flow.zero(0, 3), 0), 0, 3)
     assert L.d == 1
     assert L.layers == [[0], [3]]
 
@@ -64,18 +65,18 @@ def test_build_layered_k4(k4):
 def test_blocking_flow_b6_first_round(b6):
     view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
-    L = build_layered(cache, view, f, 0, 5)
+    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5)
     delta = blocking_flow_round(cache, view, f, L)
     assert delta.value == 1
     assert delta.support() == [(0, 2, 1), (2, 3, 1), (3, 5, 1)]
     # distance strictly increases afterwards
-    assert build_layered(cache, view, f, 0, 5) is None
+    assert _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5) is None
 
 
 def test_blocking_flow_k4_round_one(k4):
     view, _, cache = make_view(k4)
     f = Flow.zero(0, 3)
-    L = build_layered(cache, view, f, 0, 3)
+    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 3)
     delta = blocking_flow_round(cache, view, f, L)
     assert delta.value == 1
     assert delta.support() == [(0, 3, 1)]
@@ -86,7 +87,7 @@ def test_blocking_flow_k33_single_round_value_three():
     assert reference_maxflow(g, 0, 7) == 3
     view, _, cache = make_view(g)
     f = Flow.zero(0, 7)
-    L = build_layered(cache, view, f, 0, 7)
+    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 7)
     assert L.d == 3
     delta = blocking_flow_round(cache, view, f, L)
     assert delta.value == 3
@@ -109,7 +110,7 @@ def test_blocking_property_explicit_small():
         g = random_graph(10, 0.5, seed)
         view, _, cache = make_view(g)
         f = Flow.zero(0, 9)
-        L = build_layered(cache, view, f, 0, 9)
+        L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 9)
         if L is None:
             continue
         before = {e: residual_capacity(g, f, *e) for e in brute_layered_edges(g, f, L)}
@@ -223,18 +224,6 @@ def test_dinitz_on_augmented_view(b6):
     aug = AugmentedView(view, [(0, 2)], [(5, 2)])
     res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache)
     assert res.value == 1  # bridge still bottlenecks
-
-
-def test_retreat_policy_same_value(b6):
-    params = Params(reset_policy="retreat")
-    view, _, cache = make_view(b6)
-    res = dinitz_maxflow(view, 0, 5, cache=cache, params=params)
-    assert res.value == 1
-    for seed in range(4):
-        g = random_graph(12, 0.5, seed)
-        view, _, cache = make_view(g)
-        res = dinitz_maxflow(view, 0, 11, cache=cache, params=params)
-        assert res.value == reference_maxflow(g, 0, 11)
 
 
 # ---------------------------------------------------------------------------

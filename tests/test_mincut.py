@@ -134,12 +134,12 @@ def test_splitter_family_exhaustive_grid():
 
 
 def test_splitter_family_size_bound():
+    # |F| <= coeff * (k + 1)^exponent * (log2 n + 1)^2
+    coeff, exponent = 8, 4
     for n in (8, 16, 24):
         for k in (1, 2, 3, 4):
             fam = splitter_family(n, k)
-            bound = DESK.splitter_coeff * (k + 1) ** DESK.splitter_exponent * (
-                math.log2(n) + 1
-            ) ** 2
+            bound = coeff * (k + 1) ** exponent * (math.log2(n) + 1) ** 2
             assert len(fam.sets) <= bound, (n, k, len(fam.sets))
 
 

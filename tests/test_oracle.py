@@ -13,6 +13,7 @@ import pytest
 from cutlab.oracle import (
     AugmentedView,
     ContractedView,
+    CutCache,
     Flow,
     GraphFormatError,
     GraphInstance,
@@ -30,34 +31,41 @@ from conftest import make_view, random_graph, random_valid_flow, residual_capaci
 
 
 # ---------------------------------------------------------------------------
-# cut_query basics
+# cut queries through the cache
 
 
 def test_cut_query_k4_examples(k4):
-    view, ledger, _ = make_view(k4)
-    assert view.cut_query([0]) == 3
-    assert view.cut_query([0, 1]) == 4
+    view, ledger, cache = make_view(k4)
+    assert cache.cut(view, [0]) == 3
+    assert cache.cut(view, [0, 1]) == 4
     assert ledger.cut_count == 2
 
 
 def test_cut_query_b6_bridge(b6):
-    view, _, _ = make_view(b6)
-    assert view.cut_query([0, 1, 2]) == 1
+    view, _, cache = make_view(b6)
+    assert cache.cut(view, [0, 1, 2]) == 1
 
 
 def test_cut_query_conventions_zero_cost(b6):
-    view, ledger, _ = make_view(b6)
-    assert view.cut_query([]) == 0
-    assert view.cut_query(range(6)) == 0
+    view, ledger, cache = make_view(b6)
+    assert cache.cut(view, []) == 0
+    assert cache.cut(view, range(6)) == 0
     assert ledger.cut_count == 0
-    assert len(ledger.zero_cost) == 2
     assert len(ledger.transcript) == 0
 
 
 def test_cut_query_out_of_range(b6):
-    view, _, _ = make_view(b6)
-    with pytest.raises(QueryInputError):
-        view.cut_query([0, 99])
+    """An id outside the view universe is refused before any plan is made,
+    on the base view and on derived views, also when the set has the
+    universe's size (which would otherwise read as the free full set)."""
+    view, ledger, _ = make_view(b6)
+    cv = contracted_view(view, b6.edges, (0, 1, 2))
+    aug = AugmentedView(view, [(0, 1)], [(5, 1)])
+    for v, ids in ((view, [0, 99]), (view, [-1]), (view, range(1, 7)),
+                   (cv, [0, 4]), (cv, [0, 1, 2, 4]), (aug, [0, 99])):
+        with pytest.raises(QueryInputError):
+            CutCache(view).cut(v, ids)
+    assert ledger.cut_count == 0
 
 
 def test_ids_outside_the_graph_are_refused(p4):
@@ -76,76 +84,84 @@ def test_ids_outside_the_graph_are_refused(p4):
 
 
 def test_pair_capacity_examples(k3, b6):
-    view, ledger, _ = make_view(k3)
-    assert view.pair_capacity([0], [1]) == 1
+    view, ledger, cache = make_view(k3)
+    assert cache.pair_capacity(view, [0], [1]) == 1
     assert ledger.cut_count == 3
-    view, ledger, _ = make_view(b6)
-    assert view.pair_capacity([0, 1, 2], [3, 4, 5]) == 1
+    view, ledger, cache = make_view(b6)
+    assert cache.pair_capacity(view, [0, 1, 2], [3, 4, 5]) == 1
     with pytest.raises(QueryInputError):
-        view.pair_capacity([0, 1], [1, 2])
+        cache.pair_capacity(view, [0, 1], [1, 2])
 
 
 def test_pair_capacity_matches_brute_on_random_graphs():
     rng = random.Random(7)
     for seed in range(5):
         g = random_graph(10, 0.45, seed, W=2)
-        view, _, _ = make_view(g)
+        view, _, cache = make_view(g)
         verts = list(range(10))
         rng.shuffle(verts)
         A, B = sorted(verts[:3]), sorted(verts[3:6])
         brute = sum(
             g.edges.get((min(a, b), max(a, b)), 0) for a in A for b in B
         )
-        assert view.pair_capacity(A, B) == brute
+        assert cache.pair_capacity(view, A, B) == brute
 
 
 def test_bis_query_examples_and_cost(p4, b6):
-    view, ledger, _ = make_view(p4)
-    assert view.bis_query([0], [2, 3]) is False
-    assert view.bis_query([1], [2, 3]) is True
-    assert ledger.cut_count == 6
-    assert ledger.bis_count == 2
-    view, ledger, _ = make_view(b6)
-    assert view.bis_query([0], [3, 4, 5]) is False
-    assert (ledger.cut_count, ledger.bis_count) == (3, 1)
+    """A BIS is one residual probe from one vertex: one logical BIS, and at
+    most three charged cuts, fewer when the memo already holds them."""
+    view, ledger, cache = make_view(p4)
+    assert cache.residual_between(view, None, 0, mask_of((2, 3))) == 0
+    assert (ledger.cut_count, cache.logical_bis) == (3, 1)
+    # cut({1}) and cut({2, 3}) are in the memo ({0, 2, 3} is the complement
+    # of {1}), and so is cut({1, 2, 3}), the complement of {0}
+    assert cache.residual_between(view, None, 1, mask_of((2, 3))) == 1
+    assert (ledger.cut_count, cache.logical_bis) == (3, 2)
+    view, ledger, cache = make_view(b6)
+    assert cache.residual_between(view, None, 0, mask_of((3, 4, 5))) == 0
+    assert (ledger.cut_count, cache.logical_bis) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
-# residual BIS
+# residual probes
 
 
 def test_residual_bis_on_saturated_bridge(b6):
-    view, ledger, _ = make_view(b6)
+    view, ledger, cache = make_view(b6)
     f = Flow.zero(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
-    assert view.residual_bis(f, [2], [3]) is False
-    assert view.residual_bis(f, [3], [2]) is True  # back edge has residual 2
-    assert ledger.cut_count == 6
-    assert ledger.bis_count == 2
+    assert cache.residual_between(view, f, 2, mask_of((3,))) == 0
+    assert cache.residual_between(view, f, 3, mask_of((2,))) == 2  # the back edge
+    # the first probe learned c(2, 3), so the second charges nothing
+    assert ledger.cut_count == 3
+    assert cache.logical_bis == 2
 
 
 def test_residual_bis_equals_bis_on_zero_flow(b6):
-    view, _, _ = make_view(b6)
+    view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
-    for A, B in (([0], [1, 2]), ([0], [3, 4, 5]), ([2], [3])):
-        assert view.residual_bis(f, A, B) == view.bis_query(A, B)
+    for u, B in ((0, (1, 2)), (0, (3, 4, 5)), (2, (3,))):
+        X = mask_of(B)
+        assert cache.residual_between(view, f, u, X) == cache.residual_between(view, None, u, X)
 
 
 def test_residual_bis_full_enumeration_small():
-    # every disjoint (A, B) assignment on n=6 under random valid flows
+    # every vertex u and every target set B on n=6 under random valid flows,
+    # on a cache shared across probes and on a fresh one per probe
     for seed in range(3):
         g = random_graph(6, 0.5, seed, W=2)
         f = random_valid_flow(g, 0, 5, seed)
-        view, _, _ = make_view(g)
-        for assignment in itertools.product((0, 1, 2), repeat=g.n):
-            A = tuple(v for v, side in enumerate(assignment) if side == 1)
-            B = tuple(v for v, side in enumerate(assignment) if side == 2)
-            if not A or not B:
-                continue
-            brute_total = sum(residual_capacity(g, f, a, b) for a in A for b in B)
-            assert view.residual_bis(f, A, B) == (brute_total > 0), (A, B)
+        view, _, cache = make_view(g)
+        for u in range(g.n):
+            others = [v for v in range(g.n) if v != u]
+            for k in range(1, len(others) + 1):
+                for B in itertools.combinations(others, k):
+                    brute = sum(residual_capacity(g, f, u, b) for b in B)
+                    assert cache.residual_between(view, f, u, mask_of(B)) == brute, (u, B)
+                    fresh = CutCache(view)
+                    assert fresh.residual_between(view, f, u, mask_of(B)) == brute, (u, B)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +191,7 @@ def brute_cut_of(cap, vertices, side):
 
 def test_augmented_view_consistency_full_enumeration(b6):
     g = b6
-    view, ledger, _ = make_view(g)
+    view, _, cache = make_view(g)
     aug = AugmentedView(view, [(0, 2)], [(5, 2)], scale=1)
     cap = materialize_augmented(g.edges, aug)
     verts = aug.vertices()
@@ -184,19 +200,32 @@ def test_augmented_view_consistency_full_enumeration(b6):
     for _ in range(200):
         k = rng.randint(1, len(verts) - 1)
         side = rng.sample(verts, k)
-        assert aug.cut_query(side) == brute_cut_of(cap, verts, side)
+        assert cache.cut(aug, side) == brute_cut_of(cap, verts, side)
 
 
-def contracted_edges(g, cv):
-    """Explicit adjacency of a contracted view: parallel edges into s_r merge."""
+def contracted_edges(parent_edges, cv):
+    """Explicit adjacency of a contracted view, from the explicit adjacency
+    of its parent: parallel edges into s_r merge, and drops come off."""
     cap = {}
-    for (u, v), w in g.edges.items():
+    for (u, v), w in parent_edges.items():
         uu = u if u in cv.keep else cv.s_r
         vv = v if v in cv.keep else cv.s_r
         if uu != vv:
             key = (min(uu, vv), max(uu, vv))
             cap[key] = cap.get(key, 0) + w
+    for x, w in cv.drops.items():
+        cap[(x, cv.s_r)] -= w
     return cap
+
+
+def contracted_view(parent, parent_edges, keep, drops=None):
+    """Contracted view of `keep` with its true crossing capacities, from the
+    explicit adjacency of its parent."""
+    w_out = dict.fromkeys(keep, 0)
+    for (a, b), w in parent_edges.items():
+        if (a in w_out) != (b in w_out):
+            w_out[a if a in w_out else b] += w
+    return ContractedView(parent, keep, w_out, drops)
 
 
 def induced_view(view, g, part):
@@ -216,7 +245,7 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
     """Every vertex kind (virtual source and sink, subdivision vertices,
     terminals, plain vertices) against random sets B: the singleton
     residual (under the zero flow and under a nonzero valid flow), capacity,
-    pair_known and cut_query paths must all agree with sums over the
+    pair_known and cut paths must all agree with sums over the
     explicitly materialized augmented graph. The augmented parent nests two
     scales and puts a terminal on a virtual vertex of the parent; the
     induced_low part leaves out the highest base ids, so virtual ids reuse
@@ -227,8 +256,8 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
         if parent_kind == "base":
             parent, parent_edges = view, g.edges
         elif parent_kind == "contracted":
-            parent = ContractedView(view, (0, 2, 3, 5, 6))
-            parent_edges = contracted_edges(g, parent)
+            parent = contracted_view(view, g.edges, (0, 2, 3, 5, 6))
+            parent_edges = contracted_edges(g.edges, parent)
         elif parent_kind == "induced":
             parent, parent_edges = induced_view(view, g, (0, 1, 3, 4, 6, 8))
         elif parent_kind == "induced_low":
@@ -243,6 +272,7 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
         assert pv[2] in verts and pv[2] not in aug.virtual_ids  # a plain vertex
         flow = random_valid_flow(GraphInstance(verts[-1] + 1, cap), aug.s_source, aug.s_sink, seed)
         assert flow.value > 0
+        cuts = CutCache(view)
 
         def c(u, v):
             return cap.get((min(u, v), max(u, v)), 0)
@@ -253,15 +283,15 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
             for _ in range(6):
                 B = sorted(rng.sample(others, rng.randint(1, len(others))))
                 want = sum(c(u, b) for b in B)
-                assert cache.residual_between(aug, None, (u,), mask_of(B)) == want, (u, B)
+                assert cache.residual_between(aug, None, u, mask_of(B)) == want, (u, B)
                 residual = want - sum(flow.get(u, b) for b in B)
-                assert cache.residual_between(aug, flow, (u,), mask_of(B)) == residual, (u, B)
+                assert cache.residual_between(aug, flow, u, mask_of(B)) == residual, (u, B)
                 known = aug.pair_known((u,), tuple(B))
                 assert known is None or known == want, (u, B)
                 for v in B[:3]:
                     assert cache.capacity(aug, u, v) == c(u, v), (u, v)
             side = rng.sample(verts, rng.randint(1, len(verts) - 1))
-            assert aug.cut_query(side) == brute_cut_of(cap, verts, side), side
+            assert cuts.cut(aug, side) == brute_cut_of(cap, verts, side), side
         for _ in range(20):
             A = tuple(sorted(rng.sample(verts, 3)))
             rest = [v for v in verts if v not in A]
@@ -272,16 +302,16 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
 
 
 def test_augmented_view_examples(b6):
-    view, ledger, _ = make_view(b6)
+    view, ledger, cache = make_view(b6)
     aug = AugmentedView(view, [(0, 2)], [(5, 2)], scale=1)
-    assert aug.cut_query([aug.s_source]) == 2
+    assert cache.cut(aug, [aug.s_source]) == 2
     assert ledger.cut_count == 0  # virtual-only query is free
     empty = AugmentedView(view, [], [(5, 1)])
-    assert empty.cut_query([empty.s_source]) == 0
+    assert cache.cut(empty, [empty.s_source]) == 0
     # source side plus its whole bundle plus the terminal: only base charged
     s = [aug.s_source, *aug.source_bundle[0], 0]
     before = ledger.cut_count
-    assert aug.cut_query(s) == 2  # Cut_G({0})
+    assert cache.cut(aug, s) == 2  # Cut_G({0})
     assert ledger.cut_count == before + 1
 
 
@@ -292,50 +322,82 @@ def test_augmented_duplicate_terminal_rejected(b6):
 
 
 def test_contracted_view_examples(b6, k4):
-    view, _, _ = make_view(b6)
-    cv = ContractedView(view, [0, 1, 2])
-    assert cv.pair_capacity([2], [cv.s_r]) == 1
-    assert cv.pair_capacity([0], [cv.s_r]) == 0
-    assert cv.cut_query([0, 1, 2]) == 1
-    view, _, _ = make_view(k4)
-    cv = ContractedView(view, [0, 1])
-    assert cv.pair_capacity([0], [cv.s_r]) == 2
-    assert cv.pair_capacity([1], [cv.s_r]) == 2
-    assert cv.cut_query([0]) == 3
+    view, _, cache = make_view(b6)
+    cv = contracted_view(view, b6.edges, [0, 1, 2])
+    assert cache.pair_capacity(cv, [2], [cv.s_r]) == 1
+    assert cache.capacity(cv, 2, cv.s_r) == 1
+    assert cache.pair_capacity(cv, [0], [cv.s_r]) == 0
+    assert cache.cut(cv, [0, 1, 2]) == 1
+    view, _, cache = make_view(k4)
+    cv = contracted_view(view, k4.edges, [0, 1])
+    assert cache.pair_capacity(cv, [0], [cv.s_r]) == 2
+    assert cache.pair_capacity(cv, [1], [cv.s_r]) == 2
+    assert cache.residual_between(cv, None, cv.s_r, mask_of((0, 1))) == 4
+    assert cache.cut(cv, [0]) == 3
     with pytest.raises(QueryInputError):
-        ContractedView(view, [0, 1, 2, 3])
+        ContractedView(view, [0, 1, 2, 3], {})
 
 
 def test_contracted_view_full_enumeration():
+    """Every cut of a W=2 contracted view, and for every vertex u (s_r
+    included) every residual probe and capacity, under the zero flow and a
+    nonzero valid flow, with one kept vertex's edge to s_r dropped: all
+    against the explicit contracted graph. The second parent is an induced
+    view that leaves out the top base ids, so s_r reuses a base id."""
     for seed in range(3):
         g = random_graph(9, 0.5, seed, W=2)
-        view, _, _ = make_view(g)
-        cv = ContractedView(view, (0, 2, 3, 6))
-        cap = contracted_edges(g, cv)
-        verts = cv.vertices()
-        for k in range(1, len(verts)):
-            for side in itertools.combinations(verts, k):
-                assert cv.cut_query(side) == brute_cut_of(cap, verts, side), side
+        view, _, cache = make_view(g)
+        iv, iv_edges = induced_view(view, g, (0, 2, 3, 5, 6))
+        parents = ((view, g.edges, (0, 2, 3, 6)), (iv, iv_edges, (0, 2, 3)))
+        for parent, parent_edges, keep in parents:
+            full = contracted_view(parent, parent_edges, keep)
+            to_s = {x: contracted_edges(parent_edges, full).get((x, full.s_r), 0) for x in keep}
+            x = max(keep, key=to_s.get)
+            assert to_s[x] > 0
+            cv = contracted_view(parent, parent_edges, keep, {x: to_s[x]})
+            assert cv.s_r == 7 or parent is view
+            cap = {e: w for e, w in contracted_edges(parent_edges, cv).items() if w}
+            verts = cv.vertices()
+            for k in range(1, len(verts)):
+                for side in itertools.combinations(verts, k):
+                    assert cache.cut(cv, side) == brute_cut_of(cap, verts, side), side
+
+            def c(u, v):
+                return cap.get((min(u, v), max(u, v)), 0)
+
+            explicit = GraphInstance(cv.s_r + 1, cap)
+            flows = (random_valid_flow(explicit, s, cv.s_r, seed) for s in keep)
+            flow = next(f for f in flows if f.value > 0)
+            for u in verts:
+                others = [v for v in verts if v != u]
+                for v in others:
+                    assert cache.capacity(cv, u, v) == c(u, v), (u, v)
+                for k in range(1, len(others) + 1):
+                    for B in itertools.combinations(others, k):
+                        want = sum(c(u, b) for b in B)
+                        assert cache.residual_between(cv, None, u, mask_of(B)) == want, (u, B)
+                        residual = want - sum(flow.get(u, b) for b in B)
+                        assert cache.residual_between(cv, flow, u, mask_of(B)) == residual, (u, B)
 
 
 def test_induced_view_full_enumeration():
     for seed in range(3):
         g = random_graph(10, 0.4, seed)
-        view, _, _ = make_view(g)
+        view, _, cache = make_view(g)
         part = (1, 3, 4, 7, 8)
         iv, cap = induced_view(view, g, part)
         for k in range(1, len(part)):
             for side in itertools.combinations(part, k):
-                assert iv.cut_query(side) == brute_cut_of(cap, part, side)
+                assert cache.cut(iv, side) == brute_cut_of(cap, part, side)
 
 
 def test_view_over_view_composition(b6):
     # augmented over contracted: every answer still decomposes to one base query
-    view, ledger, _ = make_view(b6)
-    cv = ContractedView(view, [0, 1, 2])
+    view, ledger, cache = make_view(b6)
+    cv = contracted_view(view, b6.edges, [0, 1, 2])
     aug = AugmentedView(cv, [(0, 2)], [(cv.s_r, 2)])
     before = ledger.cut_count
-    val = aug.cut_query([aug.s_source, *aug.source_bundle[0], 0])
+    val = cache.cut(aug, [aug.s_source, *aug.source_bundle[0], 0])
     assert ledger.cut_count - before == 1
     assert val == 2  # Cut of {0} in the contracted graph
 
@@ -346,10 +408,10 @@ def test_view_over_view_composition(b6):
 
 def test_ledger_replay_and_byte_stability(b6):
     def run():
-        view, ledger, _ = make_view(b6)
-        view.cut_query([0, 1])
-        view.pair_capacity([0], [3, 4])
-        view.bis_query([2], [3])
+        view, ledger, cache = make_view(b6)
+        cache.cut(view, [0, 1])
+        cache.pair_capacity(view, [0], [3, 4])
+        cache.residual_between(view, None, 2, mask_of((3,)))
         return ledger
 
     led1, led2 = run(), run()
@@ -363,12 +425,11 @@ def test_ledger_replay_and_byte_stability(b6):
     assert rec != TranscriptRecord(rec.seq, rec.ids, rec.answer + 1, rec.tag)
     assert [rec.ids for rec in records] == [(0, 1), (0,), (3, 4), (0, 3, 4), (2,), (3,), (2, 3)]
     assert led1.cut_count == len(led1.transcript)
-    assert led1.bis_count * 3 <= led1.cut_count
 
 
 def test_replay_fails_on_different_instance(b6, k4):
-    view, ledger, _ = make_view(b6)
-    view.cut_query([0, 1])
+    view, ledger, cache = make_view(b6)
+    cache.cut(view, [0, 1])
     recs = QueryLedger.parse_transcript(ledger.transcript_text())
     other = GraphInstance(6, {(0, 1): 1})
     assert not QueryLedger.replay(recs, other)
@@ -391,11 +452,11 @@ def test_base_view_freed_without_cycle_collector():
 
 
 def test_phase_tags(b6):
-    view, ledger, _ = make_view(b6)
+    view, ledger, cache = make_view(b6)
     with ledger.phase("warmup"):
-        view.cut_query([0])
-        view.cut_query([1])
-    view.cut_query([2])
+        cache.cut(view, [0])
+        cache.cut(view, [1])
+    cache.cut(view, [2])
     assert ledger.phase_tags == {"warmup": 2}
     assert ledger.transcript[0].tag == "warmup"
     assert ledger.transcript[2].tag == ""
@@ -497,17 +558,20 @@ def test_cache_learned_capacities_above_one():
 
 
 def test_cache_agrees_with_contract_ops():
+    """Pair capacities from a cache that has seen earlier sets (memo hits)
+    equal those from a fresh cache and the explicit sums."""
     for seed in range(4):
         g = random_graph(9, 0.5, seed, W=3)
         view, _, cache = make_view(g)
-        view2, _, _ = make_view(g)
         rng = random.Random(seed)
         for _ in range(40):
             k = rng.randint(1, 4)
             A = tuple(sorted(rng.sample(range(9), k)))
             rest = [v for v in range(9) if v not in A]
             B = tuple(sorted(rng.sample(rest, rng.randint(1, 3))))
-            assert cache.pair_capacity(view, A, B) == view2.pair_capacity(A, B)
+            brute = sum(g.edges.get((min(a, b), max(a, b)), 0) for a in A for b in B)
+            fresh = CutCache(view).pair_capacity(view, A, B)
+            assert cache.pair_capacity(view, A, B) == fresh == brute
 
 
 def assert_learned_sound(cache, g):
@@ -530,11 +594,11 @@ def test_deduced_blocks_read_back_hidden_capacities(W):
         f = random_valid_flow(g, 0, 23, seed)
         assert f.value > 0
         for u in range(g.n):
-            neighborhood(cache, view, f, (u,), [v for v in range(g.n) if v != u])
+            neighborhood(cache, view, f, u, [v for v in range(g.n) if v != u])
         assert_learned_sound(cache, g)
         view, _, cache = make_view(g)
         for u in range(g.n):
-            neighborhood(cache, view, None, (u,), [v for v in range(g.n) if v != u])
+            neighborhood(cache, view, None, u, [v for v in range(g.n) if v != u])
         assert_learned_sound(cache, g)
         view, _, cache = make_view(g)
         for s, t in ((0, 23), (5, 17), (11, 2)):
@@ -578,7 +642,7 @@ def test_deduce_skips_blocks_the_flow_enters(W):
     f.push(0, 5, 1)
     f.push(5, 1, 1)
     f.value = 1
-    assert neighborhood(cache, view, f, (0,), [3, 4, 5]) == ([4, 5] if W > 1 else [4])
+    assert neighborhood(cache, view, f, 0, [3, 4, 5]) == ([4, 5] if W > 1 else [4])
     assert cache._known[0] == mask_of((3, 4))
     assert_learned_sound(cache, g)
 
@@ -628,8 +692,8 @@ def test_flow_antisymmetry_and_across():
     f.push(0, 1, 2)
     f.push(1, 2, 2)
     assert f.get(1, 0) == -2
-    assert f.across([0], [1]) == 2
-    assert f.across([1], [0]) == -2
+    assert f.out_to(0, mask_of((1,))) == 2
+    assert f.out_to(1, mask_of((0,))) == -2
     f.push(1, 0, 2)  # cancel
     assert f.get(0, 1) == 0
     assert (0, 1) not in [(u, v) for u, v, _ in f.support()]

@@ -90,12 +90,12 @@ GOLDEN = [
         "3a89fd35572184421d0f70a5cff0304beaf93ad73351a28188cb4af09a478a23",
     ),
     (
-        # builds 16 contracted views, whose cut plans reach the memo
+        # builds contracted views, whose probes read their linear forms
         "mincut_planted_cut_n32",
         lambda: _mincut(InstanceSpec("planted_cut", 32, 5).with_params(k=2)),
         2,
-        401,
-        "31d6eb4c732f68803e896bba0fc38053e3b65793bd4b5681e7dfc943e654a8f4",
+        218,
+        "8e96385400fe6333015351c57a264f39c073d29c7d0a5b3057732263c8483463",
     ),
     (
         "decompose_two_cliques_n16",
