@@ -42,8 +42,8 @@ def _setup(args):
 
 
 def cmd_maxflow(args) -> int:
-    params, _, view, cache, ledger = _setup(args)
-    res = dinitz_maxflow(view, args.source, args.sink, cache=cache, params=params)
+    _, _, view, cache, ledger = _setup(args)
+    res = dinitz_maxflow(view, args.source, args.sink, cache=cache)
     print(f"value {res.value}")
     print(f"cut {' '.join(map(str, res.mincut_source_side))}")
     print(f"rounds {res.round_count}")
@@ -55,8 +55,8 @@ def cmd_maxflow(args) -> int:
 
 
 def cmd_isocuts(args) -> int:
-    params, _, view, cache, ledger = _setup(args)
-    res = isolating_cuts(view, _ids(args.terminals), args.tau, cache=cache, params=params)
+    _, _, view, cache, ledger = _setup(args)
+    res = isolating_cuts(view, _ids(args.terminals), args.tau, cache=cache)
     print(f"verdict {res.verdict}")
     if res.verdict == "found":
         print(f"terminal {res.best_terminal}")

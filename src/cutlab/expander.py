@@ -212,7 +212,6 @@ def matching_player(
     phi: float,
     beta: float,
     cache: Optional[CutCache] = None,
-    params: Params = DESK,
 ) -> MatchOutcome:
     """Route tau+1 units from every A-terminal to B-terminals through edges
     of capacity ceil(1/phi). A large enough flow yields an almost-perfect
@@ -231,7 +230,7 @@ def matching_player(
         [(b, tau + 1) for b in B],
         scale=cap_int,
     )
-    res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, params=params)
+    res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache)
     demand = min(len(A), len(B)) * (tau + 1)
     threshold = (min(len(A), len(B)) - beta) * (tau + 1)
     if res.value >= threshold:
@@ -408,9 +407,7 @@ def one_step(
         A, B = cut_player(X, params)
         A_real = tuple(a for a in A if a != pad)
         B_real = tuple(b for b in B if b != pad)
-        out = matching_player(
-            view, A_real, B_real, tau, phi, beta, cache=cache, params=params
-        )
+        out = matching_player(view, A_real, B_real, tau, phi, beta, cache=cache)
         if out.kind == "sparse_cut":
             inside = len(set(out.cut) & set(R))
             if not (0 < inside < len(R)):

@@ -310,7 +310,7 @@ class ExperimentRow:
     answer: int
     reference_answer: int
     cut_queries: int  # charged base-graph queries (= transcript length)
-    bis_queries: int  # logical BIS-style probes, cache hits included
+    bis_queries: int  # residual probes issued (CutCache.logical_bis); learned reads issue none
     rounds: int
     wall_ms: int
     profile: str
@@ -361,7 +361,7 @@ def run_one(
         rounds = answer_obj.probes
     elif algorithm == "maxflow":
         s, t = 0, instance.n - 1
-        res = dinitz_maxflow(view, s, t, cache=cache, params=params)
+        res = dinitz_maxflow(view, s, t, cache=cache)
         answer = res.value
         reference = reference_maxflow(instance, s, t)
         rounds = res.round_count

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .config import DESK, Params
 from .maxflow import dinitz_maxflow
 from .oracle import (
     AugmentedView,
@@ -57,7 +56,6 @@ def partition_mincut(
     B: Iterable[int],
     tau: int,
     cache: Optional[CutCache] = None,
-    params: Params = DESK,
 ) -> PartitionCut:
     """Closest min-cut of the (A,B) flow instance with terminal capacity
     tau+1, plus the set of saturated terminals."""
@@ -70,7 +68,7 @@ def partition_mincut(
         [(b, tau + 1) for b in B],
         scale=1,
     )
-    res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, params=params)
+    res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache)
     real = view.universe
     side = tuple(v for v in res.mincut_source_side if v in real)
     saturated = []
@@ -105,7 +103,6 @@ def isolating_cuts(
     R: Iterable[int],
     tau: int,
     cache: Optional[CutCache] = None,
-    params: Params = DESK,
 ) -> IsolatingResult:
     """Minimum isolating cut of R when it has size at most tau, else the
     verdict that every isolating cut exceeds tau. Per-terminal records reuse
@@ -120,7 +117,7 @@ def isolating_cuts(
     sides: list[frozenset] = []
     ever_saturated: set[int] = set()
     for A, B in partitions:
-        pc = partition_mincut(view, A, B, tau, cache=cache, params=params)
+        pc = partition_mincut(view, A, B, tau, cache=cache)
         sides.append(frozenset(pc.source_side))
         ever_saturated.update(pc.saturated)
 
@@ -171,7 +168,7 @@ def isolating_cuts(
             side = (r,)
         else:
             cv = ContractedView(view, keep, w_out, drops={r: direct})
-            local = dinitz_maxflow(cv, r, cv.s_r, cache=cache, params=params)
+            local = dinitz_maxflow(cv, r, cv.s_r, cache=cache)
             lam = direct + local.value
             side = local.mincut_source_side
         rec = TerminalRecord(r, lam, side)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import DESK, Params
 from .oracle import ContractViolation, CutCache, Flow, OracleView, QueryInputError, mask_of
 from .primitives import BfsTree, bfs_tree, find_neighbor
 
@@ -123,7 +122,6 @@ def dinitz_maxflow(
     s: int,
     t: int,
     cache: Optional[CutCache] = None,
-    params: Params = DESK,
 ) -> FlowResult:
     """Repeated blocking flow until the sink is unreachable; also extracts
     the source side of a minimum cut as the final residual-reachable set."""

@@ -211,7 +211,7 @@ def unbalanced_case(
     family = splitter_family(len(R), k)
     for F in family.sets:
         terminals = tuple(R[i] for i in F)
-        res = isolating_cuts(view, terminals, tau, cache=cache, params=params)
+        res = isolating_cuts(view, terminals, tau, cache=cache)
         if res.verdict == "found":
             return res.cut_side, res.cut_value
     return None
@@ -328,7 +328,7 @@ class MinCutAnswer:
     side: tuple[int, ...]
     certificate: str  # degree_cut | isolating_cut | threshold_path | disconnected
     cut_queries: int = 0  # charged base-graph queries
-    bis_queries: int = 0  # logical BIS-style probes (cache hits included)
+    bis_queries: int = 0  # residual probes issued (CutCache.logical_bis); learned reads issue none
     probes: int = 0
 
 

@@ -415,6 +415,15 @@ class Flow:
                 total -= (m & X).bit_count() << k
         return total
 
+    def signs(self, u: int) -> tuple[int, int]:
+        """Bitmasks of the vertices v with f(u, v) > 0 and with f(u, v) < 0."""
+        pos = neg = 0
+        for m in self._pos.get(u, ()):
+            pos |= m
+        for m in self._neg.get(u, ()):
+            neg |= m
+        return pos, neg
+
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
         out = []
@@ -850,8 +859,9 @@ class CutCache:
     its complement, the smaller side, or on a tie the side that holds
     vertex 0. The empty and the full set share the key 0, which holds their
     cut 0 from the start, so neither is ever charged. `logical_bis` counts
-    logical BIS calls, so query budgets can be expressed in BIS calls
-    independently of cache hits.
+    the residual probes issued (residual_between), so query budgets can be
+    expressed in BIS calls independently of cache hits; a neighbourhood
+    answered from learned pairs (learned_neighbors) issues none.
 
     Pair capacities are learned from every block whose total is known: from
     the probes themselves (base_pair_sum), and from the totals a caller
@@ -1015,6 +1025,43 @@ class CutCache:
         vertices; one logical BIS. A None flow means the zero flow."""
         self.logical_bis += 1
         return self._from_form(view, f, u, X)
+
+    def learned_neighbors(
+        self, view: OracleView, f: Optional[Flow], u: int, X: int
+    ) -> Optional[int]:
+        """Bitmask of the vertices v of the bitmask X with positive residual
+        capacity from view vertex u under f (None: the zero flow), read from
+        the learned pairs alone; None when the base part of X holds a vertex
+        whose capacity to u is not learned yet.
+
+        Under the zero flow the answer is the capacity support: the form's
+        virtual terms plus the learned pairs with a set bit. A vertex f
+        enters from u is a neighbour, one u sends flow into is read through
+        _from_form, which refuses an invalid flow. Charges nothing and counts
+        no logical BIS; a probe of any part of X could not charge either, as
+        its base part has no unlearned remainder."""
+        terms, _scale, base_u, keep = view.linear_form(u)
+        real = X & keep
+        support = 0
+        if real:
+            if real & ~self._known[base_u]:
+                return None
+            for rows in self._planes:
+                support |= rows[base_u]
+            support &= real
+        for _w, m in terms:
+            support |= m
+        if f is None:
+            return support & X
+        pos, neg = f.signs(u)
+        pos &= X
+        out = (support | neg) & X & ~pos
+        while pos:
+            bit = pos & -pos
+            if self._from_form(view, f, u, bit) > 0:
+                out |= bit
+            pos ^= bit
+        return out
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
         known = view.known_capacity(u, v)

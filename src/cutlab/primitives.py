@@ -1,7 +1,9 @@
 """Residual-graph discovery using only BIS-style queries: find one neighbor
 by binary search, enumerate a whole neighborhood by group testing (one
 adaptive halving that probes low halves only and gets high halves by
-subtraction), and grow a layered BFS tree."""
+subtraction), and grow a layered BFS tree. A search whose candidates'
+capacities from the probing vertex are all learned reads its answer from
+the cache and probes nothing."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .oracle import CutCache, Flow, OracleView, QueryInputError, canon, mask_of
+from .oracle import CutCache, Flow, OracleView, QueryInputError, canon, ids_of, mask_of
 
 
 @dataclass
@@ -35,20 +37,25 @@ def find_neighbor(
     passes it must also pass B sorted by increasing id, which is then used
     as given.
 
-    Costs one BIS when there is no neighbor, and 1 + ceil(log2 |B|) BIS
-    otherwise. The halving always splits at the sorted-id midpoint. When the
-    lower half has no residual capacity, the upper half holds all of the
-    current total, which is positive, so descending into it costs nothing
-    extra.
+    When the capacities from u to every base vertex of B are learned, the
+    answer is read from the cache (CutCache.learned_neighbors) and costs no
+    BIS. Otherwise it costs one BIS when there is no neighbor, and
+    1 + ceil(log2 |B|) BIS when there is one. The halving always splits at
+    the sorted-id midpoint. When the lower half has no residual capacity,
+    the upper half holds all of the current total, which is positive, so
+    descending into it costs nothing extra.
     """
+    if u not in view.universe:
+        raise QueryInputError(f"vertex {u} outside the view universe")
     if mask is None:
         B = sorted(B)
         mask = mask_of(B)
     cur = mask
     if cur >> u & 1:
         raise QueryInputError("find_neighbor sets must be disjoint")
-    if not B:
-        return None
+    learned = cache.learned_neighbors(view, f, u, cur)
+    if learned is not None:
+        return (learned & -learned).bit_length() - 1 if learned else None
     if cache.residual_between(view, f, u, cur) <= 0:
         return None
     # cur is the bitmask of B[lo:hi]
@@ -77,14 +84,19 @@ def neighborhood(
     passes it must also pass the candidates as a sequence sorted by
     increasing id, which is then used as given.
 
-    One BIS probes all of B. Every block with a positive residual total then
-    splits at the sorted-id midpoint, as in find_neighbor: only the low half
-    is probed, and the high half's total is the block's minus the low
-    half's, since residual capacity from u is additive in the target set
-    under a valid flow. This costs one BIS when there is no neighbor and at
+    When the capacities from u to every base vertex of B are learned, the
+    whole neighborhood is read from the cache (CutCache.learned_neighbors)
+    at no BIS. Otherwise one BIS probes all of B. Every block with a
+    positive residual total then splits at the sorted-id midpoint, as in
+    find_neighbor: only the low half is probed, and the high half's total is
+    the block's minus the low half's, since residual capacity from u is
+    additive in the target set under a valid flow. This costs at most one
+    BIS when there is no neighbor (none when the block is learned) and at
     most 1 + d * ceil(log2 |B|) for d neighbors. The high halves found by
     subtraction with total zero, and those of one vertex, go to
     CutCache.deduce, which learns them as a probe would have."""
+    if u not in view.universe:
+        raise QueryInputError(f"vertex {u} outside the view universe")
     if mask is None:
         B = sorted(candidates)
         mask = mask_of(B)
@@ -92,8 +104,9 @@ def neighborhood(
         B = candidates
     if mask >> u & 1:
         raise QueryInputError("neighborhood sets must be disjoint")
-    if not B:
-        return []
+    learned = cache.learned_neighbors(view, f, u, mask)
+    if learned is not None:
+        return ids_of(learned)
     total = cache.residual_between(view, f, u, mask)
     if total <= 0:
         return []

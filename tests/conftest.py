@@ -12,7 +12,15 @@ import random
 import pytest
 
 from cutlab.harness import InstanceSpec, generate
-from cutlab.oracle import BaseView, CutCache, Flow, GraphInstance, QueryLedger
+from cutlab.oracle import (
+    BaseView,
+    ContractedView,
+    CutCache,
+    Flow,
+    GraphInstance,
+    InducedView,
+    QueryLedger,
+)
 
 
 def make_view(g: GraphInstance):
@@ -77,6 +85,73 @@ def brute_residual_dist(g: GraphInstance, f: Flow | None, root: int) -> dict[int
                     nxt.append(v)
         frontier = sorted(nxt)
     return dist
+
+
+# ---------------------------------------------------------------------------
+# explicit adjacency {(u, v): capacity} of derived views
+
+
+def materialize_augmented(parent_edges, aug):
+    """Explicit adjacency of the augmented graph for brute-force cuts, from
+    the explicit adjacency {(u, v): capacity} of its parent view."""
+    cap = {}
+
+    def add(u, v, w):
+        key = (min(u, v), max(u, v))
+        cap[key] = cap.get(key, 0) + w
+
+    for (u, v), w in parent_edges.items():
+        add(u, v, w * aug.scale)
+    for u, v, w in aug.virtual_edges:
+        add(u, v, w)
+    return cap
+
+
+def contracted_edges(parent_edges, cv):
+    """Explicit adjacency of a contracted view, from the explicit adjacency
+    of its parent: parallel edges into s_r merge, and drops come off."""
+    cap = {}
+    for (u, v), w in parent_edges.items():
+        uu = u if u in cv.keep else cv.s_r
+        vv = v if v in cv.keep else cv.s_r
+        if uu != vv:
+            key = (min(uu, vv), max(uu, vv))
+            cap[key] = cap.get(key, 0) + w
+    for x, w in cv.drops.items():
+        cap[(x, cv.s_r)] -= w
+    return cap
+
+
+def contracted_view(parent, parent_edges, keep, drops=None):
+    """Contracted view of `keep` with its true crossing capacities, from the
+    explicit adjacency of its parent."""
+    w_out = dict.fromkeys(keep, 0)
+    for (a, b), w in parent_edges.items():
+        if (a in w_out) != (b in w_out):
+            w_out[a if a in w_out else b] += w
+    return ContractedView(parent, keep, w_out, drops)
+
+
+def induced_view(view, g, part):
+    """Induced view on `part` with its true crossing capacities, plus its
+    explicit adjacency."""
+    w_out = {
+        v: sum(w for (a, b), w in g.edges.items() if (a == v and b not in part) or (b == v and a not in part))
+        for v in part
+    }
+    edges = {(u, v): w for (u, v), w in g.edges.items() if u in part and v in part}
+    return InducedView(view, part, w_out), edges
+
+
+def view_residual_neighbors(cap, f: Flow | None, u: int, B) -> list[int]:
+    """Residual neighbours of u among B in a view with explicit adjacency
+    cap, under f (None: the zero flow)."""
+    out = []
+    for b in sorted(B):
+        c = cap.get((min(u, b), max(u, b)), 0)
+        if c - (f.get(u, b) if f is not None else 0) > 0:
+            out.append(b)
+    return out
 
 
 def random_valid_flow(g: GraphInstance, s: int, t: int, seed: int, tries: int = 6) -> Flow:

@@ -12,12 +12,12 @@ import pytest
 
 from cutlab.oracle import (
     AugmentedView,
+    ContractViolation,
     ContractedView,
     CutCache,
     Flow,
     GraphFormatError,
     GraphInstance,
-    InducedView,
     QueryInputError,
     QueryLedger,
     TranscriptRecord,
@@ -27,7 +27,17 @@ from cutlab.oracle import (
 from cutlab.maxflow import dinitz_maxflow
 from cutlab.mincut import global_mincut
 from cutlab.primitives import neighborhood
-from conftest import make_view, random_graph, random_valid_flow, residual_capacity
+from conftest import (
+    contracted_edges,
+    contracted_view,
+    induced_view,
+    make_view,
+    materialize_augmented,
+    random_graph,
+    random_valid_flow,
+    residual_capacity,
+    view_residual_neighbors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +178,6 @@ def test_residual_bis_full_enumeration_small():
 # views against explicit materializations
 
 
-def materialize_augmented(parent_edges, aug):
-    """Explicit adjacency of the augmented graph for brute-force cuts, from
-    the explicit adjacency {(u, v): capacity} of its parent view."""
-    cap = {}
-
-    def add(u, v, w):
-        key = (min(u, v), max(u, v))
-        cap[key] = cap.get(key, 0) + w
-
-    for (u, v), w in parent_edges.items():
-        add(u, v, w * aug.scale)
-    for u, v, w in aug.virtual_edges:
-        add(u, v, w)
-    return cap
-
-
 def brute_cut_of(cap, vertices, side):
     side = set(side)
     return sum(w for (u, v), w in cap.items() if (u in side) != (v in side))
@@ -201,42 +195,6 @@ def test_augmented_view_consistency_full_enumeration(b6):
         k = rng.randint(1, len(verts) - 1)
         side = rng.sample(verts, k)
         assert cache.cut(aug, side) == brute_cut_of(cap, verts, side)
-
-
-def contracted_edges(parent_edges, cv):
-    """Explicit adjacency of a contracted view, from the explicit adjacency
-    of its parent: parallel edges into s_r merge, and drops come off."""
-    cap = {}
-    for (u, v), w in parent_edges.items():
-        uu = u if u in cv.keep else cv.s_r
-        vv = v if v in cv.keep else cv.s_r
-        if uu != vv:
-            key = (min(uu, vv), max(uu, vv))
-            cap[key] = cap.get(key, 0) + w
-    for x, w in cv.drops.items():
-        cap[(x, cv.s_r)] -= w
-    return cap
-
-
-def contracted_view(parent, parent_edges, keep, drops=None):
-    """Contracted view of `keep` with its true crossing capacities, from the
-    explicit adjacency of its parent."""
-    w_out = dict.fromkeys(keep, 0)
-    for (a, b), w in parent_edges.items():
-        if (a in w_out) != (b in w_out):
-            w_out[a if a in w_out else b] += w
-    return ContractedView(parent, keep, w_out, drops)
-
-
-def induced_view(view, g, part):
-    """Induced view on `part` with its true crossing capacities, plus its
-    explicit adjacency."""
-    w_out = {
-        v: sum(w for (a, b), w in g.edges.items() if (a == v and b not in part) or (b == v and a not in part))
-        for v in part
-    }
-    edges = {(u, v): w for (u, v), w in g.edges.items() if u in part and v in part}
-    return InducedView(view, part, w_out), edges
 
 
 @pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced", "induced_low", "augmented"])
@@ -645,6 +603,161 @@ def test_deduce_skips_blocks_the_flow_enters(W):
     assert neighborhood(cache, view, f, 0, [3, 4, 5]) == ([4, 5] if W > 1 else [4])
     assert cache._known[0] == mask_of((3, 4))
     assert_learned_sound(cache, g)
+
+
+# ---------------------------------------------------------------------------
+# neighbourhoods read from learned pairs
+
+
+def _learned_views(g):
+    """(name, view, explicit adjacency, base vertices) of every view kind
+    over one base view of g. The augmented views have scale 2; the nested
+    one sits on an augmented view of an induced part that leaves out the
+    top three base ids, so its virtual ids reuse them, and the second
+    contracted view's s_r reuses a base id the same way."""
+    view, _, _ = make_view(g)
+    n = g.n
+    every = frozenset(range(n))
+    yield "base", view, g.edges, every
+    low = tuple(range(n - 3))
+    iv, iv_edges = induced_view(view, g, low)
+    yield "induced", iv, iv_edges, frozenset(low)
+    keep = tuple(range(0, n, 2))
+    cv = contracted_view(view, g.edges, keep)
+    yield "contracted", cv, contracted_edges(g.edges, cv), frozenset(keep)
+    keep = low[1::2]
+    cv = contracted_view(iv, iv_edges, keep)
+    assert cv.s_r == n - 3
+    yield "contracted_reused_id", cv, contracted_edges(iv_edges, cv), frozenset(keep)
+    aug = AugmentedView(view, [(0, 2), (3, 1)], [(n - 1, 2)], scale=2)
+    yield "augmented", aug, materialize_augmented(g.edges, aug), every
+    inner = AugmentedView(iv, [(1, 1)], [(low[-1], 2)], scale=2)
+    outer = AugmentedView(inner, [(inner.s_source, 1), (2, 2)], [(4, 1)], scale=2)
+    cap = materialize_augmented(materialize_augmented(iv_edges, inner), outer)
+    yield "augmented_nested", outer, cap, frozenset(low)
+
+
+def _some_flow(view, cap, seed):
+    """A nonzero valid flow of the explicit view graph cap."""
+    verts = view.vertices()
+    explicit = GraphInstance(verts[-1] + 1, {e: w for e, w in cap.items() if w})
+    for s, t in itertools.combinations(verts, 2):
+        f = random_valid_flow(explicit, s, t, seed)
+        if f.value > 0:
+            return f
+    raise AssertionError("no flow")
+
+
+def _cache_state(cache):
+    return (
+        list(cache._known),
+        [list(rows) for rows in cache._planes],
+        dict(cache._memo),
+        cache.base.ledger.cut_count,
+        cache.logical_bis,
+    )
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_learned_neighbors_match_the_explicit_view_graph(W):
+    """On every view kind, under the zero flow and a nonzero valid flow,
+    learned_neighbors is None exactly while the base part of X holds a
+    vertex whose capacity to u is unlearned, and otherwise lists the
+    residual neighbours of the explicit view graph, as neighborhood then
+    does. Either way it leaves the cache as it was. Base pairs are learned
+    a few at a time with one-pair probes, so the test knows which are."""
+    carrying = {"left": 0, "saturated": 0}  # pairs with flow from u
+    answered = 0
+    for seed in range(2):
+        g = random_graph(12, 0.45, seed, W=W)
+        rng = random.Random(seed)
+        for name, view, cap, real in _learned_views(g):
+            flow = _some_flow(view, cap, seed)
+            for u, v, val in flow.support():
+                c = cap.get((min(u, v), max(u, v)), 0)
+                carrying["left" if c > val else "saturated"] += 1
+            cache = CutCache(view.base_view)
+            verts = view.vertices()
+            pending = [(a, b) for a in sorted(real) for b in sorted(real) if a < b]
+            rng.shuffle(pending)
+            learned = set()
+            while True:
+                for i in range(10):
+                    u = rng.choice(verts)
+                    others = [v for v in verts if v != u]
+                    B = sorted(rng.sample(others, rng.randint(1, len(others))))
+                    if not pending and i < 2:
+                        B = others  # once all is learned, every vertex's whole block
+                    unknown = u in real and any(
+                        (min(u, b), max(u, b)) not in learned for b in B if b in real
+                    )
+                    for f in (None, flow):
+                        before = _cache_state(cache)
+                        got = cache.learned_neighbors(view, f, u, mask_of(B))
+                        assert _cache_state(cache) == before, (name, u, B)
+                        if unknown:
+                            assert got is None, (name, u, B)
+                            continue
+                        want = view_residual_neighbors(cap, f, u, B)
+                        assert got is not None and ids_of(got) == want, (name, u, B)
+                        assert neighborhood(cache, view, f, u, B) == want, (name, u, B)
+                        assert _cache_state(cache) == before, (name, u, B)
+                        answered += 1
+                if not pending:
+                    break
+                for a, b in pending[-12:]:
+                    cache.base_pair_sum(a, 1 << b)
+                    learned.add((a, b))
+                del pending[-12:]
+    assert answered > 100
+    if W > 1:
+        assert carrying["left"] and carrying["saturated"], carrying
+
+
+def test_learned_neighbors_none_while_a_pair_is_unlearned(b6):
+    """0's block {1, 2} is read from the cache only once both pairs are
+    learned; a virtual vertex, which has no base part, is read at once."""
+    view, ledger, cache = make_view(b6)
+    X = mask_of((1, 2))
+    assert cache.learned_neighbors(view, None, 0, X) is None
+    cache.base_pair_sum(0, mask_of((1,)))
+    assert cache.learned_neighbors(view, None, 0, X) is None
+    cache.base_pair_sum(0, mask_of((2,)))
+    q = ledger.cut_count
+    assert cache.learned_neighbors(view, None, 0, X) == X
+    aug = AugmentedView(view, [(0, 2)], [(5, 1)])
+    assert cache.learned_neighbors(aug, None, aug.s_source, mask_of(aug.source_bundle[0])) == (
+        mask_of(aug.source_bundle[0])
+    )
+    # 1's capacity to 0 is learned, to 2 not yet
+    assert cache.learned_neighbors(aug, None, 1, mask_of((0, 2) + aug.source_bundle[0])) is None
+    assert ledger.cut_count == q and cache.logical_bis == 0
+
+
+def test_learned_neighbors_under_flow_and_invalid_flows():
+    """From 0, a pair carrying flow stays a neighbour only with capacity
+    left, and 4, whose flow enters 0 over a pair of capacity 0, is one, as
+    the probes report. Flow above a pair's capacity is refused, also on a
+    pair of capacity 0 (4's side of the same flow)."""
+    g = GraphInstance(5, {(0, 1): 2, (0, 2): 1, (1, 2): 1, (2, 3): 1})
+    view, _, cache = make_view(g)
+    for a in range(5):
+        for b in range(a + 1, 5):
+            cache.base_pair_sum(a, 1 << b)
+    f = Flow.zero(0, 3)
+    f.push(0, 1, 1)
+    f.push(0, 2, 1)
+    f.push(4, 0, 1)
+    others = mask_of((1, 2, 3, 4))
+    assert cache.learned_neighbors(view, f, 0, others) == mask_of((1, 4))
+    probed = [v for v in (1, 2, 3, 4) if cache.residual_between(view, f, 0, 1 << v) > 0]
+    assert probed == [1, 4]
+    with pytest.raises(ContractViolation):
+        cache.learned_neighbors(view, f, 4, mask_of((0, 1, 2, 3)))
+    f = Flow.zero(2, 3)
+    f.push(2, 3, 2)
+    with pytest.raises(ContractViolation):
+        cache.learned_neighbors(view, f, 2, mask_of((0, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,24 @@ from cutlab.config import PINNED
 from cutlab.maxflow import dinitz_maxflow
 from cutlab.oracle import (
     AugmentedView,
-    ContractedView,
     CutCache,
     Flow,
     InducedView,
     QueryInputError,
+    mask_of,
 )
 from cutlab.primitives import bfs_tree, find_neighbor, neighborhood
 from conftest import (
     brute_residual_dist,
     brute_residual_neighbors,
+    contracted_edges,
+    contracted_view,
+    induced_view,
     make_view,
+    materialize_augmented,
     random_graph,
     random_valid_flow,
+    view_residual_neighbors,
 )
 
 
@@ -98,40 +103,33 @@ def scan_neighborhood(cache, view, f, u, candidates):
 
 
 def _parity_views(g, seed):
-    """(name, view, flow) on every view kind, each flow a nonzero valid flow
-    of its view."""
+    """(name, view, flow, cap) on every view kind: each flow a nonzero valid
+    flow of its view, cap the view's explicit adjacency."""
     view, _, cache = make_view(g)
     n = g.n
-    yield "base", view, random_valid_flow(g, 0, n - 1, seed)
+    yield "base", view, random_valid_flow(g, 0, n - 1, seed), g.edges
     aug = AugmentedView(view, [(0, 2), (3, 1)], [(n - 1, 2)], scale=2)
-    yield "augmented", aug, dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache).flow
-    keep = range(n - 4)
-    w_out = dict.fromkeys(keep, 0)
-    for (a, b), w in g.edges.items():
-        if (a in w_out) != (b in w_out):
-            w_out[a if a in w_out else b] += w
-    con = ContractedView(view, keep, w_out)
-    yield "contracted", con, dinitz_maxflow(con, 0, con.s_r, cache).flow
-    part = tuple(range(1, n, 2)) + (0,)
-    inside = set(part)
-    w_out = dict.fromkeys(part, 0)
-    for (a, b), w in g.edges.items():
-        if (a in inside) != (b in inside):
-            w_out[a if a in inside else b] += w
-    ind = InducedView(view, part, w_out)
-    yield "induced", ind, dinitz_maxflow(ind, 0, n - 1, cache).flow
+    flow = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache).flow
+    yield "augmented", aug, flow, materialize_augmented(g.edges, aug)
+    con = contracted_view(view, g.edges, range(n - 4))
+    flow = dinitz_maxflow(con, 0, con.s_r, cache).flow
+    yield "contracted", con, flow, contracted_edges(g.edges, con)
+    ind, edges = induced_view(view, g, tuple(range(1, n, 2)) + (0,))
+    yield "induced", ind, dinitz_maxflow(ind, 0, n - 1, cache).flow, edges
 
 
 @pytest.mark.parametrize("W", [1, 3])
 def test_neighborhood_matches_scan_on_every_view(W):
-    """neighborhood lists what the repeated find_neighbor scan lists, under
-    the zero flow and a nonzero valid flow,
-    with one BIS for an empty answer and at most 1 + d * ceil(log2 |B|)
-    otherwise."""
+    """neighborhood lists the residual neighbours of the explicit view
+    graph, as the repeated find_neighbor scan does, under the zero flow and
+    a nonzero valid flow. It issues no BIS when u's capacities to the base
+    part of B were all learned at entry; otherwise one BIS for an empty
+    answer and at most 1 + d * ceil(log2 |B|) for d neighbours."""
+    paths = {"learned": 0, "probed": 0}
     for seed in range(2):
         g = random_graph(12, 0.45, seed, W=W)
         rng = random.Random(seed)
-        for name, view, flow in _parity_views(g, seed):
+        for name, view, flow, cap in _parity_views(g, seed):
             assert flow.value > 0, name
             verts = view.vertices()
             cache, ref = CutCache(view.base_view), CutCache(view.base_view)
@@ -140,20 +138,41 @@ def test_neighborhood_matches_scan_on_every_view(W):
                     u = rng.choice(verts)
                     others = [v for v in verts if v != u]
                     B = sorted(rng.sample(others, rng.randint(1, len(others))))
+                    form = view.linear_form(u)
+                    real = mask_of(B) & form.keep
+                    learned = not real or not real & ~cache._known[form.base_u]
                     before = cache.logical_bis
                     got = neighborhood(cache, view, f, u, B)
                     used = cache.logical_bis - before
+                    assert got == view_residual_neighbors(cap, f, u, B), (name, u, B)
                     assert got == scan_neighborhood(ref, view, f, u, B), (name, u, B)
-                    if got:
+                    paths["learned" if learned else "probed"] += 1
+                    if learned:
+                        assert used == 0, (name, u, B)
+                    elif got:
                         assert used <= 1 + len(got) * math.ceil(math.log2(len(B))), (name, u, B)
                     else:
                         assert used == 1, (name, u, B)
+    assert min(paths.values()) > 0, paths
 
 
 def test_neighborhood_disjointness_error(p4):
     view, _, cache = make_view(p4)
     with pytest.raises(QueryInputError):
         neighborhood(cache, view, None, 1, [1, 2])
+
+
+def test_probing_vertex_outside_the_view_is_refused(b6):
+    """u = 3 lies outside an induced view on {0, 1, 2}, whose linear form
+    would hand it to the parent and answer [2]; u = 9 lies outside the
+    6-vertex base view. Both searches refuse either before any probe."""
+    view, ledger, cache = make_view(b6)
+    iv = InducedView(view, (0, 1, 2), {2: 1})
+    for v, u in ((iv, 3), (view, 9)):
+        for search in (neighborhood, find_neighbor):
+            with pytest.raises(QueryInputError):
+                search(cache, v, None, u, [0, 1, 2])
+    assert ledger.cut_count == 0 and cache.logical_bis == 0
 
 
 def test_bfs_tree_examples(p4, k4, b6):
