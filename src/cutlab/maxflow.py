@@ -76,9 +76,9 @@ def blocking_flow_round(
     view: OracleView,
     f: Flow,
     layered: LayeredGraph,
-) -> Flow:
+) -> int:
     """Find a blocking flow in the layered graph, augment f with it, and
-    return the increment. Dead-end vertices are deleted for the rest of the
+    return its value. Dead-end vertices are deleted for the rest of the
     round; the layered graph is rebuilt by the caller afterwards."""
     s = layered.layers[0][0]
     t = layered.layers[-1][0]
@@ -87,7 +87,7 @@ def blocking_flow_round(
     # list and as a bitmask
     alive = [sorted(layer) for layer in layered.layers]
     alive_mask = [mask_of(layer) for layer in layered.layers]
-    delta = Flow(s, t)
+    pushed = 0
     stack = [s]
     while stack:
         u = stack[-1]
@@ -110,11 +110,10 @@ def blocking_flow_round(
                 raise ContractViolation("found path with no residual capacity")
             for a, b in zip(stack, stack[1:]):
                 f.push(a, b, bottleneck)
-                delta.push(a, b, bottleneck)
             f.value += bottleneck
-            delta.value += bottleneck
+            pushed += bottleneck
             stack = [s]
-    return delta
+    return pushed
 
 
 def dinitz_maxflow(
@@ -145,10 +144,10 @@ def dinitz_maxflow(
                 f"source-sink distance did not increase: {layered.d} after {prev_d}"
             )
         prev_d = layered.d
-        delta = blocking_flow_round(cache, view, f, layered)
-        if delta.value < 1:
+        pushed = blocking_flow_round(cache, view, f, layered)
+        if pushed < 1:
             raise ContractViolation("blocking flow round made no progress")
-        rounds.append(RoundStats(layered.d, delta.value, view.ledger.cut_count))
+        rounds.append(RoundStats(layered.d, pushed, view.ledger.cut_count))
     return FlowResult(flow=f, value=f.value, mincut_source_side=side, rounds=rounds)
 
 

@@ -339,14 +339,32 @@ class QueryLedger:
 # flows
 
 
+def _toggle(rows: dict[int, list[int]], u: int, bit: int, mag: int) -> None:
+    """Toggle `bit` in the planes of u's row in rows whose index is a set
+    bit of mag."""
+    planes = rows.get(u)
+    if planes is None:
+        planes = rows[u] = []
+    while len(planes) < mag.bit_length():
+        planes.append(0)
+    k = 0
+    while mag:
+        if mag & 1:
+            planes[k] ^= bit
+        mag >>= 1
+        k += 1
+
+
 class Flow:
     """Antisymmetric integral flow assignment: get(u, v) == -get(v, u).
 
-    Each row is held twice: as a dict (get, support, copy) and as
-    signed bit planes (out_to). Bit v of _pos[u][k] (of _neg[u][k]) says
-    f(u, v) is positive (negative) and bit k of its magnitude is set."""
+    Each row is held three ways: as a dict (get, support, copy), as signed
+    bit planes (out_to, pos_planes) and as sign masks (signs). Bit v of
+    _pos[u][k] (of _neg[u][k]) says f(u, v) is positive (negative) and bit
+    k of its magnitude is set; bit v of _pmask[u] (of _nmask[u]) says f(u, v)
+    is positive (negative). push keeps all three in step."""
 
-    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg")
+    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg", "_pmask", "_nmask")
 
     def __init__(self, source: int, sink: int):
         if source == sink:
@@ -357,6 +375,8 @@ class Flow:
         self._adj: dict[int, dict[int, int]] = {}
         self._pos: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
+        self._pmask: dict[int, int] = {}
+        self._nmask: dict[int, int] = {}
 
     @classmethod
     def zero(cls, source: int, sink: int) -> "Flow":
@@ -378,29 +398,24 @@ class Flow:
         else:
             fu[v] = new
             fv[u] = -new
-        self._flip(u, 1 << v, old)
-        self._flip(u, 1 << v, new)
-        self._flip(v, 1 << u, -old)
-        self._flip(v, 1 << u, -new)
+        self._move(u, 1 << v, old, new)
+        self._move(v, 1 << u, -old, -new)
 
-    def _flip(self, u: int, bit: int, val: int) -> None:
-        """Toggle `bit` in the planes of u that hold the value val; applied
-        to the old and then the new value, it moves an entry."""
-        if not val:
-            return
-        rows = self._pos if val > 0 else self._neg
-        planes = rows.get(u)
-        if planes is None:
-            planes = rows[u] = []
-        mag = abs(val)
-        while len(planes) < mag.bit_length():
-            planes.append(0)
-        k = 0
-        while mag:
-            if mag & 1:
-                planes[k] ^= bit
-            mag >>= 1
-            k += 1
+    def _move(self, u: int, bit: int, old: int, new: int) -> None:
+        """Move the entry `bit` of u's row from the value old to the value
+        new in the bit planes and the sign masks."""
+        if old > 0 and new > 0:
+            _toggle(self._pos, u, bit, old ^ new)
+        elif old < 0 and new < 0:
+            _toggle(self._neg, u, bit, -old ^ -new)
+        else:
+            for val in (old, new):
+                if val > 0:
+                    _toggle(self._pos, u, bit, val)
+                    self._pmask[u] = self._pmask.get(u, 0) ^ bit
+                elif val < 0:
+                    _toggle(self._neg, u, bit, -val)
+                    self._nmask[u] = self._nmask.get(u, 0) ^ bit
 
     def out_to(self, u: int, X: int) -> int:
         """Net flow from u into the vertices of the bitmask X."""
@@ -417,12 +432,12 @@ class Flow:
 
     def signs(self, u: int) -> tuple[int, int]:
         """Bitmasks of the vertices v with f(u, v) > 0 and with f(u, v) < 0."""
-        pos = neg = 0
-        for m in self._pos.get(u, ()):
-            pos |= m
-        for m in self._neg.get(u, ()):
-            neg |= m
-        return pos, neg
+        return self._pmask.get(u, 0), self._nmask.get(u, 0)
+
+    def pos_planes(self, u: int) -> list[int]:
+        """u's positive flow, bit-sliced: bit v of the k-th mask says
+        f(u, v) > 0 and has bit k set."""
+        return self._pos.get(u, [])
 
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
@@ -443,6 +458,8 @@ class Flow:
         f._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         f._pos = {u: list(planes) for u, planes in self._pos.items()}
         f._neg = {u: list(planes) for u, planes in self._neg.items()}
+        f._pmask = dict(self._pmask)
+        f._nmask = dict(self._nmask)
         return f
 
 
@@ -711,7 +728,8 @@ class ContractedView(OracleView):
     capacity between a kept vertex and s_r (used once its value is known).
     The parent capacity from each kept vertex to the contracted outside
     (`w_out`) is learned once by the caller, as for InducedView; the linear
-    forms read it at zero query cost."""
+    forms read it at zero query cost. A drop larger than its vertex's
+    w_out, which would leave a negative capacity to s_r, is refused."""
 
     kind = "contracted"
 
@@ -739,6 +757,9 @@ class ContractedView(OracleView):
         self.drops = dict(drops or {})
         # capacity between each kept vertex and s_r
         self._to_s = {v: int(w_out.get(v, 0)) - self.drops.get(v, 0) for v in keep}
+        for v, w in self._to_s.items():
+            if w < 0:
+                raise QueryInputError(f"vertex {v} would have capacity {w} < 0 to s_r")
         self._keep_mask = mask_of(keep)
         self._forms: dict[int, LinearForm] = {}
         self._verts = tuple(sorted(keep + (self.s_r,)))
@@ -850,6 +871,38 @@ class InducedView(OracleView):
 # algorithm-side memoisation
 
 
+def _add_scaled(acc: list[int], planes: list[int], w: int) -> None:
+    """acc += w * planes for nonnegative w, where both sides are
+    bit-sliced numbers (bit v of planes[k] is bit k of v's number): one
+    ripple-carry addition of the planes, shifted up by j, per set bit j of
+    w; planes that land wholly above acc's top are appended."""
+    j = 0
+    while w:
+        if w & 1:
+            if len(acc) <= j:
+                acc.extend([0] * (j - len(acc)))
+                acc.extend(planes)
+            else:
+                carry = 0
+                k = j
+                for p in planes:
+                    if k == len(acc):
+                        acc.append(0)
+                    a = acc[k]
+                    acc[k] = a ^ p ^ carry
+                    carry = a & p | carry & (a ^ p)
+                    k += 1
+                while carry:
+                    if k == len(acc):
+                        acc.append(0)
+                    a = acc[k]
+                    acc[k] = a ^ carry
+                    carry &= a
+                    k += 1
+        w >>= 1
+        j += 1
+
+
 class CutCache:
     """Shared memo over base-graph cut sets.
 
@@ -875,11 +928,13 @@ class CutCache:
         self._memo: dict[int, int] = {0: 0}
         # learned hidden-graph pair capacities, as bitsets laid out like
         # GraphInstance._planes: bit v of _known[u] says c(u, v) is learned,
-        # and bit v of _planes[k][u] says its bit k is set. Blocks of total
-        # capacity zero (and, on unit graphs, saturated blocks) teach all
-        # members at once
+        # bit v of _planes[k][u] says its bit k is set, and bit v of
+        # _support[u] says it is positive (the OR of u's planes). Blocks of
+        # total capacity zero (and, on unit graphs, saturated blocks) teach
+        # all members at once
         self._known = [0] * base.n
         self._planes: list[list[int]] = []
+        self._support = [0] * base.n
         self._unit_base = base._instance.W == 1
         self.logical_bis = 0
 
@@ -925,6 +980,12 @@ class CutCache:
         known[u] |= block
         for v in members:
             known[v] |= bit
+        if not c:
+            return
+        support = self._support
+        support[u] |= block
+        for v in members:
+            support[v] |= bit
         while len(planes) < c.bit_length():
             planes.append([0] * len(known))
         for k, rows in enumerate(planes):
@@ -1035,20 +1096,21 @@ class CutCache:
         whose capacity to u is not learned yet.
 
         Under the zero flow the answer is the capacity support: the form's
-        virtual terms plus the learned pairs with a set bit. A vertex f
-        enters from u is a neighbour, one u sends flow into is read through
-        _from_form, which refuses an invalid flow. Charges nothing and counts
-        no logical BIS; a probe of any part of X could not charge either, as
-        its base part has no unlearned remainder."""
-        terms, _scale, base_u, keep = view.linear_form(u)
+        virtual terms plus u's learned support mask. A vertex that sends
+        flow into u is a neighbour; the vertices u sends flow into are
+        compared with their capacities all at once (_unsaturated), which
+        refuses an invalid flow. A fixed number of bitmask operations for
+        any X; charges nothing and counts no logical BIS, and a probe of any
+        part of X could not charge either, as its base part has no unlearned
+        remainder."""
+        form = view.linear_form(u)
+        terms, _scale, base_u, keep = form
         real = X & keep
         support = 0
         if real:
             if real & ~self._known[base_u]:
                 return None
-            for rows in self._planes:
-                support |= rows[base_u]
-            support &= real
+            support = self._support[base_u] & real
         for _w, m in terms:
             support |= m
         if f is None:
@@ -1056,12 +1118,40 @@ class CutCache:
         pos, neg = f.signs(u)
         pos &= X
         out = (support | neg) & X & ~pos
-        while pos:
-            bit = pos & -pos
-            if self._from_form(view, f, u, bit) > 0:
-                out |= bit
-            pos ^= bit
+        if pos:
+            out |= self._unsaturated(form, f, u, pos)
         return out
+
+    def _unsaturated(self, form: LinearForm, f: Flow, u: int, P: int) -> int:
+        """Bitmask of the vertices v of the bitmask P with c(u, v) > f(u, v),
+        where every capacity from u into P is learned. The capacities are
+        summed bit-sliced (bit v of cap[k] is bit k of c(u, v)): the learned
+        planes times the form's scale, plus each term's weight on its mask,
+        by shift-and-add, so the term weights must be nonnegative. They are
+        then compared with f's positive planes from the top bit down. Raises
+        ContractViolation when some f(u, v) exceeds c(u, v), as
+        residual_between does."""
+        terms, scale, base_u, keep = form
+        cap: list[int] = []
+        real = P & keep
+        if real:
+            _add_scaled(cap, [rows[base_u] & real for rows in self._planes], scale)
+        for w, m in terms:
+            if m & P:
+                _add_scaled(cap, [m & P], w)
+        flow = f.pos_planes(u)
+        more = less = 0
+        tied = P
+        for k in range(max(len(cap), len(flow)) - 1, -1, -1):
+            c = cap[k] if k < len(cap) else 0
+            fl = flow[k] & P if k < len(flow) else 0
+            diff = tied & (c ^ fl)
+            more |= diff & c
+            less |= diff & fl
+            tied ^= diff
+        if less:
+            raise ContractViolation("negative residual capacity: invalid flow")
+        return more
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
         known = view.known_capacity(u, v)

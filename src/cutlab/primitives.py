@@ -106,7 +106,7 @@ def neighborhood(
         raise QueryInputError("neighborhood sets must be disjoint")
     learned = cache.learned_neighbors(view, f, u, mask)
     if learned is not None:
-        return ids_of(learned)
+        return ids_of(learned) if learned else []
     total = cache.residual_between(view, f, u, mask)
     if total <= 0:
         return []

@@ -66,9 +66,10 @@ def test_blocking_flow_b6_first_round(b6):
     view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
     L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5)
-    delta = blocking_flow_round(cache, view, f, L)
-    assert delta.value == 1
-    assert delta.support() == [(0, 2, 1), (2, 3, 1), (3, 5, 1)]
+    # f starts at zero, so after the round it is the blocking flow
+    assert blocking_flow_round(cache, view, f, L) == 1
+    assert f.value == 1
+    assert f.support() == [(0, 2, 1), (2, 3, 1), (3, 5, 1)]
     # distance strictly increases afterwards
     assert _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5) is None
 
@@ -77,9 +78,9 @@ def test_blocking_flow_k4_round_one(k4):
     view, _, cache = make_view(k4)
     f = Flow.zero(0, 3)
     L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 3)
-    delta = blocking_flow_round(cache, view, f, L)
-    assert delta.value == 1
-    assert delta.support() == [(0, 3, 1)]
+    assert blocking_flow_round(cache, view, f, L) == 1
+    assert f.value == 1
+    assert f.support() == [(0, 3, 1)]
 
 
 def test_blocking_flow_k33_single_round_value_three():
@@ -89,8 +90,8 @@ def test_blocking_flow_k33_single_round_value_three():
     f = Flow.zero(0, 7)
     L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 7)
     assert L.d == 3
-    delta = blocking_flow_round(cache, view, f, L)
-    assert delta.value == 3
+    assert blocking_flow_round(cache, view, f, L) == 3
+    assert f.value == 3
 
 
 def brute_layered_edges(g, f, L):

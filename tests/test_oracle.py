@@ -296,6 +296,25 @@ def test_contracted_view_examples(b6, k4):
         ContractedView(view, [0, 1, 2, 3], {})
 
 
+def test_contracted_view_refuses_negative_capacity_to_s_r(b6):
+    """A drop above w_out would give 2 capacity -2 to s_r, whose
+    neighbourhood then read [] from a fresh cache and [0, 1, 6] once the
+    pairs were learned; the view refuses it, and a drop equal to w_out
+    leaves capacity 0."""
+    view, _, cache = make_view(b6)
+    with pytest.raises(QueryInputError):
+        ContractedView(view, (0, 1, 2), {2: 1}, drops={2: 3})
+    with pytest.raises(QueryInputError):
+        ContractedView(view, (0, 1, 2), {2: -1})
+    cv = ContractedView(view, (0, 1, 2), {2: 1}, drops={2: 1})
+    assert cache.capacity(cv, 2, cv.s_r) == 0
+    assert neighborhood(cache, cv, None, 2, [0, 1, cv.s_r]) == [0, 1]
+    bis = cache.logical_bis
+    # the same answer again, now read from the learned pairs
+    assert neighborhood(cache, cv, None, 2, [0, 1, cv.s_r]) == [0, 1]
+    assert cache.logical_bis == bis
+
+
 def test_contracted_view_full_enumeration():
     """Every cut of a W=2 contracted view, and for every vertex u (s_r
     included) every residual probe and capacity, under the zero flow and a
@@ -611,10 +630,11 @@ def test_deduce_skips_blocks_the_flow_enters(W):
 
 def _learned_views(g):
     """(name, view, explicit adjacency, base vertices) of every view kind
-    over one base view of g. The augmented views have scale 2; the nested
-    one sits on an augmented view of an induced part that leaves out the
-    top three base ids, so its virtual ids reuse them, and the second
-    contracted view's s_r reuses a base id the same way."""
+    over one base view of g. The augmented views have scale 2, and one has
+    scale 3 (an odd scale of two bits); the nested one sits on an augmented
+    view of an induced part that leaves out the top three base ids, so its
+    virtual ids reuse them, and the second contracted view's s_r reuses a
+    base id the same way."""
     view, _, _ = make_view(g)
     n = g.n
     every = frozenset(range(n))
@@ -631,6 +651,8 @@ def _learned_views(g):
     yield "contracted_reused_id", cv, contracted_edges(iv_edges, cv), frozenset(keep)
     aug = AugmentedView(view, [(0, 2), (3, 1)], [(n - 1, 2)], scale=2)
     yield "augmented", aug, materialize_augmented(g.edges, aug), every
+    aug = AugmentedView(view, [(1, 3)], [(n - 2, 1), (n - 1, 2)], scale=3)
+    yield "augmented_scale3", aug, materialize_augmented(g.edges, aug), every
     inner = AugmentedView(iv, [(1, 1)], [(low[-1], 2)], scale=2)
     outer = AugmentedView(inner, [(inner.s_source, 1), (2, 2)], [(4, 1)], scale=2)
     cap = materialize_augmented(materialize_augmented(iv_edges, inner), outer)
@@ -652,6 +674,7 @@ def _cache_state(cache):
     return (
         list(cache._known),
         [list(rows) for rows in cache._planes],
+        list(cache._support),
         dict(cache._memo),
         cache.base.ledger.cut_count,
         cache.logical_bis,
@@ -760,6 +783,39 @@ def test_learned_neighbors_under_flow_and_invalid_flows():
         cache.learned_neighbors(view, f, 2, mask_of((0, 3)))
 
 
+@pytest.mark.parametrize("W", [1, 3])
+def test_learned_reads_issue_no_probe(W, monkeypatch):
+    """Once every base pair is learned, a read under a flow that enters
+    vertices of X from u calls neither _from_form nor residual_between, on
+    every view kind, and still lists the explicit view graph's residual
+    neighbours."""
+    calls = []
+    for name in ("_from_form", "residual_between"):
+        real = getattr(CutCache, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(CutCache, name, counted)
+    g = random_graph(12, 0.45, 1, W=W)
+    entered = 0
+    for name, view, cap, _real in _learned_views(g):
+        cache = CutCache(view.base_view)
+        for a, b in itertools.combinations(range(g.n), 2):
+            cache.base_pair_sum(a, 1 << b)
+        f = _some_flow(view, cap, 1)
+        calls.clear()
+        for u in view.vertices():
+            B = [v for v in view.vertices() if v != u]
+            X = mask_of(B)
+            entered += bool(f.signs(u)[0] & X)
+            got = cache.learned_neighbors(view, f, u, X)
+            assert got is not None and ids_of(got) == view_residual_neighbors(cap, f, u, B)
+        assert calls == [], (name, calls)
+    assert entered > 20
+
+
 # ---------------------------------------------------------------------------
 # graph instance + file format
 
@@ -814,8 +870,8 @@ def test_flow_antisymmetry_and_across():
 
 def test_flow_out_to_matches_row_sums():
     """Random pushes with values above 1 and cancellations: out_to (bit
-    planes) equals the sum over the dict row, also on a copy that diverges
-    afterwards."""
+    planes) equals the sum over the dict row, and signs (sign masks) the
+    signs of its entries, also on a copy that diverges afterwards."""
     rng = random.Random(5)
     for _ in range(20):
         n = 10
@@ -834,6 +890,9 @@ def test_flow_out_to_matches_row_sums():
                     X = rng.getrandbits(n) & ~(1 << u)
                     want = sum(val for v, val in h._adj.get(u, {}).items() if X >> v & 1)
                     assert h.out_to(u, X) == want, (u, X)
+                pos = mask_of(v for v in range(n) if h.get(u, v) > 0)
+                neg = mask_of(v for v in range(n) if h.get(u, v) < 0)
+                assert h.signs(u) == (pos, neg), u
 
 
 def test_random_valid_flows_conserve(b6):
