@@ -1,7 +1,8 @@
 """Kernels: the oracle's cut evaluation on per-vertex neighbour bitsets
 (`cut_value`, which takes the vertex set as a bitmask; `ids_of` lists a
-bitmask's vertices) and the exhaustive numpy cut scans behind the reference
-checkers."""
+bitmask's vertices) and the exhaustive cut scans behind the reference
+checkers and the witness graph, all read from one table of the cuts of every
+subset of a vertex list, built by doubling (`subset_cuts`)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from ._pykern import (
     min_cut_scan,
     min_isolating,
     separation_violation,
+    subset_cuts,
 )
 
 USING = "bitset"  # the cut-evaluation backend, as recorded in benchmark reports
@@ -21,6 +23,7 @@ __all__ = [
     "USING",
     "cut_value",
     "ids_of",
+    "subset_cuts",
     "min_cut_scan",
     "separation_violation",
     "min_isolating",

@@ -1,5 +1,6 @@
-"""The oracle's cut evaluation on neighbour bitsets, and the exhaustive
-numpy cut scans behind the reference checkers (ties go to the lowest mask).
+"""The oracle's cut evaluation on neighbour bitsets, and the exhaustive cut
+scans behind the reference checkers, read from one doubling table of subset
+cuts (ties go to the lowest mask).
 """
 
 from __future__ import annotations
@@ -59,87 +60,126 @@ def cut_value(planes, n, inside):
     return total
 
 
-def _all_masks(n):
-    return np.arange(1, 1 << (n - 1), dtype=np.int64)
+def _bits(mask, n):
+    """The 0/1 membership vector of a bitmask over vertices 0 .. n-1."""
+    return np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int64)
 
 
-def _cuts_for_masks(masks, eu, ev, ew):
-    cuts = np.zeros(masks.shape[0], dtype=np.int64)
-    for u, v, w in zip(eu, ev, ew):
-        cuts += (((masks >> int(u)) ^ (masks >> int(v))) & 1) * int(w)
+def _weights(n, eu, ev, ew):
+    W = np.zeros((n, n), dtype=np.int64)
+    np.add.at(W, (eu, ev), ew)
+    np.add.at(W, (ev, eu), ew)
+    return W
+
+
+def _subset_sums(first, steps, out):
+    """Fill out[m] = first + the sum of steps[j] over the bits j of m, for
+    every m < 2^len(steps), by doubling; returns that prefix of out."""
+    out[0] = first
+    h = 1
+    for step in steps:
+        np.add(out[:h], step, out=out[h : 2 * h])
+        h *= 2
+    return out[:h]
+
+
+def subset_cuts(n, eu, ev, ew, order, base=0):
+    """cuts[m] = the cut of base | {order[j] : bit j of m} for every
+    m < 2^len(order), in binary-counting order; `base` is a bitmask of
+    vertices outside `order`.
+
+    Built by doubling: adding order[j] to a set of base | order[:j] adds
+    deg_j - 2 w_j[m] to its cut, where w_j[m], the weight from order[j] into
+    that set, is itself a doubling sum. O(2^len(order)) element work; every
+    value is exact in int64 while the total capacity is below 2^62."""
+    order = np.asarray(order, dtype=np.intp)
+    W = _weights(n, eu, ev, ew)
+    deg = W.sum(axis=1)
+    in_base = _bits(base, n)
+    into_base = W @ in_base
+    cuts = np.empty(1 << order.size, dtype=np.int64)
+    cuts[0] = deg @ in_base - in_base @ into_base
+    step = np.empty(max(1, cuts.size // 2), dtype=np.int64)
+    h = 1
+    for j, v in enumerate(order):
+        # deg_j - 2 w_j is summed as one term, so it stays within +-deg_j
+        _subset_sums(deg[v] - 2 * into_base[v], -2 * W[v, order[:j]], step)
+        np.add(cuts[:h], step[:h], out=cuts[h : 2 * h])
+        h *= 2
     return cuts
 
 
+# The scans below read every mask 1 .. 2^(n-1) - 1 (vertex n-1 on the
+# outside), in increasing order: entry i is the mask i + 1.
+
+
+def _all_mask_cuts(n, eu, ev, ew):
+    return subset_cuts(n, eu, ev, ew, range(n - 1))[1:]
+
+
+def _all_mask_sums(values):
+    steps = values[:-1]
+    return _subset_sums(0, steps, np.empty(1 << len(steps), dtype=np.int64))[1:]
+
+
+def _first_mask(bad):
+    """The lowest mask whose entry of `bad` is set, or -1."""
+    idx = np.flatnonzero(bad)
+    return int(idx[0]) + 1 if idx.size else -1
+
+
 def min_cut_scan(n, eu, ev, ew):
-    masks = _all_masks(n)
-    cuts = _cuts_for_masks(masks, eu, ev, ew)
+    cuts = _all_mask_cuts(n, eu, ev, ew)
     i = int(np.argmin(cuts))
-    return int(cuts[i]), int(masks[i])
+    return int(cuts[i]), i + 1
 
 
 def separation_violation(n, eu, ev, ew, r_mask, c):
-    masks = _all_masks(n)
-    cuts = _cuts_for_masks(masks, eu, ev, ew)
-    inter = masks & r_mask
-    bad = (cuts <= c) & ((inter == 0) | (inter == r_mask))
-    idx = np.nonzero(bad)[0]
-    if idx.size == 0:
-        return -1
-    return int(masks[idx[0]])
+    cuts = _all_mask_cuts(n, eu, ev, ew)
+    inter = _all_mask_sums(_bits(r_mask, n))
+    return _first_mask((cuts <= c) & ((inter == 0) | (inter == r_mask.bit_count())))
 
 
 def min_isolating(n, eu, ev, ew, r, forbidden_mask):
     free = [v for v in range(n) if v != r and not ((forbidden_mask >> v) & 1)]
-    subs = np.arange(1 << len(free), dtype=np.int64)
-    masks = np.full(subs.shape, np.int64(1) << r, dtype=np.int64)
-    for b, v in enumerate(free):
-        masks |= ((subs >> b) & 1) << v
-    cuts = _cuts_for_masks(masks, eu, ev, ew)
+    cuts = subset_cuts(n, eu, ev, ew, free, base=1 << r)
     i = int(np.argmin(cuts))
-    return int(cuts[i]), int(masks[i])
+    mask = 1 << r
+    for b, v in enumerate(free):
+        mask |= (i >> b & 1) << v
+    return int(cuts[i]), mask
 
 
 def expansion_violation(n, eu, ev, ew, core_mask, num, den):
-    masks = _all_masks(n)
-    cuts = _cuts_for_masks(masks, eu, ev, ew)
-    inside = np.zeros(masks.shape[0], dtype=np.int64)
-    core_size = 0
-    for v in range(n):
-        if (core_mask >> v) & 1:
-            core_size += 1
-            inside += (masks >> v) & 1
-    small = np.minimum(inside, core_size - inside)
-    bad = (small > 0) & (den * cuts < num * small)
-    idx = np.nonzero(bad)[0]
-    if idx.size == 0:
-        return -1
-    return int(masks[idx[0]])
+    cuts = _all_mask_cuts(n, eu, ev, ew)
+    core = _bits(core_mask, n)
+    inside = _all_mask_sums(core)
+    small = np.minimum(inside, int(core.sum()) - inside)
+    return _first_mask((small > 0) & (den * cuts < num * small))
 
 
 def best_conductance_cut(n, eu, ev, ew):
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v, w in zip(eu, ev, ew):
-        deg[int(u)] += int(w)
-        deg[int(v)] += int(w)
-    masks = _all_masks(n)
-    cuts = _cuts_for_masks(masks, eu, ev, ew)
-    vol_in = np.zeros(masks.shape[0], dtype=np.int64)
-    for v in range(n):
-        vol_in += ((masks >> v) & 1) * int(deg[v])
-    total = int(deg.sum())
-    small = np.minimum(vol_in, total - vol_in)
+    deg = _weights(n, eu, ev, ew).sum(axis=1)
+    vol_in = _all_mask_sums(deg)
+    small = np.minimum(vol_in, int(deg.sum()) - vol_in)
     valid = np.nonzero(small > 0)[0]
     if valid.size == 0:
         return -1, -1, 0
+    cuts = _all_mask_cuts(n, eu, ev, ew)[valid]
+    small = small[valid]
+    # Every exact minimum of cuts/small has a float ratio within rounding of
+    # the least one, so the exact search below runs on those masks alone.
+    ratio = cuts / small
+    near = np.nonzero(ratio <= ratio.min() * (1 + 1e-9))[0]
     # Exact rational minimisation of cuts/small: repeatedly jump to the first
     # strictly-better mask, then take the first exact tie, which is the
     # lowest-mask tie-break.
-    cand = valid[0]
+    cand = near[0]
     while True:
-        better = valid[cuts[valid] * small[cand] < cuts[cand] * small[valid]]
+        better = near[cuts[near] * small[cand] < cuts[cand] * small[near]]
         if better.size == 0:
             break
         cand = better[0]
-    ties = valid[cuts[valid] * small[cand] == cuts[cand] * small[valid]]
+    ties = near[cuts[near] * small[cand] == cuts[cand] * small[near]]
     cand = ties[0]
-    return int(cuts[cand]), int(small[cand]), int(masks[cand])
+    return int(cuts[cand]), int(small[cand]), int(valid[cand]) + 1

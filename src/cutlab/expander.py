@@ -85,20 +85,6 @@ class WitnessGraph:
         self.fake.update(fakes)
         self.rounds += 1
 
-    def degree(self, v: int, include_fake: bool = True) -> int:
-        total = 0
-        for (a, b), c in self.edges.items():
-            if v in (a, b):
-                total += c
-        if include_fake:
-            for (a, b), c in self.fake.items():
-                if v in (a, b):
-                    total += c
-        return total
-
-    def fake_degree(self, v: int) -> int:
-        return sum(c for (a, b), c in self.fake.items() if v in (a, b))
-
     def combined(self) -> Counter:
         out = Counter(self.edges)
         out.update(self.fake)
@@ -141,6 +127,20 @@ def bisection_table(k: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _bisection_masks(k: int) -> np.ndarray:
+    """Read-only index of each row of bisection_table(k) into the table of
+    cuts of the masks over slots 0 .. k-2: the row's side-A mask, or its
+    complement when side A holds slot k-1 (both sides cross equally)."""
+    M = bisection_table(k)
+    masks = np.zeros(M.shape[0], dtype=np.int64)
+    for i in range(k):
+        masks[M[:, i]] |= 1 << i
+    masks[M[:, k - 1]] ^= (1 << k) - 1
+    masks.flags.writeable = False
+    return masks
+
+
 def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bisection of the witness slots: the exact minimum-crossing bisection
     by exhaustive search up to the configured limit, else a deterministic
@@ -150,24 +150,17 @@ def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...],
     if k < 2 or k % 2:
         raise QueryInputError("cut player needs an even number of slots")
     index = {s: i for i, s in enumerate(slots)}
-    W = np.zeros((k, k), dtype=np.int64)
-    for (u, v), c in X.combined().items():
-        W[index[u], index[v]] += c
-        W[index[v], index[u]] += c
-    deg = W.sum(axis=1)
     if k <= params.cut_player_exact_limit:
-        M = bisection_table(k)
-        # crossing = M @ deg - rowsum((M @ W) * M) in exact int64. P = M @ W
-        # is summed one row of W at a time, so the boolean table is never
-        # copied to int64 and P is the only N x k temporary
-        P = np.zeros(M.shape, dtype=np.int64)
-        for i in range(k):
-            np.add(P, W[i], out=P, where=M[:, i, None])
-        np.subtract(deg, P, out=P)
-        np.multiply(P, M, out=P)
+        eu, ev, ew = _edge_arrays(X.combined(), index)
+        cuts = _kernels.subset_cuts(k, eu, ev, ew, range(k - 1))
         # argmin keeps the first minimum in the table's order
-        pick = M[int(np.argmin(P.sum(axis=1)))]
+        pick = bisection_table(k)[int(np.argmin(cuts[_bisection_masks(k)]))]
     else:
+        W = np.zeros((k, k), dtype=np.int64)
+        for (u, v), c in X.combined().items():
+            W[index[u], index[v]] += c
+            W[index[v], index[u]] += c
+        deg = W.sum(axis=1)
         # power iteration for an approximate Fiedler direction, fixed seed
         d = np.maximum(deg, 1).astype(float)
         P = W.astype(float) / d[:, None]
@@ -282,6 +275,8 @@ def prune(
     for (u, v), c in real_edges.items():
         orig_deg[u] += c
         orig_deg[v] += c
+    # degrees of the alive vertices among themselves, kept up to date below
+    deg_now = dict(orig_deg)
     while len(alive) > 1:
         index = {v: i for i, v in enumerate(alive)}
         eu, ev, ew = _edge_arrays(real_edges, index)
@@ -294,20 +289,21 @@ def prune(
         if cross < 0 or cross >= target * vol:
             break
         inside = [alive[i] for i in range(len(alive)) if (mask >> i) & 1]
-        outside = [v for v in alive if v not in set(inside)]
-        deg_now: Counter = Counter()
-        for (u, v), c in real_edges.items():
-            deg_now[u] += c
-            deg_now[v] += c
+        outside = [alive[i] for i in range(len(alive)) if not (mask >> i) & 1]
         vol_in = sum(deg_now[v] for v in inside)
         vol_out = sum(deg_now[v] for v in outside)
         side = inside if vol_in <= vol_out else outside
         pruned.extend(side)
         drop = set(side)
         alive = [v for v in alive if v not in drop]
-        real_edges = Counter(
-            {e: c for e, c in real_edges.items() if e[0] not in drop and e[1] not in drop}
-        )
+        kept: Counter = Counter()
+        for (u, v), c in real_edges.items():
+            if u in drop or v in drop:
+                deg_now[u] -= c
+                deg_now[v] -= c
+            else:
+                kept[u, v] = c
+        real_edges = kept
     volume = sum(orig_deg[v] for v in pruned)
     fake_count = sum(fake.values())
     budget = (8.0 / phi_x) * fake_count
@@ -426,18 +422,17 @@ def one_step(
     report = prune(X, params=params)
     pruned = set(report.pruned)
     budget = params.bad_budget(tau)
-    core = []
-    for v in R:
-        if v in pruned:
-            continue
-        bad = X.fake_degree(v)
-        for (a, b), c in X.edges.items():
-            if v == a and b in pruned:
-                bad += c
-            elif v == b and a in pruned:
-                bad += c
-        if bad <= budget:
-            core.append(v)
+    # fake degree plus the real edges into pruned slots, in one pass each
+    bad: Counter = Counter()
+    for (a, b), c in X.fake.items():
+        bad[a] += c
+        bad[b] += c
+    for (a, b), c in X.edges.items():
+        if b in pruned:
+            bad[a] += c
+        if a in pruned:
+            bad[b] += c
+    core = [v for v in R if v not in pruned and bad[v] <= budget]
     return OneStepResult(
         "core", core=canon(core), witness=X, prune_report=report, rounds=X.rounds
     )

@@ -73,20 +73,24 @@ def _first_min_bisection(X):
     return A, tuple(s for s in slots if s not in best[1])
 
 
-@pytest.mark.parametrize("k", range(2, 16, 2))
+@pytest.mark.parametrize("k", range(2, DESK.cut_player_exact_limit + 1, 2))
 def test_cut_player_exact_matches_brute_force(k):
     rng = random.Random(k)
     slots = tuple(sorted(rng.sample(range(5, 10 * k), k)))
     pairs = list(itertools.combinations(slots, 2))
-    cases = [witness(slots, 0)]  # empty witness: every crossing is 0
-    cases.append(witness(slots, k - 1, edges={p: 3 for p in pairs}))  # all tied
-    for _ in range(4):
+    cases = []
+    if k <= 14:
+        cases.append(witness(slots, 0))  # empty witness: every crossing is 0
+        cases.append(witness(slots, k - 1, edges={p: 3 for p in pairs}))  # all tied
+    # above 14 slots one weighted case keeps the brute force short
+    for _ in range(4 if k <= 14 else 1):
         edges = Counter({p: rng.randint(1, 9) for p in rng.sample(pairs, min(len(pairs), 2 * k))})
         fakes = Counter({p: rng.randint(1, 2) for p in rng.sample(pairs, min(len(pairs), k // 2))})
         cases.append(witness(slots, 1, edges=edges, fakes=fakes))
     for X in cases:
         assert cut_player(X) == _first_min_bisection(X)
-    assert cut_player(cases[0]) == (slots[: k // 2], slots[k // 2 :])
+    if k <= 14:
+        assert cut_player(cases[0]) == (slots[: k // 2], slots[k // 2 :])
 
 
 def test_bisection_table_is_memoised_and_read_only():

@@ -82,6 +82,44 @@ def test_degree_matches_edge_list():
             assert g.degree(v) == want, (g, v)
 
 
+def test_subset_cuts_match_every_set():
+    # the doubling table against a direct sum for each set, with vertices
+    # added in a shuffled order on top of a base set
+    rng = random.Random(4)
+    for n in range(2, 13):
+        for g in (GraphInstance(n, {}), random_graph(n, 0.5, n), random_graph(n, 0.5, n, W=9)):
+            eu, ev, ew = arrays(g)
+            order = rng.sample(range(g.n), rng.randint(1, g.n))
+            base = sum(1 << v for v in range(g.n) if v not in order and rng.random() < 0.5)
+            for vertices, base_mask in ((range(g.n), 0), (order, base)):
+                cuts = _kernels.subset_cuts(g.n, eu, ev, ew, vertices, base_mask)
+                assert cuts.shape == (1 << len(vertices),)
+                for m in range(1 << len(vertices)):
+                    side = [v for v in range(g.n) if (base_mask >> v) & 1]
+                    side += [v for j, v in enumerate(vertices) if (m >> j) & 1]
+                    assert cuts[m] == direct_cut(g, side), (g, vertices, base_mask, m)
+
+
+def test_min_isolating_every_forbidden_mask():
+    # every terminal and every forbidden set: the first minimum over the
+    # free vertices' subsets in binary-counting order
+    for n in range(2, 8):
+        g = random_graph(n, 0.6, n, W=3)
+        eu, ev, ew = arrays(g)
+        for r in range(g.n):
+            for forbidden in range(1 << g.n):
+                if (forbidden >> r) & 1:
+                    continue
+                free = [v for v in range(g.n) if v != r and not (forbidden >> v) & 1]
+                best = None
+                for sub in range(1 << len(free)):
+                    side = [r] + [v for j, v in enumerate(free) if (sub >> j) & 1]
+                    val = direct_cut(g, side)
+                    if best is None or val < best[0]:
+                        best = (val, sum(1 << v for v in side))
+                assert _kernels.min_isolating(g.n, eu, ev, ew, r, forbidden) == best
+
+
 def test_min_cut_scan_vs_brute():
     for seed in range(4):
         g = random_graph(8, 0.45, seed, W=2)
