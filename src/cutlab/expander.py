@@ -207,10 +207,13 @@ def matching_player(
     cache: Optional[CutCache] = None,
 ) -> MatchOutcome:
     """Route tau+1 units from every A-terminal to B-terminals through edges
-    of capacity ceil(1/phi). A large enough flow yields an almost-perfect
-    matching read off the path decomposition together with its embedding;
-    otherwise the residual-reachable set is a sparse cut with unsaturated
-    terminals on both sides."""
+    of capacity ceil(1/phi), on an augmented view with one virtual edge of
+    capacity tau+1 from its source to each A-terminal and from each
+    B-terminal to its sink. A large enough flow yields an almost-perfect
+    matching read off the path decomposition, each path's real part (all
+    but its virtual end points) being its embedding; otherwise the
+    residual-reachable set is a sparse cut with unsaturated terminals on
+    both sides."""
     A, B = canon(A), canon(B)
     if not A or not B:
         raise QueryInputError("matching player needs nonempty sides")
@@ -230,7 +233,7 @@ def matching_player(
         matching: Counter = Counter()
         embedding = []
         for path, units in path_decomposition(res.flow):
-            real = path[2:-2]
+            real = path[1:-1]
             matching[_pair(real[0], real[-1])] += units
             embedding.append((real, units))
         return MatchOutcome(

@@ -2,7 +2,7 @@
 
 Terminals are encoded with bit vectors; each bit gives one bipartition (A,B)
 of the terminal set, and each bipartition is solved as a bounded-capacity
-flow instance (terminal edges of capacity tau+1, realised as unit paths).
+flow instance (one virtual edge of capacity tau+1 per terminal).
 Deleting all the resulting closest-cut boundaries splits the graph into
 signature classes; the region of a surviving terminal is its component
 inside its own class, and the final per-terminal min-cut runs on a view
@@ -46,7 +46,7 @@ def bit_partitions(R: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, .
 @dataclass
 class PartitionCut:
     source_side: tuple[int, ...]  # closest min-cut side restricted to the view
-    saturated: tuple[int, ...]  # terminals whose whole bundle carries flow
+    saturated: tuple[int, ...]  # terminals whose virtual edge carries tau+1
     flow_value: int
 
 

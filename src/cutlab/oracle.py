@@ -467,6 +467,14 @@ class Flow:
 # views
 
 
+def _weighted(terms: tuple[tuple[int, int], ...], X: int) -> int:
+    """sum(w * |m & X|) over the (w, m) terms."""
+    total = 0
+    for w, m in terms:
+        total += w * (m & X).bit_count()
+    return total
+
+
 class CutPlan(NamedTuple):
     base_ids: Optional[tuple[int, ...]]  # None: no base query needed
     coeff: int
@@ -491,9 +499,12 @@ class LinearForm(NamedTuple):
 class OracleView:
     """A vertex universe over the hidden graph, with the reductions the
     CutCache charges through: cut_plan for cuts, linear_form for the
-    capacity of one vertex towards a set."""
+    capacity of one vertex towards a set. `universe` is the set of its
+    vertices and `mask` their bitmask."""
 
     kind = "base"
+    universe: frozenset
+    mask: int
 
     def __init__(self, base: "BaseView"):
         self._base = base
@@ -507,10 +518,6 @@ class OracleView:
         return self._base
 
     def vertices(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    @property
-    def universe(self) -> frozenset:
         raise NotImplementedError
 
     @property
@@ -546,9 +553,9 @@ class BaseView(OracleView):
         self._instance = instance
         self._ledger = ledger or QueryLedger()
         self._verts = tuple(range(instance.n))
-        self._uni = frozenset(self._verts)
+        self.universe = frozenset(self._verts)
         self.n = instance.n
-        self._all = (1 << instance.n) - 1
+        self.mask = (1 << instance.n) - 1
         self._forms: dict[int, LinearForm] = {}
 
     @property
@@ -559,10 +566,6 @@ class BaseView(OracleView):
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    @property
-    def universe(self) -> frozenset:
-        return self._uni
 
     def unit_real_capacities(self) -> bool:
         return self._instance.W == 1
@@ -575,7 +578,7 @@ class BaseView(OracleView):
     def linear_form(self, u: int) -> LinearForm:
         form = self._forms.get(u)
         if form is None:
-            form = self._forms[u] = LinearForm((), 1, u, self._all)
+            form = self._forms[u] = LinearForm((), 1, u, self.mask)
         return form
 
     def raw_cut(self, S: int) -> int:
@@ -589,10 +592,11 @@ class BaseView(OracleView):
 
 
 class AugmentedView(OracleView):
-    """Adds a virtual source and sink; each terminal edge of capacity k is
-    realised as k unit-capacity length-2 paths through fresh subdivision
-    vertices. Base-graph edge capacities are multiplied by `scale`. All
-    virtual structure is explicit, so queries touching only it are free."""
+    """Adds a virtual source s_source and sink s_sink: one virtual edge
+    (s_source, a) of capacity cap for each source (a, cap), and one
+    (b, s_sink) for each sink (b, cap). Base-graph edge capacities are
+    multiplied by `scale`. All virtual structure is explicit, so queries
+    touching only it are free."""
 
     kind = "augmented"
 
@@ -610,67 +614,48 @@ class AugmentedView(OracleView):
         self.scale = scale
         pverts = parent.vertices()
         puni = parent.universe
-        nxt = (max(pverts) + 1) if pverts else 0
         seen: set[int] = set()
         for v, cap in sources + sinks:
             if v not in puni:
                 raise QueryInputError(f"terminal {v} not in the parent view")
-            if cap < 1:
-                raise QueryInputError("terminal capacity must be >= 1")
+            if not isinstance(cap, int) or cap < 1:
+                raise QueryInputError("terminal capacity must be an integer >= 1")
             if v in seen:
                 raise QueryInputError(f"terminal {v} listed twice")
             seen.add(v)
-        self.s_source = nxt
-        self.s_sink = nxt + 1
-        nxt += 2
-        self.source_bundle: dict[int, tuple[int, ...]] = {}
-        self.sink_bundle: dict[int, tuple[int, ...]] = {}
-        vedges: list[tuple[int, int, int]] = []
-        for a, cap in sources:
-            subs = tuple(range(nxt, nxt + cap))
-            nxt += cap
-            self.source_bundle[a] = subs
-            for x in subs:
-                vedges.append((self.s_source, x, 1))
-                vedges.append((x, a, 1))
-        for b, cap in sinks:
-            subs = tuple(range(nxt, nxt + cap))
-            nxt += cap
-            self.sink_bundle[b] = subs
-            for y in subs:
-                vedges.append((b, y, 1))
-                vedges.append((y, self.s_sink, 1))
-        self.virtual_edges = vedges
-        # every virtual edge has capacity 1, so a vertex's virtual edges are
-        # the bitmask of its virtual neighbours
-        self._vmask: dict[int, int] = {}
-        for u, v, _w in vedges:
-            self._vmask[u] = self._vmask.get(u, 0) | 1 << v
-            self._vmask[v] = self._vmask.get(v, 0) | 1 << u
+        self.s_source = max(pverts) + 1
+        self.s_sink = self.s_source + 1
+        self.virtual_edges = [(self.s_source, a, cap) for a, cap in sources] + [
+            (b, self.s_sink, cap) for b, cap in sinks
+        ]
+        self._source_cap = dict(sources)
+        self._sink_cap = dict(sinks)
+        # each vertex's virtual neighbours as (capacity, bitmask) terms; the
+        # terminals of s_source (of s_sink) are grouped by their capacity
+        self._vterms: dict[int, tuple[tuple[int, int], ...]] = {}
+        for hub, caps in ((self.s_source, self._source_cap), (self.s_sink, self._sink_cap)):
+            groups: dict[int, int] = {}
+            for v, cap in caps.items():
+                groups[cap] = groups.get(cap, 0) | 1 << v
+                self._vterms[v] = ((cap, 1 << hub),)
+            self._vterms[hub] = tuple(sorted(groups.items()))
         self._parent_mask = mask_of(pverts)
         self._forms: dict[int, LinearForm] = {}
-        self.virtual_ids = frozenset(
-            [self.s_source, self.s_sink]
-            + [x for subs in self.source_bundle.values() for x in subs]
-            + [y for subs in self.sink_bundle.values() for y in subs]
-        )
-        self._verts = tuple(sorted(pverts + tuple(self.virtual_ids)))
-        self._uni = frozenset(self._verts)
+        self.virtual_ids = frozenset((self.s_source, self.s_sink))
+        self._verts = pverts + (self.s_source, self.s_sink)
+        self.universe = frozenset(self._verts)
+        self.mask = self._parent_mask | 1 << self.s_source | 1 << self.s_sink
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    @property
-    def universe(self) -> frozenset:
-        return self._uni
 
     def unit_real_capacities(self) -> bool:
         return self.scale == 1 and self.parent.unit_real_capacities()
 
     def _virtual_crossing(self, ids: tuple[int, ...]) -> int:
         outside = ~mask_of(ids)
-        vmask = self._vmask
-        return sum([(vmask[u] & outside).bit_count() for u in ids if u in vmask])
+        vterms = self._vterms
+        return sum([_weighted(vterms[u], outside) for u in ids if u in vterms])
 
     def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
         if len(ids) == 0 or len(ids) == self.universe_size:
@@ -683,8 +668,8 @@ class AugmentedView(OracleView):
 
     def pair_known(self, A, B) -> Optional[int]:
         bmask = mask_of(B)
-        vmask = self._vmask
-        virt = sum([(vmask[a] & bmask).bit_count() for a in A if a in vmask])
+        vterms = self._vterms
+        virt = sum([_weighted(vterms[a], bmask) for a in A if a in vterms])
         a_real = tuple([v for v in A if v not in self.virtual_ids])
         b_real = tuple([v for v in B if v not in self.virtual_ids])
         if not a_real or not b_real:
@@ -695,11 +680,11 @@ class AugmentedView(OracleView):
         return virt + self.scale * sub
 
     def bundle_flow(self, f: Flow, terminal: int) -> int:
-        """Units the flow routes through a terminal's virtual bundle."""
-        if terminal in self.source_bundle:
-            return f.out_to(self.s_source, mask_of(self.source_bundle[terminal]))
-        if terminal in self.sink_bundle:
-            return -f.out_to(self.s_sink, mask_of(self.sink_bundle[terminal]))
+        """Units the flow routes over a terminal's virtual edge."""
+        if terminal in self._source_cap:
+            return f.get(self.s_source, terminal)
+        if terminal in self._sink_cap:
+            return f.get(terminal, self.s_sink)
         raise QueryInputError(f"{terminal} is not an augmented terminal")
 
     def linear_form(self, u: int) -> LinearForm:
@@ -709,8 +694,7 @@ class AugmentedView(OracleView):
         return form
 
     def _build_form(self, u: int) -> LinearForm:
-        vm = self._vmask.get(u, 0)
-        terms = ((1, vm),) if vm else ()
+        terms = self._vterms.get(u, ())
         if u in self.virtual_ids:
             return LinearForm(terms, 1, None, 0)
         sub = self.parent.linear_form(u)
@@ -763,14 +747,11 @@ class ContractedView(OracleView):
         self._keep_mask = mask_of(keep)
         self._forms: dict[int, LinearForm] = {}
         self._verts = tuple(sorted(keep + (self.s_r,)))
-        self._uni = frozenset(self._verts)
+        self.universe = frozenset(self._verts)
+        self.mask = self._keep_mask | 1 << self.s_r
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    @property
-    def universe(self) -> frozenset:
-        return self._uni
 
     def unit_real_capacities(self) -> bool:
         # edges into s_r are merged parallels, so they may exceed 1
@@ -840,14 +821,11 @@ class InducedView(OracleView):
         self.part = part
         self.w_out = {v: int(w_out.get(v, 0)) for v in part}
         self._verts = part
-        self._uni = frozenset(part)
+        self.universe = frozenset(part)
+        self.mask = mask_of(part)
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    @property
-    def universe(self) -> frozenset:
-        return self._uni
 
     def unit_real_capacities(self) -> bool:
         return self.parent.unit_real_capacities()
@@ -924,7 +902,7 @@ class CutCache:
     def __init__(self, base: BaseView):
         self.base = base
         self._n = base.n
-        self._all = base._all
+        self._all = base.mask
         self._memo: dict[int, int] = {0: 0}
         # learned hidden-graph pair capacities, as bitsets laid out like
         # GraphInstance._planes: bit v of _known[u] says c(u, v) is learned,
@@ -1054,10 +1032,7 @@ class CutCache:
         unknown = real & ~self._known[base_u]
         if not unknown:
             return
-        cap = residual
-        for w, m in terms:
-            cap -= w * (m & X).bit_count()
-        base, rem = divmod(cap, scale)
+        base, rem = divmod(residual - _weighted(terms, X), scale)
         val = base - self._learned_sum(base_u, real)
         if rem or val < 0:
             raise ContractViolation("deduced residual disagrees with the linear form")
@@ -1083,7 +1058,11 @@ class CutCache:
 
     def residual_between(self, view: OracleView, f: Optional[Flow], u: int, X: int) -> int:
         """Residual capacity from view vertex u into the bitmask X of view
-        vertices; one logical BIS. A None flow means the zero flow."""
+        vertices; one logical BIS. A None flow means the zero flow. Raises
+        QueryInputError when u or a vertex of X is outside the view."""
+        mask = view.mask
+        if u not in view.universe or X | mask != mask:
+            raise QueryInputError("vertex outside the view universe")
         self.logical_bis += 1
         return self._from_form(view, f, u, X)
 
@@ -1154,6 +1133,9 @@ class CutCache:
         return more
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
+        uni = view.universe
+        if u not in uni or v not in uni:
+            raise QueryInputError("vertex outside the view universe")
         known = view.known_capacity(u, v)
         if known is not None:
             return known

@@ -24,6 +24,14 @@ class BfsTree:
         return canon(self.dist)
 
 
+def _candidate_mask(view: OracleView, B: Sequence[int]) -> int:
+    """Bitmask of the candidates B, refusing one outside the view before
+    any shift (a negative id cannot be shifted)."""
+    if not view.universe.issuperset(B):
+        raise QueryInputError("vertex outside the view universe")
+    return mask_of(B)
+
+
 def find_neighbor(
     cache: CutCache,
     view: OracleView,
@@ -43,16 +51,17 @@ def find_neighbor(
     1 + ceil(log2 |B|) BIS when there is one. The halving always splits at
     the sorted-id midpoint. When the lower half has no residual capacity,
     the upper half holds all of the current total, which is positive, so
-    descending into it costs nothing extra.
+    descending into it costs nothing extra. Raises QueryInputError when u
+    or a vertex of B is outside the view.
     """
-    if u not in view.universe:
-        raise QueryInputError(f"vertex {u} outside the view universe")
     if mask is None:
         B = sorted(B)
-        mask = mask_of(B)
-    cur = mask
-    if cur >> u & 1:
+        mask = _candidate_mask(view, B)
+    if u not in view.universe or mask | view.mask != view.mask:
+        raise QueryInputError("vertex outside the view universe")
+    if mask >> u & 1:
         raise QueryInputError("find_neighbor sets must be disjoint")
+    cur = mask
     learned = cache.learned_neighbors(view, f, u, cur)
     if learned is not None:
         return (learned & -learned).bit_length() - 1 if learned else None
@@ -94,14 +103,15 @@ def neighborhood(
     BIS when there is no neighbor (none when the block is learned) and at
     most 1 + d * ceil(log2 |B|) for d neighbors. The high halves found by
     subtraction with total zero, and those of one vertex, go to
-    CutCache.deduce, which learns them as a probe would have."""
-    if u not in view.universe:
-        raise QueryInputError(f"vertex {u} outside the view universe")
+    CutCache.deduce, which learns them as a probe would have. Raises
+    QueryInputError when u or a candidate is outside the view."""
     if mask is None:
         B = sorted(candidates)
-        mask = mask_of(B)
+        mask = _candidate_mask(view, B)
     else:
         B = candidates
+    if u not in view.universe or mask | view.mask != view.mask:
+        raise QueryInputError("vertex outside the view universe")
     if mask >> u & 1:
         raise QueryInputError("neighborhood sets must be disjoint")
     learned = cache.learned_neighbors(view, f, u, mask)
@@ -140,15 +150,17 @@ def bfs_tree(
     within: Optional[Iterable[int]] = None,
 ) -> BfsTree:
     """Layered BFS over the residual graph. Frontier vertices expand in
-    (distance, id) order; `within` restricts the search to a candidate set."""
+    (distance, id) order; `within` restricts the search to a candidate set,
+    which must lie inside the view."""
     if root not in view.universe:
         raise QueryInputError(f"root {root} outside the view universe")
+    # the undiscovered vertices in increasing order, and as a bitmask
     if within is None:
         undiscovered = [v for v in view.vertices() if v != root]
+        mask = view.mask ^ 1 << root
     else:
         undiscovered = sorted(set(within) - {root})
-    # the undiscovered vertices in increasing order, and as a bitmask
-    mask = mask_of(undiscovered)
+        mask = _candidate_mask(view, undiscovered)
     tree = BfsTree(root=root, parent={root: None}, dist={root: 0})
     frontier = [root]
     while frontier and mask:

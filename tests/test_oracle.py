@@ -24,6 +24,9 @@ from cutlab.oracle import (
     ids_of,
     mask_of,
 )
+from cutlab.expander import matching_player
+from cutlab.harness import reference_maxflow
+from cutlab.isolating import partition_mincut
 from cutlab.maxflow import dinitz_maxflow
 from cutlab.mincut import global_mincut
 from cutlab.primitives import neighborhood
@@ -187,21 +190,21 @@ def test_augmented_view_consistency_full_enumeration(b6):
     g = b6
     view, _, cache = make_view(g)
     aug = AugmentedView(view, [(0, 2)], [(5, 2)], scale=1)
+    # one weighted virtual edge per terminal, no further vertices
+    assert aug.virtual_edges == [(6, 0, 2), (5, 7, 2)]
     cap = materialize_augmented(g.edges, aug)
     verts = aug.vertices()
-    assert len(verts) == 6 + 2 + 4  # four subdivision vertices
-    rng = random.Random(1)
-    for _ in range(200):
-        k = rng.randint(1, len(verts) - 1)
-        side = rng.sample(verts, k)
-        assert cache.cut(aug, side) == brute_cut_of(cap, verts, side)
+    assert verts == tuple(range(8))
+    for k in range(1, len(verts)):
+        for side in itertools.combinations(verts, k):
+            assert cache.cut(aug, side) == brute_cut_of(cap, verts, side)
 
 
 @pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced", "induced_low", "augmented"])
 @pytest.mark.parametrize("scale", [1, 2])
 def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
-    """Every vertex kind (virtual source and sink, subdivision vertices,
-    terminals, plain vertices) against random sets B: the singleton
+    """Every vertex kind (virtual source and sink, terminals, plain
+    vertices) against random sets B: the singleton
     residual (under the zero flow and under a nonzero valid flow), capacity,
     pair_known and cut paths must all agree with sums over the
     explicitly materialized augmented graph. The augmented parent nests two
@@ -266,17 +269,115 @@ def test_augmented_view_examples(b6):
     assert ledger.cut_count == 0  # virtual-only query is free
     empty = AugmentedView(view, [], [(5, 1)])
     assert cache.cut(empty, [empty.s_source]) == 0
-    # source side plus its whole bundle plus the terminal: only base charged
-    s = [aug.s_source, *aug.source_bundle[0], 0]
+    # source side plus the terminal: its virtual edge stays inside, so only
+    # the base cut is charged
+    s = [aug.s_source, 0]
     before = ledger.cut_count
     assert cache.cut(aug, s) == 2  # Cut_G({0})
     assert ledger.cut_count == before + 1
+
+
+def _unit_subdivided(edges, n, sources, sinks, scale):
+    """The unit-subdivided realisation of an augmented base view, built
+    explicitly: real edges times scale, source n and sink n + 1, and each
+    terminal edge of capacity k as k unit-capacity length-2 paths through
+    fresh subdivision vertices. Returns the graph, its source and sink, and
+    each terminal's subdivision vertices."""
+    cap = {e: w * scale for e, w in edges.items()}
+    s, t = n, n + 1
+    nxt = n + 2
+    bundles = {}
+    for hub, terminals in ((s, sources), (t, sinks)):
+        for x, k in terminals:
+            bundles[x] = tuple(range(nxt, nxt + k))
+            nxt += k
+            for y in bundles[x]:
+                cap[(hub, y)] = 1
+                cap[(x, y)] = 1
+    return GraphInstance(nxt, cap), s, t, bundles
+
+
+def _split_over_bundles(flow, s, t, bundles):
+    """The flow of an augmented base view with the same source and sink ids,
+    moved onto the unit-subdivided graph: a terminal edge carrying k units
+    becomes the first k unit paths of its bundle."""
+    f = Flow.zero(s, t)
+    for u, v, val in flow.support():
+        if u == s:
+            for y in bundles[v][:val]:
+                f.push(s, y, 1)
+                f.push(y, v, 1)
+        elif v == t:
+            for y in bundles[u][:val]:
+                f.push(u, y, 1)
+                f.push(y, t, 1)
+        else:
+            f.push(u, v, val)
+    return f
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_terminal_edges_match_the_unit_subdivided_graph(W):
+    """One virtual edge per terminal against the old realisation, built
+    explicitly. partition_mincut (scale 1) and matching_player (scales 1
+    and 3) find the max-flow value of the unit-subdivided graph; the real
+    source side cuts exactly that value; the flow, split over the unit
+    paths, is a valid flow of that value on the subdivided graph; and the
+    saturated terminals are those whose edge carries tau+1, i.e. whose
+    whole bundle carries flow."""
+    A, B = (0, 3, 5), (7, 10)
+    for seed in range(2):
+        g = random_graph(12, 0.35, seed, W=W)
+        for tau, scale in itertools.product(range(4), (1, 3)):
+            k = tau + 1
+            sources, sinks = [(a, k) for a in A], [(b, k) for b in B]
+            sub, s, t, bundles = _unit_subdivided(g.edges, g.n, sources, sinks, scale)
+            want = reference_maxflow(sub, s, t)
+
+            def side_cut(side):
+                side = set(side)
+                virt = k * (sum(a not in side for a in A) + sum(b in side for b in B))
+                return virt + scale * g.cut_of(side)
+
+            view, _, cache = make_view(g)
+            out = matching_player(view, A, B, tau, 1 / scale, 1.0, cache=cache)
+            assert out.flow_value == want, (seed, tau, scale)
+            if out.kind == "sparse_cut":
+                assert side_cut(out.cut) == want
+            else:
+                assert sum(units for _path, units in out.embedding) == want
+                assert all(p[0] in A and p[-1] in B for p, _units in out.embedding)
+            if scale > 1:
+                continue
+            pc = partition_mincut(view, A, B, tau, cache=cache)
+            assert pc.flow_value == want and side_cut(pc.source_side) == want
+            aug = AugmentedView(view, sources, sinks)
+            assert (aug.s_source, aug.s_sink) == (s, t)
+            f = _split_over_bundles(dinitz_maxflow(aug, s, t, cache).flow, s, t, bundles)
+            for u, v, val in f.support():
+                assert val <= sub.edges.get((min(u, v), max(u, v)), 0), (u, v)
+            for v in range(sub.n):
+                net = sum(f.get(v, w) for w in range(sub.n))
+                assert net == {s: want, t: -want}.get(v, 0), v
+            whole = [x for x in A + B if all(abs(f.get(x, y)) == 1 for y in bundles[x])]
+            assert pc.saturated == tuple(sorted(whole))
 
 
 def test_augmented_duplicate_terminal_rejected(b6):
     view, _, _ = make_view(b6)
     with pytest.raises(QueryInputError):
         AugmentedView(view, [(0, 1), (0, 2)], [(5, 1)])
+
+
+def test_augmented_terminal_capacity_must_be_a_positive_integer(b6):
+    # a capacity is a weight on one virtual edge, so a fraction would be
+    # carried into every flow over that edge
+    view, _, _ = make_view(b6)
+    for cap in (0, -1, 1.5, 2.0):
+        with pytest.raises(QueryInputError):
+            AugmentedView(view, [(0, cap)], [(5, 1)])
+        with pytest.raises(QueryInputError):
+            AugmentedView(view, [(0, 1)], [(5, cap)])
 
 
 def test_contracted_view_examples(b6, k4):
@@ -374,7 +475,7 @@ def test_view_over_view_composition(b6):
     cv = contracted_view(view, b6.edges, [0, 1, 2])
     aug = AugmentedView(cv, [(0, 2)], [(cv.s_r, 2)])
     before = ledger.cut_count
-    val = cache.cut(aug, [aug.s_source, *aug.source_bundle[0], 0])
+    val = cache.cut(aug, [aug.s_source, 0])
     assert ledger.cut_count - before == 1
     assert val == 2  # Cut of {0} in the contracted graph
 
@@ -592,17 +693,17 @@ def test_deduced_blocks_read_back_hidden_capacities(W):
 
 
 def test_deduce_removes_virtual_terms_and_scale():
-    """A block of one base vertex plus the terminal's subdivision vertices,
-    on an augmented view of scale 2: the virtual terms come off and the rest
-    is halved before learning. Deduction charges nothing."""
+    """A block of one base vertex plus the virtual source, whose edge to the
+    terminal has capacity 2, on an augmented view of scale 2: the virtual
+    term comes off and the rest is halved before learning. Deduction charges
+    nothing."""
     for seed in range(3):
         g = random_graph(9, 0.6, seed, W=3)
         view, ledger, cache = make_view(g)
         aug = AugmentedView(view, [(0, 2)], [(8, 1)], scale=2)
-        subs = aug.source_bundle[0]
         for r in range(1, 8):
-            residual = 2 * g.edges.get((0, r), 0) + len(subs)
-            cache.deduce(aug, None, 0, mask_of((r,) + subs), residual)
+            residual = 2 * g.edges.get((0, r), 0) + 2
+            cache.deduce(aug, None, 0, mask_of((r, aug.s_source)), residual)
         assert cache._known[0] == mask_of(range(1, 8))
         assert_learned_sound(cache, g)
         assert ledger.cut_count == 0 and cache.logical_bis == 0
@@ -749,11 +850,9 @@ def test_learned_neighbors_none_while_a_pair_is_unlearned(b6):
     q = ledger.cut_count
     assert cache.learned_neighbors(view, None, 0, X) == X
     aug = AugmentedView(view, [(0, 2)], [(5, 1)])
-    assert cache.learned_neighbors(aug, None, aug.s_source, mask_of(aug.source_bundle[0])) == (
-        mask_of(aug.source_bundle[0])
-    )
+    assert cache.learned_neighbors(aug, None, aug.s_source, mask_of((0, 1, 2))) == mask_of((0,))
     # 1's capacity to 0 is learned, to 2 not yet
-    assert cache.learned_neighbors(aug, None, 1, mask_of((0, 2) + aug.source_bundle[0])) is None
+    assert cache.learned_neighbors(aug, None, 1, mask_of((0, 2, aug.s_source))) is None
     assert ledger.cut_count == q and cache.logical_bis == 0
 
 

@@ -175,6 +175,34 @@ def test_probing_vertex_outside_the_view_is_refused(b6):
     assert ledger.cut_count == 0 and cache.logical_bis == 0
 
 
+def test_vertices_outside_the_view_are_refused(b6):
+    """On an induced view of {0, 1, 2}, the parent graph would answer the
+    candidate 3 as 2's neighbour and the pair (3, 2) as capacity 1; on the
+    6-vertex base view, -1 and 9 would fail on a shift or an index. Every
+    public probe, and a BFS restricted to such candidates, refuses them
+    before charging or counting anything."""
+    view, ledger, cache = make_view(b6)
+    iv = InducedView(view, (0, 1, 2), {2: 1})
+    for search in (neighborhood, find_neighbor):
+        for v, u, cands in ((iv, 2, [3]), (view, 0, [-1]), (view, 0, [9])):
+            with pytest.raises(QueryInputError):
+                search(cache, v, None, u, cands)
+        with pytest.raises(QueryInputError):
+            search(cache, iv, None, 2, [1, 3], mask_of((1, 3)))
+    for v, u, w in ((iv, 3, 2), (iv, 2, 3), (view, -1, 0), (view, 9, 0), (view, 0, 9)):
+        with pytest.raises(QueryInputError):
+            cache.capacity(v, u, w)
+        if w >= 0:
+            with pytest.raises(QueryInputError):
+                cache.residual_between(v, None, u, 1 << w)
+    with pytest.raises(QueryInputError):
+        cache.residual_between(view, None, 0, -2)
+    for v, within in ((iv, [1, 3]), (view, [1, -1])):
+        with pytest.raises(QueryInputError):
+            bfs_tree(cache, v, None, 0, within=within)
+    assert ledger.cut_count == 0 and cache.logical_bis == 0
+
+
 def test_bfs_tree_examples(p4, k4, b6):
     view, _, cache = make_view(p4)
     tree = bfs_tree(cache, view, None, 0)

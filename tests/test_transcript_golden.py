@@ -54,17 +54,17 @@ GOLDEN = [
         "mincut_expander_d3_n32",
         lambda: _mincut(InstanceSpec("expander_like", 32).with_params(degree=3)),
         6,
-        338,
-        437,
-        "ba442e1a6d3b55521f1f3507a8c513a286f15d705980795072beec0d16daf697",
+        334,
+        406,
+        "246c1b4dd11d25de17afe0837aabe0251403f8feb25a9aab8872108803f41651",
     ),
     (
         "mincut_gnp_n24",
         lambda: _mincut(InstanceSpec("random_gnp", 24, 1).with_params(p=0.3)),
         3,
-        166,
-        161,
-        "4f4ba45f75b441f8af866bb11de361361820d3c1523cc67c1e49265a4572daca",
+        165,
+        155,
+        "20b7e479e2697c0f25d1f7e19082654f9eaa90ba86880a7485e4a6248b174f58",
     ),
     (
         "maxflow_gnp_n32_0_31",
@@ -86,9 +86,9 @@ GOLDEN = [
         "mincut_expander_d3_n128",
         lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
         6,
-        1815,
-        2351,
-        "5cbc665d373ae69ff68f199fcc35de5cb118adf6558f1396c31e82c783faf175",
+        1812,
+        2313,
+        "9b6e2b1ea0ab0ae56ff9b13f137e082f0924131e2d12370acd42925fc9dc6e76",
     ),
     (
         "maxflow_gnp_w3_n48_shared_cache",
@@ -105,17 +105,17 @@ GOLDEN = [
         "mincut_planted_cut_n32",
         lambda: _mincut(InstanceSpec("planted_cut", 32, 5).with_params(k=2)),
         2,
-        218,
-        340,
-        "8e96385400fe6333015351c57a264f39c073d29c7d0a5b3057732263c8483463",
+        213,
+        335,
+        "efa5a805e418061fe528ec76b274109650e953fe8824c65d170f4e70070cb779",
     ),
     (
         "decompose_two_cliques_n16",
         lambda: _decompose(InstanceSpec("two_cliques_bridge", 16)),
         2,
         63,
-        106,
-        "64ddcbedaea030760d8e78f31add5052caf5181bd5c78e1072e13e31e62c4f64",
+        94,
+        "d815ea6f89d6e6942436324225f3aa51dfb6c8dd6503ec8f3c828cbc77b244f9",
     ),
     (
         # 8 exact cut-player calls at k=16 slots and 1 spectral call at k=32
@@ -123,8 +123,8 @@ GOLDEN = [
         lambda: _decompose(InstanceSpec("two_cliques_bridge", 32)),
         2,
         150,
-        296,
-        "504b4f5c5e75796ca79f1ddd1736d5a4672c594af9421ac7d1b677750ad58648",
+        278,
+        "e0dd875055d0ef036e616b6d2a415504e9c84db3e49277aff6693f838ca6472d",
     ),
 ]
 
