@@ -6,8 +6,8 @@ deterministic spectral bisection. The matching player embeds perfect
 (tau+1)-matchings through bounded-capacity flow instances on the oracle;
 short matchings are completed with fake edges that expander pruning charges
 back later. One step either finds a balanced sparse cut or certifies a core
-of terminals; the decomposition recurses on induced sub-views whose crossing
-edges are learned once and subtracted at zero query cost thereafter.
+of terminals; the decomposition recurses on induced sub-views, which answer
+through their parent's linear forms.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
-    mask_of,
 )
-from .primitives import neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +483,8 @@ def decompose(
     cache: Optional[CutCache] = None,
     phi: Optional[float] = None,
 ) -> list[DecompositionPart]:
-    """Recursive one_step over induced sub-views. When a part is created its
-    crossing edges are learned once via neighborhood(); induced cut answers
-    subtract them afterwards at zero query cost."""
+    """Recursive one_step over induced sub-views. A sub-view answers
+    through its parent's linear forms, so creating one costs nothing."""
     R = canon(R)
     if cache is None:
         cache = CutCache(view.base_view)
@@ -516,7 +513,7 @@ def decompose(
             return
         side = canon(res.cut)
         rest = canon(set(sub_view.vertices()) - set(side))
-        side_view, rest_view = _induce(sub_view, side, rest, cache)
+        side_view, rest_view = _induce(sub_view, side, rest)
         children = [
             (side_view, canon(set(terms) & set(side))),
             (rest_view, canon(set(terms) - set(side))),
@@ -531,23 +528,9 @@ def decompose(
 
 
 def _induce(
-    parent: OracleView,
-    part: tuple[int, ...],
-    other: tuple[int, ...],
-    cache: CutCache,
+    parent: OracleView, part: tuple[int, ...], other: tuple[int, ...]
 ) -> tuple[InducedView, InducedView]:
     """The induced views of `part` and `other`, which split the parent's
-    vertices, from one pass that learns the crossing edges from the smaller
-    side."""
-    small, big = (part, other) if len(part) <= len(other) else (other, part)
-    w_small = {v: 0 for v in small}
-    w_big = {v: 0 for v in big}
-    unit = parent.unit_real_capacities()
-    big_mask = mask_of(big)
-    for v in small:
-        for u in neighborhood(cache, parent, None, v, big, big_mask):
-            c = 1 if unit else cache.capacity(parent, v, u)
-            w_small[v] += c
-            w_big[u] += c
-    w_part, w_other = (w_small, w_big) if small is part else (w_big, w_small)
-    return InducedView(parent, part, w_part), InducedView(parent, other, w_other)
+    vertices. Nothing is learned here: a flow inside either view reads
+    only pairs inside it, never the pairs that cross the split."""
+    return InducedView(parent, part), InducedView(parent, other)

@@ -142,7 +142,7 @@ def isolating_cuts(
         classes.setdefault(signature(v), []).append(v)
 
     rset = set(R)
-    everyone = mask_of(view.vertices())
+    everyone = view.mask
     records: list[TerminalRecord] = []
     regions: dict[int, tuple[int, ...]] = {}
     best: Optional[TerminalRecord] = None

@@ -61,12 +61,10 @@ def _layers_from_tree(tree: BfsTree, s: int, t: int) -> Optional[LayeredGraph]:
 
 def _residual_capacity(cache: CutCache, view: OracleView, f: Flow, u: int, v: int) -> int:
     fv = f.get(u, v)
-    known = view.known_capacity(u, v)
-    if known is not None:
-        return known - fv
-    if view.unit_real_capacities() and fv >= 0:
-        # a residual edge with nonnegative flow on a unit-capacity view must
-        # be an unused real edge
+    if fv >= 0 and view.unit_real_capacities() and view.linear_form(u).keep >> v & 1:
+        # a residual edge between real vertices with nonnegative flow on a
+        # unit-capacity view must be an unused real edge; an edge with a
+        # virtual end may be heavier, and its capacity is read free
         return 1 - fv
     return cache.capacity(view, u, v) - fv
 

@@ -52,7 +52,7 @@ def dominating_set(view: OracleView, cache: Optional[CutCache] = None) -> tuple[
     if cache is None:
         cache = CutCache(view.base_view)
     verts = view.vertices()
-    everyone = mask_of(verts)
+    everyone = view.mask
     deg, delta, _ = degrees(view, cache)
     # vertices not yet deleted, and the members of R, as bitmasks
     alive = everyone

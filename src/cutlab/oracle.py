@@ -3,11 +3,11 @@
 A GraphInstance holds the hidden capacitated simple graph. Algorithms only
 ever reach it through a view and the CutCache over it; the base view charges
 every base-graph query on a QueryLedger, which keeps a replayable
-transcript. Derived views (augmented, contracted, induced) reduce a cut to
-at most one base-graph cut plus arithmetic on explicitly known virtual
-structure (cut_plan), and the capacity of one vertex towards a vertex set
-to a LinearForm over base-graph capacities, so only base-graph information
-ever costs anything.
+transcript. A derived view (augmented, contracted, induced) is its vertex
+set plus one reduction: the capacity of one vertex towards a vertex set, as
+a LinearForm over base-graph capacities and explicitly known virtual
+structure, so only base-graph information ever costs anything. Cut and pair
+queries are asked of the base view alone.
 
 The CutCache charges through the base view and memoises: a deterministic
 algorithm never needs to issue the same base query twice, so the cache
@@ -54,6 +54,34 @@ def mask_of(ids: Iterable[int]) -> int:
     mask = 0
     for v in ids:
         mask |= 1 << v
+    return mask
+
+
+def _checked_mask(ids: Iterable[int], n: int) -> int:
+    """Bitmask of the vertex ids `ids`; a repeated id counts once. Raises
+    QueryInputError for an id that is not an integer in [0, n)."""
+    side = ids if type(ids) is tuple else tuple(ids)
+    try:
+        # Python ints in range; the bound comes before any shift, since
+        # 1 << v allocates v bits, and a negative v raises ValueError
+        if side and max(side) >= n:
+            raise IndexError
+        mask = 0
+        for v in side:
+            mask |= 1 << v
+        if type(mask) is not int:  # numpy ints
+            raise TypeError
+    except (IndexError, TypeError, ValueError, OverflowError):
+        # convert other integer types (numpy's), refuse everything else
+        mask = 0
+        for v in side:
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise QueryInputError("vertex ids must be integers") from None
+            if not 0 <= v < n:
+                raise QueryInputError(f"vertex {v} outside [0, {n})")
+            mask |= 1 << v
     return mask
 
 
@@ -122,29 +150,7 @@ class GraphInstance:
     def cut_of(self, ids: Iterable[int]) -> int:
         """Capacity of the edges leaving `ids`; a repeated id counts once.
         Raises QueryInputError for an id that is not an integer in [0, n)."""
-        side = ids if type(ids) is tuple else tuple(ids)
-        try:
-            # Python ints in range; the bound comes before any shift, since
-            # 1 << v allocates v bits, and a negative v raises ValueError
-            if side and max(side) >= self.n:
-                raise IndexError
-            mask = 0
-            for v in side:
-                mask |= 1 << v
-            if type(mask) is not int:  # numpy ints
-                raise TypeError
-        except (IndexError, TypeError, ValueError, OverflowError):
-            # convert other integer types (numpy's), refuse everything else
-            mask = 0
-            for v in side:
-                try:
-                    v = operator.index(v)
-                except TypeError:
-                    raise QueryInputError("vertex ids must be integers") from None
-                if not 0 <= v < self.n:
-                    raise QueryInputError(f"vertex {v} outside [0, {self.n})")
-                mask |= 1 << v
-        return _kernels.cut_value(self._planes, self.n, mask)
+        return _kernels.cut_value(self._planes, self.n, _checked_mask(ids, self.n))
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         adj: dict[int, dict[int, int]] = {v: {} for v in range(self.n)}
@@ -475,12 +481,6 @@ def _weighted(terms: tuple[tuple[int, int], ...], X: int) -> int:
     return total
 
 
-class CutPlan(NamedTuple):
-    base_ids: Optional[tuple[int, ...]]  # None: no base query needed
-    coeff: int
-    offset: int
-
-
 class LinearForm(NamedTuple):
     """Capacity between one view vertex u and a bitmask X of view vertices:
 
@@ -497,12 +497,11 @@ class LinearForm(NamedTuple):
 
 
 class OracleView:
-    """A vertex universe over the hidden graph, with the reductions the
-    CutCache charges through: cut_plan for cuts, linear_form for the
-    capacity of one vertex towards a set. `universe` is the set of its
-    vertices and `mask` their bitmask."""
+    """A vertex universe over the hidden graph, with the one reduction the
+    CutCache charges through: linear_form, the capacity of one vertex
+    towards a set. `universe` is the set of its vertices and `mask` their
+    bitmask."""
 
-    kind = "base"
     universe: frozenset
     mask: int
 
@@ -529,16 +528,6 @@ class OracleView:
         capacity exactly 1, so a residual edge with zero flow has capacity 1."""
         raise NotImplementedError
 
-    def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
-        raise NotImplementedError
-
-    def pair_known(self, A: tuple[int, ...], B: tuple[int, ...]) -> Optional[int]:
-        """Total A-B capacity if derivable from explicit metadata alone."""
-        return None
-
-    def known_capacity(self, u: int, v: int) -> Optional[int]:
-        return self.pair_known((u,), (v,))
-
     def linear_form(self, u: int) -> LinearForm:
         """The capacity of u towards any vertex set, as a LinearForm."""
         raise NotImplementedError
@@ -546,8 +535,6 @@ class OracleView:
 
 class BaseView(OracleView):
     """Direct window onto the hidden graph."""
-
-    kind = "base"
 
     def __init__(self, instance: GraphInstance, ledger: Optional[QueryLedger] = None):
         self._instance = instance
@@ -569,11 +556,6 @@ class BaseView(OracleView):
 
     def unit_real_capacities(self) -> bool:
         return self._instance.W == 1
-
-    def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
-        if len(ids) == 0 or len(ids) == self.n:
-            return CutPlan(None, 1, 0)
-        return CutPlan(ids, 1, 0)
 
     def linear_form(self, u: int) -> LinearForm:
         form = self._forms.get(u)
@@ -597,8 +579,6 @@ class AugmentedView(OracleView):
     (b, s_sink) for each sink (b, cap). Base-graph edge capacities are
     multiplied by `scale`. All virtual structure is explicit, so queries
     touching only it are free."""
-
-    kind = "augmented"
 
     def __init__(
         self,
@@ -652,33 +632,6 @@ class AugmentedView(OracleView):
     def unit_real_capacities(self) -> bool:
         return self.scale == 1 and self.parent.unit_real_capacities()
 
-    def _virtual_crossing(self, ids: tuple[int, ...]) -> int:
-        outside = ~mask_of(ids)
-        vterms = self._vterms
-        return sum([_weighted(vterms[u], outside) for u in ids if u in vterms])
-
-    def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
-        if len(ids) == 0 or len(ids) == self.universe_size:
-            return CutPlan(None, 1, 0)
-        # ids is sorted, so its real part is too
-        real = tuple([v for v in ids if v not in self.virtual_ids])
-        offset = self._virtual_crossing(ids)
-        plan = self.parent.cut_plan(real)
-        return CutPlan(plan.base_ids, plan.coeff * self.scale, plan.offset * self.scale + offset)
-
-    def pair_known(self, A, B) -> Optional[int]:
-        bmask = mask_of(B)
-        vterms = self._vterms
-        virt = sum([_weighted(vterms[a], bmask) for a in A if a in vterms])
-        a_real = tuple([v for v in A if v not in self.virtual_ids])
-        b_real = tuple([v for v in B if v not in self.virtual_ids])
-        if not a_real or not b_real:
-            return virt
-        sub = self.parent.pair_known(a_real, b_real)
-        if sub is None:
-            return None
-        return virt + self.scale * sub
-
     def bundle_flow(self, f: Flow, terminal: int) -> int:
         """Units the flow routes over a terminal's virtual edge."""
         if terminal in self._source_cap:
@@ -711,11 +664,9 @@ class ContractedView(OracleView):
     edges merging into summed capacities. `drops` removes explicitly known
     capacity between a kept vertex and s_r (used once its value is known).
     The parent capacity from each kept vertex to the contracted outside
-    (`w_out`) is learned once by the caller, as for InducedView; the linear
-    forms read it at zero query cost. A drop larger than its vertex's
-    w_out, which would leave a negative capacity to s_r, is refused."""
-
-    kind = "contracted"
+    (`w_out`) is learned once by the caller; the linear forms read it at
+    zero query cost. A drop larger than its vertex's w_out, which would
+    leave a negative capacity to s_r, is refused."""
 
     def __init__(
         self,
@@ -736,7 +687,6 @@ class ContractedView(OracleView):
             raise QueryInputError("keep must be a proper subset")
         self.parent = parent
         self.keep = keep
-        self._keepset = frozenset(keep)
         self.s_r = max(parent.vertices()) + 1
         self.drops = dict(drops or {})
         # capacity between each kept vertex and s_r
@@ -779,36 +729,12 @@ class ContractedView(OracleView):
         # vertices only
         return LinearForm(terms, sub.scale, sub.base_u, sub.keep & self._keep_mask)
 
-    def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
-        if len(ids) == 0 or len(ids) == self.universe_size:
-            return CutPlan(None, 1, 0)
-        inside = set(ids)
-        drop_off = 0
-        s_in = self.s_r in inside
-        for u, w in self.drops.items():
-            if (u in inside) != s_in:
-                drop_off -= w
-        if s_in:
-            T = canon(self._keepset - inside)
-        else:
-            T = ids
-        plan = self.parent.cut_plan(T)
-        return CutPlan(plan.base_ids, plan.coeff, plan.offset + drop_off)
-
-    def pair_known(self, A, B) -> Optional[int]:
-        if self.s_r in A or self.s_r in B:
-            return None
-        return self.parent.pair_known(A, B)
-
 
 class InducedView(OracleView):
-    """Induced subgraph on `part`. Per-vertex crossing capacity to the rest
-    of the parent universe (`w_out`) is learned once by the caller; induced
-    cut answers subtract it at zero query cost."""
+    """Induced subgraph on `part`: a pair capacity inside the part is the
+    parent's, so the linear forms are the parent's, read on the part."""
 
-    kind = "induced"
-
-    def __init__(self, parent: OracleView, part: Iterable[int], w_out: dict[int, int]):
+    def __init__(self, parent: OracleView, part: Iterable[int]):
         super().__init__(parent.base_view)
         part = canon(part)
         puni = parent.universe
@@ -819,7 +745,6 @@ class InducedView(OracleView):
             raise QueryInputError("part must be nonempty")
         self.parent = parent
         self.part = part
-        self.w_out = {v: int(w_out.get(v, 0)) for v in part}
         self._verts = part
         self.universe = frozenset(part)
         self.mask = mask_of(part)
@@ -830,18 +755,7 @@ class InducedView(OracleView):
     def unit_real_capacities(self) -> bool:
         return self.parent.unit_real_capacities()
 
-    def cut_plan(self, ids: tuple[int, ...]) -> CutPlan:
-        if len(ids) == 0 or len(ids) == self.universe_size:
-            return CutPlan(None, 1, 0)
-        out = sum(self.w_out[v] for v in ids)
-        plan = self.parent.cut_plan(ids)
-        return CutPlan(plan.base_ids, plan.coeff, plan.offset - out)
-
-    def pair_known(self, A, B) -> Optional[int]:
-        return self.parent.pair_known(A, B)
-
     def linear_form(self, u: int) -> LinearForm:
-        # pair capacities inside the part equal the parent's
         return self.parent.linear_form(u)
 
 
@@ -884,15 +798,17 @@ def _add_scaled(acc: list[int], planes: list[int], w: int) -> None:
 class CutCache:
     """Shared memo over base-graph cut sets.
 
-    Every view reduces a cut query to (base set, coeff, offset); the cache
-    answers previously-seen base sets (and their complements) without
-    touching the oracle again. The memo is keyed by bitmask: of a set and
-    its complement, the smaller side, or on a tie the side that holds
-    vertex 0. The empty and the full set share the key 0, which holds their
-    cut 0 from the start, so neither is ever charged. `logical_bis` counts
-    the residual probes issued (residual_between), so query budgets can be
-    expressed in BIS calls independently of cache hits; a neighbourhood
-    answered from learned pairs (learned_neighbors) issues none.
+    Cut and pair queries (cut, pair_capacity) are asked of the base view;
+    a derived view answers only through its linear forms (residual_between,
+    capacity). The cache answers previously-seen base sets (and their
+    complements) without touching the oracle again. The memo is keyed by
+    bitmask: of a set and its complement, the smaller side, or on a tie the
+    side that holds vertex 0. The empty and the full set share the key 0,
+    which holds their cut 0 from the start, so neither is ever charged.
+    `logical_bis` counts the residual probes issued (residual_between), so
+    query budgets can be expressed in BIS calls independently of cache
+    hits; a neighbourhood answered from learned pairs (learned_neighbors)
+    issues none.
 
     Pair capacities are learned from every block whose total is known: from
     the probes themselves (base_pair_sum), and from the totals a caller
@@ -927,25 +843,25 @@ class CutCache:
             val = self._memo[key] = self.base.raw_cut(S)
         return val
 
+    def _query_mask(self, view: OracleView, ids: Iterable[int]) -> int:
+        """Bitmask of the base vertex ids `ids`, a repeated id counted once.
+        Raises QueryInputError for a view other than the base view and for
+        an id outside it."""
+        if view is not self.base:
+            raise QueryInputError("cut queries are asked of the base view only")
+        return _checked_mask(ids, self._n)
+
     def cut(self, view: OracleView, ids: Iterable[int]) -> int:
-        ids = canon(ids)
-        if not view.universe.issuperset(ids):
-            raise QueryInputError("vertex outside the view universe")
-        if len(ids) == 0 or len(ids) == view.universe_size:
-            return 0
-        plan = view.cut_plan(ids)
-        if plan.base_ids is None:
-            return plan.offset
-        return plan.coeff * self._base_cut(mask_of(plan.base_ids)) + plan.offset
+        """Cut of the base set `ids`; the empty and the full set are free."""
+        return self._base_cut(self._query_mask(view, ids))
 
     def pair_capacity(self, view: OracleView, A: Iterable[int], B: Iterable[int]) -> int:
-        A, B = canon(A), canon(B)
-        if not set(A).isdisjoint(B):
+        """Total capacity between the disjoint base sets A and B, as
+        cut(A) + cut(B) - cut(A + B), charged in that order."""
+        a, b = self._query_mask(view, A), self._query_mask(view, B)
+        if a & b:
             raise QueryInputError("pair_capacity sets must be disjoint")
-        known = view.pair_known(A, B)
-        if known is not None:
-            return known
-        total = self.cut(view, A) + self.cut(view, B) - self.cut(view, A + B)
+        total = self._base_cut(a) + self._base_cut(b) - self._base_cut(a | b)
         if total % 2 or total < 0:
             raise ContractViolation("inconsistent cut answers in pair_capacity")
         return total // 2
@@ -1136,7 +1052,4 @@ class CutCache:
         uni = view.universe
         if u not in uni or v not in uni:
             raise QueryInputError("vertex outside the view universe")
-        known = view.known_capacity(u, v)
-        if known is not None:
-            return known
         return self._from_form(view, None, u, 1 << v)

@@ -133,14 +133,9 @@ def contracted_view(parent, parent_edges, keep, drops=None):
 
 
 def induced_view(view, g, part):
-    """Induced view on `part` with its true crossing capacities, plus its
-    explicit adjacency."""
-    w_out = {
-        v: sum(w for (a, b), w in g.edges.items() if (a == v and b not in part) or (b == v and a not in part))
-        for v in part
-    }
+    """Induced view on `part`, plus its explicit adjacency."""
     edges = {(u, v): w for (u, v), w in g.edges.items() if u in part and v in part}
-    return InducedView(view, part, w_out), edges
+    return InducedView(view, part), edges
 
 
 def view_residual_neighbors(cap, f: Flow | None, u: int, B) -> list[int]:

@@ -18,6 +18,7 @@ from cutlab.oracle import (
     Flow,
     GraphFormatError,
     GraphInstance,
+    InducedView,
     QueryInputError,
     QueryLedger,
     TranscriptRecord,
@@ -68,17 +69,40 @@ def test_cut_query_conventions_zero_cost(b6):
 
 
 def test_cut_query_out_of_range(b6):
-    """An id outside the view universe is refused before any plan is made,
-    on the base view and on derived views, also when the set has the
-    universe's size (which would otherwise read as the free full set)."""
+    """An id outside the base view is refused by cut and pair_capacity
+    before any charge, also when the set has the universe's size (which
+    would otherwise read as the free full set) and when the other set of a
+    pair is valid. Every derived view is refused by both calls, even with
+    ids inside it: it answers only through its linear forms."""
     view, ledger, _ = make_view(b6)
     cv = contracted_view(view, b6.edges, (0, 1, 2))
     aug = AugmentedView(view, [(0, 1)], [(5, 1)])
-    for v, ids in ((view, [0, 99]), (view, [-1]), (view, range(1, 7)),
-                   (cv, [0, 4]), (cv, [0, 1, 2, 4]), (aug, [0, 99])):
+    iv = InducedView(view, (0, 1, 2))
+    cases = [(view, ids) for ids in ([0, 99], [-1], range(1, 7), [0.5])]
+    cases += [(cv, [0, cv.s_r]), (aug, [aug.s_source, 0]), (aug, [0]), (iv, [0, 1])]
+    for v, ids in cases:
+        cache = CutCache(view)
         with pytest.raises(QueryInputError):
-            CutCache(view).cut(v, ids)
+            cache.cut(v, ids)
+        for A, B in ((ids, [4]), ([4], ids)):
+            with pytest.raises(QueryInputError):
+                cache.pair_capacity(v, A, B)
     assert ledger.cut_count == 0
+
+
+def test_repeated_ids_count_once():
+    """A repeated id counts once, as in GraphInstance.cut_of, also when the
+    padded set has the universe's size (which would read as the free full
+    set) or the pair's sets repeat ids."""
+    path3 = GraphInstance(3, {(0, 1): 1, (1, 2): 1})
+    view, _, cache = make_view(path3)
+    assert cache.cut(view, [0, 0, 1]) == path3.cut_of([0, 0, 1]) == 1
+    assert cache.cut(view, [2, 2, 2]) == path3.cut_of([2, 2, 2]) == 1
+    path4 = GraphInstance(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    view, _, cache = make_view(path4)
+    assert cache.pair_capacity(view, [0, 0], [1, 1]) == 1
+    with pytest.raises(QueryInputError):
+        cache.pair_capacity(view, [0, 1, 1], [1])
 
 
 def test_ids_outside_the_graph_are_refused(p4):
@@ -186,6 +210,25 @@ def brute_cut_of(cap, vertices, side):
     return sum(w for (u, v), w in cap.items() if (u in side) != (v in side))
 
 
+def probed_cut(cache, view, cap, side):
+    """The cut of `side` in a view with explicit adjacency cap, read as one
+    zero-flow residual probe from each vertex of side into the rest of the
+    view; each probe is checked against cap."""
+    rest = [v for v in view.vertices() if v not in side]
+    total = 0
+    for u in side:
+        got = cache.residual_between(view, None, u, mask_of(rest))
+        assert got == sum(cap.get((min(u, v), max(u, v)), 0) for v in rest), (u, side)
+        total += got
+    return total
+
+
+def assert_capacities(cache, view, cap):
+    """Every capacity read of the view against its explicit adjacency cap."""
+    for u, v in itertools.permutations(view.vertices(), 2):
+        assert cache.capacity(view, u, v) == cap.get((min(u, v), max(u, v)), 0), (u, v)
+
+
 def test_augmented_view_consistency_full_enumeration(b6):
     g = b6
     view, _, cache = make_view(g)
@@ -197,16 +240,17 @@ def test_augmented_view_consistency_full_enumeration(b6):
     assert verts == tuple(range(8))
     for k in range(1, len(verts)):
         for side in itertools.combinations(verts, k):
-            assert cache.cut(aug, side) == brute_cut_of(cap, verts, side)
+            assert probed_cut(cache, aug, cap, side) == brute_cut_of(cap, verts, side)
+    assert_capacities(cache, aug, cap)
 
 
 @pytest.mark.parametrize("parent_kind", ["base", "contracted", "induced", "induced_low", "augmented"])
 @pytest.mark.parametrize("scale", [1, 2])
 def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
     """Every vertex kind (virtual source and sink, terminals, plain
-    vertices) against random sets B: the singleton
-    residual (under the zero flow and under a nonzero valid flow), capacity,
-    pair_known and cut paths must all agree with sums over the
+    vertices) against random sets B: the residual probe (under the zero
+    flow and under a nonzero valid flow), capacity, set-to-set totals and
+    cuts, both read as sums of probes, must all agree with sums over the
     explicitly materialized augmented graph. The augmented parent nests two
     scales and puts a terminal on a virtual vertex of the parent; the
     induced_low part leaves out the highest base ids, so virtual ids reuse
@@ -247,33 +291,32 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
                 assert cache.residual_between(aug, None, u, mask_of(B)) == want, (u, B)
                 residual = want - sum(flow.get(u, b) for b in B)
                 assert cache.residual_between(aug, flow, u, mask_of(B)) == residual, (u, B)
-                known = aug.pair_known((u,), tuple(B))
-                assert known is None or known == want, (u, B)
                 for v in B[:3]:
                     assert cache.capacity(aug, u, v) == c(u, v), (u, v)
             side = rng.sample(verts, rng.randint(1, len(verts) - 1))
-            assert cuts.cut(aug, side) == brute_cut_of(cap, verts, side), side
+            assert probed_cut(cuts, aug, cap, side) == brute_cut_of(cap, verts, side), side
         for _ in range(20):
             A = tuple(sorted(rng.sample(verts, 3)))
             rest = [v for v in verts if v not in A]
             B = tuple(sorted(rng.sample(rest, rng.randint(1, len(rest)))))
-            known = aug.pair_known(A, B)
-            assert known is None or known == sum(c(a, b) for a in A for b in B), (A, B)
+            total = sum(cache.residual_between(aug, None, a, mask_of(B)) for a in A)
+            assert total == sum(c(a, b) for a in A for b in B), (A, B)
         assert QueryLedger.replay(ledger.transcript, g)
 
 
 def test_augmented_view_examples(b6):
     view, ledger, cache = make_view(b6)
     aug = AugmentedView(view, [(0, 2)], [(5, 2)], scale=1)
-    assert cache.cut(aug, [aug.s_source]) == 2
+    cap = materialize_augmented(b6.edges, aug)
+    assert probed_cut(cache, aug, cap, [aug.s_source]) == 2
     assert ledger.cut_count == 0  # virtual-only query is free
     empty = AugmentedView(view, [], [(5, 1)])
-    assert cache.cut(empty, [empty.s_source]) == 0
+    assert probed_cut(cache, empty, materialize_augmented(b6.edges, empty), [empty.s_source]) == 0
     # source side plus the terminal: its virtual edge stays inside, so only
-    # the base cut is charged
+    # the base cut of {0} is charged (its complement reads the memo)
     s = [aug.s_source, 0]
     before = ledger.cut_count
-    assert cache.cut(aug, s) == 2  # Cut_G({0})
+    assert probed_cut(cache, aug, cap, s) == 2  # Cut_G({0})
     assert ledger.cut_count == before + 1
 
 
@@ -383,16 +426,20 @@ def test_augmented_terminal_capacity_must_be_a_positive_integer(b6):
 def test_contracted_view_examples(b6, k4):
     view, _, cache = make_view(b6)
     cv = contracted_view(view, b6.edges, [0, 1, 2])
-    assert cache.pair_capacity(cv, [2], [cv.s_r]) == 1
+    cap = contracted_edges(b6.edges, cv)
     assert cache.capacity(cv, 2, cv.s_r) == 1
-    assert cache.pair_capacity(cv, [0], [cv.s_r]) == 0
-    assert cache.cut(cv, [0, 1, 2]) == 1
+    assert cache.capacity(cv, cv.s_r, 2) == 1
+    assert cache.capacity(cv, 0, cv.s_r) == 0
+    assert probed_cut(cache, cv, cap, [0, 1, 2]) == 1
+    assert_capacities(cache, cv, cap)
     view, _, cache = make_view(k4)
     cv = contracted_view(view, k4.edges, [0, 1])
-    assert cache.pair_capacity(cv, [0], [cv.s_r]) == 2
-    assert cache.pair_capacity(cv, [1], [cv.s_r]) == 2
+    cap = contracted_edges(k4.edges, cv)
+    assert cache.capacity(cv, 0, cv.s_r) == 2
+    assert cache.capacity(cv, 1, cv.s_r) == 2
     assert cache.residual_between(cv, None, cv.s_r, mask_of((0, 1))) == 4
-    assert cache.cut(cv, [0]) == 3
+    assert probed_cut(cache, cv, cap, [0]) == 3
+    assert_capacities(cache, cv, cap)
     with pytest.raises(QueryInputError):
         ContractedView(view, [0, 1, 2, 3], {})
 
@@ -438,7 +485,7 @@ def test_contracted_view_full_enumeration():
             verts = cv.vertices()
             for k in range(1, len(verts)):
                 for side in itertools.combinations(verts, k):
-                    assert cache.cut(cv, side) == brute_cut_of(cap, verts, side), side
+                    assert probed_cut(cache, cv, cap, side) == brute_cut_of(cap, verts, side), side
 
             def c(u, v):
                 return cap.get((min(u, v), max(u, v)), 0)
@@ -466,18 +513,56 @@ def test_induced_view_full_enumeration():
         iv, cap = induced_view(view, g, part)
         for k in range(1, len(part)):
             for side in itertools.combinations(part, k):
-                assert cache.cut(iv, side) == brute_cut_of(cap, part, side)
+                assert probed_cut(cache, iv, cap, side) == brute_cut_of(cap, part, side)
+        assert_capacities(cache, iv, cap)
 
 
 def test_view_over_view_composition(b6):
-    # augmented over contracted: every answer still decomposes to one base query
+    """Augmented over contracted: every cut, read as probes, and every
+    capacity against the explicit graph of the composition."""
     view, ledger, cache = make_view(b6)
     cv = contracted_view(view, b6.edges, [0, 1, 2])
     aug = AugmentedView(cv, [(0, 2)], [(cv.s_r, 2)])
-    before = ledger.cut_count
-    val = cache.cut(aug, [aug.s_source, 0])
-    assert ledger.cut_count - before == 1
-    assert val == 2  # Cut of {0} in the contracted graph
+    cap = materialize_augmented(contracted_edges(b6.edges, cv), aug)
+    verts = aug.vertices()
+    assert probed_cut(cache, aug, cap, [aug.s_source, 0]) == 2  # Cut of {0} in the contracted graph
+    for k in range(1, len(verts)):
+        for side in itertools.combinations(verts, k):
+            assert probed_cut(cache, aug, cap, side) == brute_cut_of(cap, verts, side), side
+    assert_capacities(cache, aug, cap)
+    assert QueryLedger.replay(ledger.transcript, b6)
+
+
+def test_reads_with_a_virtual_end_are_free():
+    """Every capacity read with a virtual end, on a fresh cache, matches the
+    explicit graph and charges no query and no logical BIS: on augmented
+    views of scale 1 and 3, nested over an augmented and over a contracted
+    parent, and on contracted views, one of whose s_r reuses a base id."""
+    for seed in range(2):
+        g = random_graph(9, 0.5, seed, W=2)
+        view, ledger, _ = make_view(g)
+        cases = []
+        for scale in (1, 3):
+            aug = AugmentedView(view, [(0, 1), (4, 2)], [(8, 2)], scale=scale)
+            cases.append((aug, materialize_augmented(g.edges, aug), aug.virtual_ids))
+        inner, inner_cap, inner_virtual = cases[-1]
+        aug = AugmentedView(inner, [(inner.s_source, 2), (1, 1)], [(5, 3)])
+        cases.append((aug, materialize_augmented(inner_cap, aug), aug.virtual_ids | inner_virtual))
+        cv = contracted_view(view, g.edges, (0, 2, 3, 5, 6))
+        cv_cap = contracted_edges(g.edges, cv)
+        cases.append((cv, cv_cap, {cv.s_r}))
+        aug = AugmentedView(cv, [(0, 2)], [(cv.s_r, 1)], scale=3)
+        cases.append((aug, materialize_augmented(cv_cap, aug), aug.virtual_ids | {cv.s_r}))
+        iv, iv_edges = induced_view(view, g, (0, 1, 3, 4, 6))
+        cv = contracted_view(iv, iv_edges, (0, 1, 3))
+        assert cv.s_r == 7
+        cases.append((cv, contracted_edges(iv_edges, cv), {cv.s_r}))
+        for v, cap, virtual in cases:
+            cache = CutCache(view)
+            for a, b in itertools.permutations(v.vertices(), 2):
+                if a in virtual or b in virtual:
+                    assert cache.capacity(v, a, b) == cap.get((min(a, b), max(a, b)), 0), (a, b)
+            assert ledger.cut_count == 0 and cache.logical_bis == 0
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_probing_vertex_outside_the_view_is_refused(b6):
     would hand it to the parent and answer [2]; u = 9 lies outside the
     6-vertex base view. Both searches refuse either before any probe."""
     view, ledger, cache = make_view(b6)
-    iv = InducedView(view, (0, 1, 2), {2: 1})
+    iv = InducedView(view, (0, 1, 2))
     for v, u in ((iv, 3), (view, 9)):
         for search in (neighborhood, find_neighbor):
             with pytest.raises(QueryInputError):
@@ -182,7 +182,7 @@ def test_vertices_outside_the_view_are_refused(b6):
     public probe, and a BFS restricted to such candidates, refuses them
     before charging or counting anything."""
     view, ledger, cache = make_view(b6)
-    iv = InducedView(view, (0, 1, 2), {2: 1})
+    iv = InducedView(view, (0, 1, 2))
     for search in (neighborhood, find_neighbor):
         for v, u, cands in ((iv, 2, [3]), (view, 0, [-1]), (view, 0, [9])):
             with pytest.raises(QueryInputError):
