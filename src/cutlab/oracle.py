@@ -11,7 +11,9 @@ queries are asked of the base view alone.
 
 The CutCache charges through the base view and memoises: a deterministic
 algorithm never needs to issue the same base query twice, so the cache
-answers repeats for free while the ledger keeps counting real queries.
+answers repeats for free while the ledger keeps counting real queries. It
+also keeps what the answers teach about the hidden graph: pair capacities,
+and the totals of probed blocks whose pairs are not learned yet.
 
 Concurrency: a view plus its ledger (and any cache over them) is
 single-owner, single-threaded state; distinct GraphInstances with distinct
@@ -473,14 +475,6 @@ class Flow:
 # views
 
 
-def _weighted(terms: tuple[tuple[int, int], ...], X: int) -> int:
-    """sum(w * |m & X|) over the (w, m) terms."""
-    total = 0
-    for w, m in terms:
-        total += w * (m & X).bit_count()
-    return total
-
-
 class LinearForm(NamedTuple):
     """Capacity between one view vertex u and a bitmask X of view vertices:
 
@@ -810,10 +804,14 @@ class CutCache:
     hits; a neighbourhood answered from learned pairs (learned_neighbors)
     issues none.
 
-    Pair capacities are learned from every block whose total is known: from
-    the probes themselves (base_pair_sum), and from the totals a caller
-    gets by subtraction without a probe (deduce), which charge nothing and
-    count no BIS."""
+    Pair capacities are learned from every block whose total is known
+    (base_pair_sum). A block total that teaches no pair is kept in a table
+    per base vertex u, {R: c(u, R)}, keyed by the block's still-unlearned
+    remainder R: a later probe of the same remainder reads it for free, and
+    a charged remainder U inside a stored block R also gives the total of
+    R - U by subtraction. The totals are facts about the hidden graph, so
+    they hold on every view over the cache. An entry is re-keyed when pairs
+    of it are learned, and dies when all of them are."""
 
     def __init__(self, base: BaseView):
         self.base = base
@@ -830,6 +828,11 @@ class CutCache:
         self._planes: list[list[int]] = []
         self._support = [0] * base.n
         self._unit_base = base._instance.W == 1
+        # block totals that taught no pair: _blocks[u] maps a bitmask R of
+        # vertices to c(u, R); no key meets _keyed[u], the learned pairs of u
+        # when the table was last re-keyed (a subset of _known[u])
+        self._blocks: list[dict[int, int]] = [{} for _ in range(base.n)]
+        self._keyed = [0] * base.n
         self.logical_bis = 0
 
     def _base_cut(self, S: int) -> int:
@@ -895,64 +898,87 @@ class CutCache:
             total += (rows[u] & X).bit_count() << k
         return total
 
-    def _learn_block(self, u: int, unknown: int, val: int) -> None:
+    def _learn_block(self, u: int, unknown: int, val: int) -> bool:
         """Learn what a total of val between u and the nonempty bitmask of
         unlearned vertices `unknown` teaches: every member's capacity when
         the block is one vertex, has total zero, or (on unit graphs) is
-        saturated."""
+        saturated. Returns whether it taught them."""
         single = not unknown & (unknown - 1)
         if single or val == 0:
             c = val
         elif self._unit_base and val == unknown.bit_count():
             c = 1
         else:
-            return
+            return False
         rest = [unknown.bit_length() - 1] if single else ids_of(unknown)
         self._learn(u, unknown, rest, c)
+        return True
+
+    def _learn_or_keep(self, u: int, block: int, val: int) -> None:
+        """Learn the block total c(u, block) = val by the rules of
+        _learn_block, or else keep it in u's table."""
+        if not self._learn_block(u, block, val):
+            self._blocks[u][block] = val
+
+    def _rekey(self, u: int) -> None:
+        """Reduce the keys of u's table by the pairs learned since it was
+        last keyed: each block loses its learned vertices and their learned
+        capacity, and is learned or kept again. Repeats while that teaches
+        new pairs of u."""
+        blocks, known = self._blocks[u], self._known
+        while self._keyed[u] != known[u]:
+            K = self._keyed[u] = known[u]
+            for R in [R for R in blocks if R & K]:
+                T = blocks.pop(R)
+                if R & ~K:
+                    self._learn_or_keep(u, R & ~K, T - self._learned_sum(u, R & K))
 
     def base_pair_sum(self, u: int, X: int) -> int:
         """Total hidden-graph capacity between u and the bitmask X of base
         vertices, served from the learned pairs where possible and querying
-        only the unknown remainder R, as cut({u}) + cut(R) - cut(R + u)
-        (the last is free when R + u is all of V). A remainder of one
+        only the unknown remainder U, as cut({u}) + cut(U) - cut(U + u)
+        (the last is free when U + u is all of V). A remainder of one
         vertex, of capacity zero, or (on unit graphs) of full capacity
-        teaches every member."""
+        teaches every member; any other is kept in u's table of block
+        totals.
+
+        The table is read before U is charged: a stored U is answered at no
+        charge, and a U that is charged inside a stored block R (the
+        smallest) also gives the total of R - U, learned or kept in turn.
+        Raises QueryInputError when X holds u, before any charge."""
+        if X >> u & 1:
+            raise QueryInputError("a probe's target set must not hold its vertex")
         total = self._learned_sum(u, X)
         unknown = X & ~self._known[u]
         if not unknown:
             return total
+        outer = None
+        blocks = self._blocks[u]
+        if blocks:
+            known = self._known[u]
+            if self._keyed[u] != known:
+                self._rekey(u)
+                if self._known[u] != known:
+                    total = self._learned_sum(u, X)
+                    unknown = X & ~self._known[u]
+                    if not unknown:
+                        return total
+            val = blocks.get(unknown)
+            if val is not None:
+                return total + val
+            size = 0
+            for R, T in blocks.items():
+                if R | unknown == R and (outer is None or R.bit_count() < size):
+                    outer, outer_val, size = R, T, R.bit_count()
         bit = 1 << u
         val = self._base_cut(bit) + self._base_cut(unknown) - self._base_cut(unknown | bit)
         if val % 2 or val < 0:
             raise ContractViolation("inconsistent cut answers in base_pair_sum")
         val //= 2
-        self._learn_block(u, unknown, val)
+        self._learn_or_keep(u, unknown, val)
+        if outer is not None:
+            self._learn_or_keep(u, outer ^ unknown, outer_val - val)
         return total + val
-
-    def deduce(
-        self, view: OracleView, f: Optional[Flow], u: int, X: int, residual: int
-    ) -> None:
-        """Learn from a residual total from u into the bitmask X of view
-        vertices that the caller derived without a probe (a parent's total
-        minus a sibling's), so the cache never saw it. It is the view's
-        capacity only when f carries no net flow from u into X; then the
-        form's virtual terms are removed, the rest divided by the form's
-        scale, and the block learned by the rules of base_pair_sum. Charges
-        nothing and counts no logical BIS."""
-        if f is not None and f.out_to(u, X):
-            return
-        terms, scale, base_u, keep = view.linear_form(u)
-        real = X & keep
-        if not real:
-            return
-        unknown = real & ~self._known[base_u]
-        if not unknown:
-            return
-        base, rem = divmod(residual - _weighted(terms, X), scale)
-        val = base - self._learned_sum(base_u, real)
-        if rem or val < 0:
-            raise ContractViolation("deduced residual disagrees with the linear form")
-        self._learn_block(base_u, unknown, val)
 
     def _from_form(self, view: OracleView, f: Optional[Flow], u: int, X: int) -> int:
         """Residual capacity from view vertex u into the bitmask X of view
@@ -975,10 +1001,13 @@ class CutCache:
     def residual_between(self, view: OracleView, f: Optional[Flow], u: int, X: int) -> int:
         """Residual capacity from view vertex u into the bitmask X of view
         vertices; one logical BIS. A None flow means the zero flow. Raises
-        QueryInputError when u or a vertex of X is outside the view."""
+        QueryInputError when u or a vertex of X is outside the view, and
+        when X holds u, before any charge."""
         mask = view.mask
         if u not in view.universe or X | mask != mask:
             raise QueryInputError("vertex outside the view universe")
+        if X >> u & 1:
+            raise QueryInputError("a probe's target set must not hold its vertex")
         self.logical_bis += 1
         return self._from_form(view, f, u, X)
 
@@ -1049,7 +1078,11 @@ class CutCache:
         return more
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
+        """Capacity between the distinct view vertices u and v, read from the
+        view's linear form of u."""
         uni = view.universe
         if u not in uni or v not in uni:
             raise QueryInputError("vertex outside the view universe")
+        if u == v:
+            raise QueryInputError("capacity needs two distinct vertices")
         return self._from_form(view, None, u, 1 << v)

@@ -101,10 +101,12 @@ def neighborhood(
     the block's minus the low half's, since residual capacity from u is
     additive in the target set under a valid flow. This costs at most one
     BIS when there is no neighbor (none when the block is learned) and at
-    most 1 + d * ceil(log2 |B|) for d neighbors. The high halves found by
-    subtraction with total zero, and those of one vertex, go to
-    CutCache.deduce, which learns them as a probe would have. Raises
-    QueryInputError when u or a candidate is outside the view."""
+    most 1 + d * ceil(log2 |B|) for d neighbors. The high halves need no
+    call of their own: the cache keeps each probed block's base total, so
+    the probe of a low half also gives it the high half's (see
+    CutCache.base_pair_sum), and learns its pairs where that total
+    teaches them. Raises QueryInputError when u or a candidate is outside
+    the view."""
     if mask is None:
         B = sorted(candidates)
         mask = _candidate_mask(view, B)
@@ -133,8 +135,6 @@ def neighborhood(
         low = cur & ((1 << B[mid]) - 1)
         low_total = cache.residual_between(view, f, u, low)
         high_total = total - low_total
-        if high_total == 0 or hi - mid == 1:
-            cache.deduce(view, f, u, cur ^ low, high_total)
         if high_total > 0:
             stack.append((mid, hi, cur ^ low, high_total))
         if low_total > 0:

@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutlab.oracle import (
     AugmentedView,
@@ -738,19 +740,29 @@ def test_cache_agrees_with_contract_ops():
 
 
 def assert_learned_sound(cache, g):
-    """Every learned pair reads back its hidden capacity from the planes."""
+    """Every learned pair reads back its hidden capacity from the planes,
+    and every block total in the table, once re-keyed, is the hidden
+    capacity from its vertex into a nonempty block of unlearned pairs that
+    does not hold the vertex."""
+    while any(cache._keyed[u] != cache._known[u] for u in range(g.n)):
+        for u in range(g.n):
+            cache._rekey(u)
     for u in range(g.n):
         for v in ids_of(cache._known[u]):
             got = sum(1 << k for k, rows in enumerate(cache._planes) if rows[u] >> v & 1)
             assert got == g.edges.get((min(u, v), max(u, v)), 0), (u, v, got)
+        for R, T in cache._blocks[u].items():
+            assert R and not R & cache._known[u] and not R >> u & 1, (u, R)
+            hidden = sum(g.edges.get((min(u, v), max(u, v)), 0) for v in ids_of(R))
+            assert T == hidden, (u, R, T, hidden)
 
 
 @pytest.mark.parametrize("W", [1, 3])
-def test_deduced_blocks_read_back_hidden_capacities(W):
+def test_learned_pairs_and_block_totals_read_back_hidden_capacities(W):
     """After neighborhood (under the zero flow and a nonzero valid flow),
     dinitz_maxflow (on the base graph and on an augmented view with scale 2)
-    and global_mincut (unit graphs only), every learned pair holds its
-    hidden capacity."""
+    and global_mincut (unit graphs only), every learned pair and every kept
+    block total holds its hidden capacity."""
     for seed in range(3):
         g = random_graph(24, 0.3, seed, W=W)
         view, _, cache = make_view(g)
@@ -777,28 +789,38 @@ def test_deduced_blocks_read_back_hidden_capacities(W):
             assert_learned_sound(cache, g)
 
 
-def test_deduce_removes_virtual_terms_and_scale():
-    """A block of one base vertex plus the virtual source, whose edge to the
-    terminal has capacity 2, on an augmented view of scale 2: the virtual
-    term comes off and the rest is halved before learning. Deduction charges
-    nothing."""
+def test_augmented_probes_keep_virtual_terms_and_scale_out_of_base_facts():
+    """Blocks of base vertices plus the virtual source, whose edge to the
+    terminal has capacity 2, probed on an augmented view of scale 2: two
+    base vertices at a time (a total kept in the table, or learned), then
+    one (learned, and its partner learned as the sibling). The virtual term
+    and the scale never reach a learned pair or a kept total."""
     for seed in range(3):
         g = random_graph(9, 0.6, seed, W=3)
         view, ledger, cache = make_view(g)
         aug = AugmentedView(view, [(0, 2)], [(8, 1)], scale=2)
+        for r in range(1, 7, 2):
+            got = cache.residual_between(aug, None, 0, mask_of((r, r + 1, aug.s_source)))
+            c = g.edges.get((0, r), 0) + g.edges.get((0, r + 1), 0)
+            assert got == 2 * c + 2
+        assert_learned_sound(cache, g)
         for r in range(1, 8):
-            residual = 2 * g.edges.get((0, r), 0) + 2
-            cache.deduce(aug, None, 0, mask_of((r, aug.s_source)), residual)
+            q = ledger.cut_count
+            got = cache.residual_between(aug, None, 0, mask_of((r, aug.s_source)))
+            assert got == 2 * g.edges.get((0, r), 0) + 2
+            if r % 2 == 0:  # learned with its pair, or as the sibling of r - 1
+                assert ledger.cut_count == q
         assert cache._known[0] == mask_of(range(1, 8))
         assert_learned_sound(cache, g)
-        assert ledger.cut_count == 0 and cache.logical_bis == 0
+        assert QueryLedger.replay(ledger.transcript, g)
 
 
 @pytest.mark.parametrize("W", [1, 2])
-def test_deduce_skips_blocks_the_flow_enters(W):
+def test_flow_distorted_residuals_never_become_capacities(W):
     """0 pushes one unit into 5. The halving gets 5's residual by
-    subtraction (zero on the unit graph, one above it); it is not 5's
-    capacity, so 5 must stay unlearned."""
+    subtraction (zero on the unit graph, one above it); that residual is
+    not 5's capacity, and whatever the cache learns about 5 is its hidden
+    capacity W."""
     g = GraphInstance(6, {(0, 4): 1, (0, 5): W, (5, 1): 1})
     view, _, cache = make_view(g)
     f = Flow.zero(0, 1)
@@ -806,8 +828,95 @@ def test_deduce_skips_blocks_the_flow_enters(W):
     f.push(5, 1, 1)
     f.value = 1
     assert neighborhood(cache, view, f, 0, [3, 4, 5]) == ([4, 5] if W > 1 else [4])
-    assert cache._known[0] == mask_of((3, 4))
+    assert cache._known[0] & mask_of((3, 4)) == mask_of((3, 4))
     assert_learned_sound(cache, g)
+    assert cache.capacity(view, 0, 5) == W
+
+
+def test_self_probes_are_refused_before_any_charge(b6):
+    """A probe whose target holds its own vertex has no meaning (a simple
+    graph has no self-capacity): capacity, residual_between and
+    base_pair_sum refuse it, on the base view and on a derived view, before
+    any charge, count or learning."""
+    view, ledger, cache = make_view(b6)
+    aug = AugmentedView(view, [(0, 2)], [(5, 1)])
+    before = list(cache._known)
+    with pytest.raises(QueryInputError):
+        cache.capacity(view, 1, 1)
+    with pytest.raises(QueryInputError):
+        cache.residual_between(view, None, 2, mask_of([2]))
+    with pytest.raises(QueryInputError):
+        cache.residual_between(view, None, 2, mask_of([0, 2, 3]))
+    with pytest.raises(QueryInputError):
+        cache.residual_between(aug, None, aug.s_source, mask_of([0, aug.s_source]))
+    with pytest.raises(QueryInputError):
+        cache.capacity(aug, 0, 0)
+    with pytest.raises(QueryInputError):
+        cache.base_pair_sum(1, mask_of([1, 2, 3]))
+    assert ledger.cut_count == 0 and cache.logical_bis == 0
+    assert cache._known == before and not any(cache._blocks)
+
+
+def residual_capacity_in(cap, f, u, v):
+    """Residual capacity from u to v in a view with explicit adjacency cap,
+    under f (None: the zero flow)."""
+    return cap.get((min(u, v), max(u, v)), 0) - (f.get(u, v) if f is not None else 0)
+
+
+def _probe_views(g, rng):
+    """(view, explicit adjacency) of the base view of g and of an augmented
+    view of scale 1, one of scale 3 and a contracted view over it, all
+    sharing one ledger and one cache."""
+    view, ledger, cache = make_view(g)
+    n = g.n
+    out = [(view, g.edges)]
+    for scale in (1, 3):
+        a, b = rng.sample(range(n), 2)
+        aug = AugmentedView(view, [(a, rng.randint(1, 3))], [(b, rng.randint(1, 3))], scale)
+        out.append((aug, materialize_augmented(g.edges, aug)))
+    cv = contracted_view(view, g.edges, sorted(rng.sample(range(n), rng.randint(2, n - 1))))
+    out.append((cv, contracted_edges(g.edges, cv)))
+    return out, ledger, cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 12),
+    st.sampled_from([1, 3]),
+    st.floats(0.2, 0.8),
+    st.integers(0, 10_000),
+)
+def test_block_totals_stay_exact_under_random_probes(n, W, p, seed):
+    """Random probes, under the zero flow or a random valid flow, on the
+    views of _probe_views: every answer is the explicit view graph's, every
+    learned pair and kept block total is the hidden graph's, repeating any
+    earlier probe charges nothing, and the ledger replays."""
+    g = random_graph(n, p, seed % 97, W=W)
+    rng = random.Random(seed)
+    views, ledger, cache = _probe_views(g, rng)
+    flows = []
+    for view, cap in views:
+        s, t = rng.sample(view.vertices(), 2)
+        explicit = GraphInstance(max(view.vertices()) + 1, {e: w for e, w in cap.items() if w})
+        flows.append(random_valid_flow(explicit, s, t, seed, tries=3))
+    done = []
+    for _ in range(12):
+        i = rng.randrange(len(views))
+        view, cap = views[i]
+        f = rng.choice((None, flows[i]))
+        u = rng.choice(view.vertices())
+        others = [v for v in view.vertices() if v != u]
+        B = rng.sample(others, rng.randint(1, len(others)))
+        probe = (view, f, u, mask_of(B))
+        want = sum(residual_capacity_in(cap, f, u, b) for b in B)
+        assert cache.residual_between(*probe) == want
+        assert_learned_sound(cache, g)
+        done.append((probe, want))
+        q = ledger.cut_count
+        for probe, want in done:
+            assert cache.residual_between(*probe) == want
+        assert ledger.cut_count == q
+    assert QueryLedger.replay(ledger.transcript, g)
 
 
 # ---------------------------------------------------------------------------

@@ -54,41 +54,41 @@ GOLDEN = [
         "mincut_expander_d3_n32",
         lambda: _mincut(InstanceSpec("expander_like", 32).with_params(degree=3)),
         6,
-        334,
-        406,
-        "246c1b4dd11d25de17afe0837aabe0251403f8feb25a9aab8872108803f41651",
+        319,
+        381,
+        "8264d67f889eb537ae3dbd625fb888c17b9d5a9bdee73db2a61c664bc1cc2040",
     ),
     (
         "mincut_gnp_n24",
         lambda: _mincut(InstanceSpec("random_gnp", 24, 1).with_params(p=0.3)),
         3,
-        165,
+        162,
         155,
-        "20b7e479e2697c0f25d1f7e19082654f9eaa90ba86880a7485e4a6248b174f58",
+        "7089bf1485fe35ee8bcbb6223c7a6169a26bf9b653789563aad918942f8426d3",
     ),
     (
         "maxflow_gnp_n32_0_31",
         lambda: _maxflow(GNP32, 0, 31),
         3,
-        170,
+        168,
         96,
-        "b54b09fe7158b7d28c03bb971d6b703c88a8317f434bdf435934672d693cc00d",
+        "57203e6dc7742e5158c7f47f624809b6e0bc2d70d7f213670127b64dba94472f",
     ),
     (
         "maxflow_gnp_n32_5_17",
         lambda: _maxflow(GNP32, 5, 17),
         3,
-        273,
-        320,
-        "38f1bfa80c8c956c57a4c220d1608eff2d4f11d832f32d4dd9d951eeb900296b",
+        253,
+        303,
+        "b75145f5d1b72ce2c8b8824c17ffb5eddd0f9bb00772dba9f877e932e9508acc",
     ),
     (
         "mincut_expander_d3_n128",
         lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
         6,
-        1812,
-        2313,
-        "9b6e2b1ea0ab0ae56ff9b13f137e082f0924131e2d12370acd42925fc9dc6e76",
+        1748,
+        2190,
+        "7814cf6c00f608ea79225863bf82b2e2dd8f6f4d93273cd28c3b03d2b2d8fe61",
     ),
     (
         "maxflow_gnp_w3_n48_shared_cache",
@@ -96,18 +96,18 @@ GOLDEN = [
             InstanceSpec("random_gnp", 48, 3).with_params(p=0.3, W=3), ((0, 47), (7, 30))
         ),
         (24, 18),
-        863,
-        1008,
-        "3a89fd35572184421d0f70a5cff0304beaf93ad73351a28188cb4af09a478a23",
+        728,
+        964,
+        "f80ff74a53669dca2a6ec1c4b7d80a34cbfa05636b6ef4db1f4b12009739f2ec",
     ),
     (
         # builds contracted views, whose probes read their linear forms
         "mincut_planted_cut_n32",
         lambda: _mincut(InstanceSpec("planted_cut", 32, 5).with_params(k=2)),
         2,
-        213,
-        335,
-        "efa5a805e418061fe528ec76b274109650e953fe8824c65d170f4e70070cb779",
+        190,
+        311,
+        "edd6c6ed72701727e4541958c7fef92fa601fbc3b1ae070eba4a7a4d7490e848",
     ),
     (
         "decompose_two_cliques_n16",
