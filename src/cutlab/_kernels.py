@@ -1,13 +1,17 @@
-"""The oracle's cut evaluation on neighbour bitsets, and the exhaustive cut
-scans behind the reference checkers, read from one doubling table of subset
-cuts (ties go to the lowest mask).
-"""
+"""Kernels: the oracle's cut evaluation on per-vertex neighbour bitsets
+(`cut_value`, which takes the vertex set as a bitmask; `ids_of` lists a
+bitmask's vertices) and the exhaustive cut scans behind the reference
+checkers and the witness graph, all read from one table of the cuts of every
+subset of a vertex list, built by doubling (`subset_cuts`; ties go to the
+lowest mask)."""
 
 from __future__ import annotations
 
 from itertools import compress
 
 import numpy as np
+
+USING = "bitset"  # the cut-evaluation backend, as recorded in benchmark reports
 
 
 _BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
@@ -65,7 +69,8 @@ def _bits(mask, n):
     return np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int64)
 
 
-def _weights(n, eu, ev, ew):
+def weight_matrix(n, eu, ev, ew):
+    """The n x n int64 weight matrix of an edge list, both directions."""
     W = np.zeros((n, n), dtype=np.int64)
     np.add.at(W, (eu, ev), ew)
     np.add.at(W, (ev, eu), ew)
@@ -93,7 +98,7 @@ def subset_cuts(n, eu, ev, ew, order, base=0):
     that set, is itself a doubling sum. O(2^len(order)) element work; every
     value is exact in int64 while the total capacity is below 2^62."""
     order = np.asarray(order, dtype=np.intp)
-    W = _weights(n, eu, ev, ew)
+    W = weight_matrix(n, eu, ev, ew)
     deg = W.sum(axis=1)
     in_base = _bits(base, n)
     into_base = W @ in_base
@@ -159,7 +164,7 @@ def expansion_violation(n, eu, ev, ew, core_mask, num, den):
 
 
 def best_conductance_cut(n, eu, ev, ew):
-    deg = _weights(n, eu, ev, ew).sum(axis=1)
+    deg = weight_matrix(n, eu, ev, ew).sum(axis=1)
     vol_in = _all_mask_sums(deg)
     small = np.minimum(vol_in, int(deg.sum()) - vol_in)
     valid = np.nonzero(small > 0)[0]

@@ -22,9 +22,6 @@ class Params:
     phi: float | None = 0.125
     # matching-player slack; None means |R|/log2(n)^5
     beta: float | None = 1.0
-    # sparsification must shrink R by this factor, else the exhaustive
-    # fallback engages
-    zeta: float = 0.5
     # tolerated core loss per one_step: |R'| >= (1 - theta_core)|R|;
     # None means 1/log2(n)
     theta_core: float | None = 0.5

@@ -154,23 +154,8 @@ def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...],
         # argmin keeps the first minimum in the table's order
         pick = bisection_table(k)[int(np.argmin(cuts[_bisection_masks(k)]))]
     else:
-        W = np.zeros((k, k), dtype=np.int64)
-        for (u, v), c in X.combined().items():
-            W[index[u], index[v]] += c
-            W[index[v], index[u]] += c
-        deg = W.sum(axis=1)
-        # power iteration for an approximate Fiedler direction, fixed seed
-        d = np.maximum(deg, 1).astype(float)
-        P = W.astype(float) / d[:, None]
-        x = np.arange(k, dtype=float) - (k - 1) / 2.0
-        x /= np.linalg.norm(x)
-        for _ in range(120):
-            x = x - x.mean()
-            y = 0.5 * (x + P @ x)
-            norm = np.linalg.norm(y)
-            if norm < 1e-12:
-                break
-            x = y / norm
+        W = _kernels.weight_matrix(k, *_edge_arrays(X.combined(), index))
+        x = _power_direction(W, np.ones(k))
         # smallest k/2 by (value, slot id); complement of the dominant
         # mixing direction approximates the sparse direction
         order = sorted(range(k), key=lambda i: (x[i], slots[i]))
@@ -316,24 +301,31 @@ def prune(
     )
 
 
-def _spectral_conductance_cut(k, eu, ev, ew):
-    """Deterministic sweep cut by approximate Fiedler order."""
-    W = np.zeros((k, k), dtype=float)
-    for u, v, w in zip(eu, ev, ew):
-        W[int(u), int(v)] += w
-        W[int(v), int(u)] += w
-    deg = W.sum(axis=1)
-    d = np.maximum(deg, 1.0)
-    P = W / d[:, None]
+def _power_direction(W, weights):
+    """Approximate Fiedler direction of the weight matrix W: 120 steps of
+    the lazy random walk from a fixed start, each centred by the mean of
+    the iterate under `weights`, stopping early if the iterate vanishes."""
+    k = W.shape[0]
+    P = W / np.maximum(W.sum(axis=1), 1.0)[:, None]
+    total = max(weights.sum(), 1.0)
     x = np.arange(k, dtype=float) - (k - 1) / 2.0
     x /= np.linalg.norm(x)
     for _ in range(120):
-        x = x - (x * deg).sum() / max(deg.sum(), 1.0)
+        x = x - (x * weights).sum() / total
         y = 0.5 * (x + P @ x)
         norm = np.linalg.norm(y)
         if norm < 1e-12:
             break
         x = y / norm
+    return x
+
+
+def _spectral_conductance_cut(k, eu, ev, ew):
+    """Deterministic sweep cut by approximate Fiedler order, centred by the
+    degree-weighted mean."""
+    W = _kernels.weight_matrix(k, eu, ev, ew)
+    deg = W.sum(axis=1)
+    x = _power_direction(W, deg)
     order = np.argsort(x, kind="stable")
     total = deg.sum()
     best = (-1, 1, 0)

@@ -146,11 +146,25 @@ def _primes(count: int) -> list[int]:
     return out
 
 
+def _prime_count(n: int, k: int) -> int:
+    """How many primes the residue-class family over [n] needs for k."""
+    return int(k * k / 2 * max(math.log2(n), 1.0)) + 1
+
+
+def sweeps_star(n: int, k: int) -> bool:
+    """True when the star {0, i} is the splitter family for (n, k): the
+    residue-class family would list at least n-1 primes, each giving at
+    least one set, so it is never smaller than the star's n-1 pairs. This
+    holds whenever k >= n-1. The star hits every nonempty proper subset of
+    [n] exactly once, so an empty star sweep certifies every trace."""
+    return _prime_count(n, k) >= n - 1
+
+
 def splitter_family(n: int, k: int) -> SplitterFamily:
     """Deterministic family of subsets of [n], each of size >= 2, such that
     every nonempty S with |S| <= k satisfies |S ∩ F| = 1 for some member F.
 
-    For k >= n-1 the star of pairs {0, i} suffices. Otherwise residue
+    The star of pairs {0, i} when `sweeps_star(n, k)`. Otherwise residue
     classes of enough primes shatter every small S somewhere; singleton
     residue classes are replaced by k+1 guard pairs so every member keeps
     size >= 2.
@@ -159,22 +173,19 @@ def splitter_family(n: int, k: int) -> SplitterFamily:
         raise QueryInputError("splitter needs k < n")
     if k <= 0:
         return SplitterFamily(n, k, ())
+    if sweeps_star(n, k):
+        return SplitterFamily(n, k, tuple((0, i) for i in range(1, n)))
     found: set[tuple[int, ...]] = set()
-    if k >= n - 1:
-        for i in range(1, n):
-            found.add((0, i))
-    else:
-        count = int(k * k / 2 * max(math.log2(n), 1.0)) + 1
-        for p in _primes(count):
-            for a in range(min(p, n)):
-                cls = tuple(range(a, n, p))
-                if len(cls) >= 2:
-                    found.add(cls)
-                elif len(cls) == 1:
-                    x = cls[0]
-                    guards = [y for y in range(n) if y != x][: k + 1]
-                    for y in guards:
-                        found.add((x, y) if x < y else (y, x))
+    for p in _primes(_prime_count(n, k)):
+        for a in range(min(p, n)):
+            cls = tuple(range(a, n, p))
+            if len(cls) >= 2:
+                found.add(cls)
+            elif len(cls) == 1:
+                x = cls[0]
+                guards = [y for y in range(n) if y != x][: k + 1]
+                for y in guards:
+                    found.add((x, y) if x < y else (y, x))
     return SplitterFamily(n, k, tuple(sorted(found)))
 
 
@@ -271,7 +282,11 @@ def threshold_mincut(
     R: Optional[tuple[int, ...]] = None,
 ) -> ThresholdResult:
     """Either a cut of size <= tau or the certificate that the global min
-    cut exceeds tau. Requires tau <= delta - 1."""
+    cut exceeds tau. Requires tau <= delta - 1.
+
+    Each pass sweeps the splitter family over R, and an empty sweep of the
+    star certifies "above". Otherwise balanced sparsification shrinks R to
+    at most half; if it cannot, the next pass sweeps the star over R."""
     if cache is None:
         cache = CutCache(view.base_view)
     _, delta, _ = degrees(view, cache)
@@ -281,40 +296,28 @@ def threshold_mincut(
         R = dominating_set(view, cache)
     R = canon(R)
     n = view.base_view.n
-    max_iters = math.ceil(math.log2(max(len(R), 2))) + 1
-    for _ in range(max_iters):
-        if len(R) <= 1:
-            # R is tau-separated and cannot be split, so no cut of size
-            # <= tau exists
-            return ThresholdResult("above")
-        k = params.k_unbalanced(len(R), n)
+    k = params.k_unbalanced(len(R), n)
+    while len(R) > 1:
         found = unbalanced_case(view, R, tau, params=params, cache=cache, k=k)
         if found is not None:
             side, value = found
             return ThresholdResult("cut", side=side, value=value, certificate="isolating_cut")
-        if k >= len(R) - 1:
-            # the capped splitter family already hits every proper trace of
-            # R, so an unsuccessful sweep certifies the threshold outright
+        if sweeps_star(len(R), k):
+            # the star hits every proper trace of R, so an empty sweep
+            # certifies the threshold outright
             return ThresholdResult("above")
         res = balanced_sparsify(view, R, tau, params=params, cache=cache)
         if res.kind == "cut":
             return ThresholdResult(
                 "cut", side=res.side, value=res.value, certificate="threshold_path"
             )
-        if len(res.terminals) > params.zeta * len(R):
-            return _exhaustive_threshold(view, R, tau, params, cache)
-        R = res.terminals
-    return _exhaustive_threshold(view, R, tau, params, cache)
-
-
-def _exhaustive_threshold(view, R, tau, params, cache) -> ThresholdResult:
-    """Correctness-preserving fallback: full coverage with k = |R|-1. Every
-    cut of size <= tau separating R leaves a nonempty proper trace on R,
-    and the fallback family hits it."""
-    found = unbalanced_case(view, R, tau, params=params, cache=cache, k=len(R) - 1)
-    if found is not None:
-        side, value = found
-        return ThresholdResult("cut", side=side, value=value, certificate="isolating_cut")
+        if 2 * len(res.terminals) > len(R):
+            # sparsification stalled: sweep the star over R next
+            k = len(R) - 1
+        else:
+            R = res.terminals
+            k = params.k_unbalanced(len(R), n)
+    # R is tau-separated and cannot be split, so no cut of size <= tau exists
     return ThresholdResult("above")
 
 

@@ -501,6 +501,7 @@ class OracleView:
 
     def __init__(self, base: "BaseView"):
         self._base = base
+        self._forms: dict[int, LinearForm] = {}
 
     @property
     def ledger(self) -> QueryLedger:
@@ -523,7 +524,14 @@ class OracleView:
         raise NotImplementedError
 
     def linear_form(self, u: int) -> LinearForm:
-        """The capacity of u towards any vertex set, as a LinearForm."""
+        """The capacity of u towards any vertex set, as a LinearForm, built
+        once per view and vertex."""
+        form = self._forms.get(u)
+        if form is None:
+            form = self._forms[u] = self._build_form(u)
+        return form
+
+    def _build_form(self, u: int) -> LinearForm:
         raise NotImplementedError
 
 
@@ -551,11 +559,8 @@ class BaseView(OracleView):
     def unit_real_capacities(self) -> bool:
         return self._instance.W == 1
 
-    def linear_form(self, u: int) -> LinearForm:
-        form = self._forms.get(u)
-        if form is None:
-            form = self._forms[u] = LinearForm((), 1, u, self.mask)
-        return form
+    def _build_form(self, u: int) -> LinearForm:
+        return LinearForm((), 1, u, self.mask)
 
     def raw_cut(self, S: int) -> int:
         """Charge one query: the cut of the base set with bitmask S."""
@@ -614,7 +619,6 @@ class AugmentedView(OracleView):
                 self._vterms[v] = ((cap, 1 << hub),)
             self._vterms[hub] = tuple(sorted(groups.items()))
         self._parent_mask = mask_of(pverts)
-        self._forms: dict[int, LinearForm] = {}
         self.virtual_ids = frozenset((self.s_source, self.s_sink))
         self._verts = pverts + (self.s_source, self.s_sink)
         self.universe = frozenset(self._verts)
@@ -633,12 +637,6 @@ class AugmentedView(OracleView):
         if terminal in self._sink_cap:
             return f.get(terminal, self.s_sink)
         raise QueryInputError(f"{terminal} is not an augmented terminal")
-
-    def linear_form(self, u: int) -> LinearForm:
-        form = self._forms.get(u)
-        if form is None:
-            form = self._forms[u] = self._build_form(u)
-        return form
 
     def _build_form(self, u: int) -> LinearForm:
         terms = self._vterms.get(u, ())
@@ -689,7 +687,6 @@ class ContractedView(OracleView):
             if w < 0:
                 raise QueryInputError(f"vertex {v} would have capacity {w} < 0 to s_r")
         self._keep_mask = mask_of(keep)
-        self._forms: dict[int, LinearForm] = {}
         self._verts = tuple(sorted(keep + (self.s_r,)))
         self.universe = frozenset(self._verts)
         self.mask = self._keep_mask | 1 << self.s_r
@@ -700,12 +697,6 @@ class ContractedView(OracleView):
     def unit_real_capacities(self) -> bool:
         # edges into s_r are merged parallels, so they may exceed 1
         return False
-
-    def linear_form(self, u: int) -> LinearForm:
-        form = self._forms.get(u)
-        if form is None:
-            form = self._forms[u] = self._build_form(u)
-        return form
 
     def _build_form(self, u: int) -> LinearForm:
         if u == self.s_r:

@@ -91,14 +91,15 @@ def test_cli_verify(b6_file, capsys):
 
 def test_cli_config_override(b6_file, tmp_path, capsys):
     cfg = tmp_path / "knobs.cfg"
-    cfg.write_text("phi = 0.25\nzeta = 0.4\n")
+    cfg.write_text("phi = 0.25\ntheta_core = 0.4\n")
     rc = main(["mincut", "--graph", b6_file, "--config", str(cfg)])
     assert rc == 0
     assert "value 1" in capsys.readouterr().out
-    # a removed knob, an unknown key (a method name too) and a non-numeric
+    # removed knobs, an unknown key (a method name too) and a non-numeric
     # value are refused in one line with status 2
     for text, needle in (
         ("reset_policy = full\n", "unknown config key"),
+        ("zeta = 0.5\n", "unknown config key"),
         ("bogus = 1\n", "unknown config key"),
         ("phi_for = 1\n", "unknown config key"),
         ("phi = abc\n", "needs a number"),

@@ -3,9 +3,12 @@ and the global min-cut driver, cross-checked against query-free references."""
 
 import itertools
 import math
+import time
+from dataclasses import replace
 
 import pytest
 
+from cutlab import mincut
 from cutlab.config import DESK, PAPER, PINNED
 from cutlab.harness import (
     InstanceSpec,
@@ -20,6 +23,7 @@ from cutlab.mincut import (
     global_mincut,
     separation_check,
     splitter_family,
+    sweeps_star,
     threshold_mincut,
     unbalanced_case,
 )
@@ -141,6 +145,23 @@ def test_splitter_family_size_bound():
             fam = splitter_family(n, k)
             bound = coeff * (k + 1) ** exponent * (math.log2(n) + 1) ** 2
             assert len(fam.sets) <= bound, (n, k, len(fam.sets))
+
+
+def test_sweeps_star_covers_k_at_least_n_minus_one():
+    for n in range(2, 300):
+        assert sweeps_star(n, n - 1), n
+    assert sweeps_star(16, 10) and not sweeps_star(16, 2)
+
+
+def test_splitter_family_large_k_is_the_star_without_listing_primes(monkeypatch):
+    def refuse(count):
+        raise AssertionError(f"asked for {count} primes")
+
+    monkeypatch.setattr(mincut, "_primes", refuse)
+    start = time.perf_counter()
+    fam = splitter_family(600, 520)
+    assert time.perf_counter() - start < 1.0
+    assert fam.sets == tuple((0, i) for i in range(1, 600))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +290,50 @@ def test_threshold_matches_reference_and_monotone():
             if True in outcomes:
                 first = outcomes.index(True)
                 assert all(outcomes[first:])
+
+
+def _threshold_corpus():
+    # two_cliques_bridge takes no randomness, so one seed covers it
+    for seed in range(3):
+        yield InstanceSpec("random_gnp", 16, seed)
+        yield InstanceSpec("random_gnp", 24, seed)
+        yield InstanceSpec("planted_cut", 16, seed)
+    yield InstanceSpec("two_cliques_bridge", 16)
+
+
+def _assert_threshold_matches_reference(g, params):
+    lam, _ = reference_mincut(g)
+    view, _, cache = make_view(g)
+    _, delta, _ = degrees(view, cache)
+    for tau in range(delta):
+        res = threshold_mincut(view, tau, params=params, cache=cache, R=tuple(range(g.n)))
+        if lam <= tau:
+            assert res.kind == "cut", (g, tau)
+            assert res.value <= tau and g.cut_of(res.side) == res.value, (g, tau)
+        else:
+            assert res.kind == "above", (g, tau)
+
+
+@pytest.mark.parametrize("spec", list(_threshold_corpus()), ids=InstanceSpec.label)
+def test_threshold_prime_family_and_sparsification_match_reference(spec):
+    # phi = 1 gives k = 2, far below |R| - 1 = n - 1, so the sweep uses the
+    # prime family and an empty sweep goes on to balanced_sparsify (and to
+    # the star sweep when sparsification stalls)
+    _assert_threshold_matches_reference(generate(spec), replace(DESK, phi=1.0))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in _threshold_corpus() if s.n == 16], ids=InstanceSpec.label
+)
+def test_threshold_sweeps_star_when_it_is_smaller(spec, monkeypatch):
+    # phi = 0.5 gives k = 10; at |R| = 16 the prime family would list 201
+    # primes, so the star is swept and its empty sweep answers "above"
+    # without sparsifying
+    def refuse(*args, **kwargs):
+        raise AssertionError("balanced_sparsify called")
+
+    monkeypatch.setattr(mincut, "balanced_sparsify", refuse)
+    _assert_threshold_matches_reference(generate(spec), replace(DESK, phi=0.5))
 
 
 def test_global_mincut_examples(b6, k4):
