@@ -18,8 +18,17 @@ _BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
 
 
 def ids_of(mask):
-    """The vertices of a bitmask, in increasing order."""
+    """The vertices of a bitmask, in increasing order. A sparse mask (about
+    one set bit per 64 positions or fewer, past two) is listed bit by bit, a
+    denser one byte by byte, so the cost follows the count of set bits or
+    of bytes, whichever is lower."""
     out = []
+    if 64 * mask.bit_count() < mask.bit_length() + 128:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     base = 0
     for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
         if byte:

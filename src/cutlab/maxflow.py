@@ -1,11 +1,18 @@
 """Blocking-flow max-flow over the oracle.
 
 Each round rebuilds the layered residual graph with a BFS costing Õ(n) BIS
-calls, then finds a blocking flow with a stack-based search: extend the
-partial path one layer at a time via find_neighbor, pop-and-delete dead
-ends, and on reaching the sink push the full path bottleneck and reset the
-stack. The source-sink distance strictly increases between rounds, which is
-asserted, and the final flow is maximum once the sink becomes unreachable.
+calls, stopped as soon as it discovers the sink, since the layered graph
+keeps nothing beyond the sink's layer. It then finds a blocking flow with a
+stack-based search: extend the partial path one layer at a time to the
+lowest-id live vertex with a residual edge, pop-and-delete dead ends, and
+on reaching the sink push the full path bottleneck and retreat to the tail
+of the first saturated edge. Residual rows whose pairs are all learned are
+read as bitmasks (CutCache.learned_neighbors, memoised per flow), so a
+round over a learned graph charges nothing and probes nothing. The
+source-sink distance strictly increases between rounds, which is asserted,
+and the final flow is maximum once the sink becomes unreachable; that last
+BFS explores the whole residual-reachable set, the source side of a
+minimum cut.
 """
 
 from __future__ import annotations
@@ -77,12 +84,20 @@ def blocking_flow_round(
 ) -> int:
     """Find a blocking flow in the layered graph, augment f with it, and
     return its value. Dead-end vertices are deleted for the rest of the
-    round; the layered graph is rebuilt by the caller afterwards."""
+    round; the layered graph is rebuilt by the caller afterwards.
+
+    The search extends its path to the lowest-id live vertex of the next
+    layer with a residual edge from the path's end: read from the learned
+    pairs when they cover the layer (CutCache.learned_neighbors), else
+    found by find_neighbor. After pushing a path's bottleneck it retreats
+    to the tail of the path's first saturated edge. Restarting from s would
+    choose the same vertices again, since the push changes residual
+    capacities on path edges only, so the retreat only skips those
+    repeated searches."""
     s = layered.layers[0][0]
-    t = layered.layers[-1][0]
     d = layered.d
     # the vertices of each layer not yet found to be dead ends, as a sorted
-    # list and as a bitmask
+    # list (for probing) and as a bitmask
     alive = [sorted(layer) for layer in layered.layers]
     alive_mask = [mask_of(layer) for layer in layered.layers]
     pushed = 0
@@ -90,7 +105,14 @@ def blocking_flow_round(
     while stack:
         u = stack[-1]
         depth = len(stack) - 1
-        v = find_neighbor(cache, view, f, u, alive[depth + 1], alive_mask[depth + 1])
+        B = alive_mask[depth + 1]
+        found = cache.learned_neighbors(view, f, u, B)
+        if found is None:
+            v = find_neighbor(cache, view, f, u, alive[depth + 1], B)
+        elif found:
+            v = (found & -found).bit_length() - 1
+        else:
+            v = None
         if v is None:
             stack.pop()
             if depth > 0:
@@ -99,18 +121,15 @@ def blocking_flow_round(
             continue
         stack.append(v)
         if len(stack) == d + 1:
-            bottleneck = None
-            for a, b in zip(stack, stack[1:]):
-                r = _residual_capacity(cache, view, f, a, b)
-                if bottleneck is None or r < bottleneck:
-                    bottleneck = r
-            if bottleneck is None or bottleneck < 1:
+            caps = [_residual_capacity(cache, view, f, a, b) for a, b in zip(stack, stack[1:])]
+            bottleneck = min(caps)
+            if bottleneck < 1:
                 raise ContractViolation("found path with no residual capacity")
             for a, b in zip(stack, stack[1:]):
                 f.push(a, b, bottleneck)
             f.value += bottleneck
             pushed += bottleneck
-            stack = [s]
+            del stack[caps.index(bottleneck) + 1 :]
     return pushed
 
 
@@ -121,7 +140,9 @@ def dinitz_maxflow(
     cache: Optional[CutCache] = None,
 ) -> FlowResult:
     """Repeated blocking flow until the sink is unreachable; also extracts
-    the source side of a minimum cut as the final residual-reachable set."""
+    the source side of a minimum cut as the final residual-reachable set.
+    Each round's BFS stops once it discovers t; the last one, which does
+    not, explores all the residual-reachable set."""
     if s == t:
         raise QueryInputError("source and sink must differ")
     if s not in view.universe or t not in view.universe:
@@ -132,11 +153,11 @@ def dinitz_maxflow(
     rounds: list[RoundStats] = []
     prev_d = 0
     while True:
-        tree = bfs_tree(cache, view, f, s)
-        if t not in tree.dist or tree.dist[t] > view.universe_size:
+        tree = bfs_tree(cache, view, f, s, sink=t)
+        layered = _layers_from_tree(tree, s, t)
+        if layered is None:
             side = tree.reached()
             break
-        layered = _layers_from_tree(tree, s, t)
         if layered.d <= prev_d and rounds:
             raise ContractViolation(
                 f"source-sink distance did not increase: {layered.d} after {prev_d}"

@@ -370,9 +370,16 @@ class Flow:
     bit planes (out_to, pos_planes) and as sign masks (signs). Bit v of
     _pos[u][k] (of _neg[u][k]) says f(u, v) is positive (negative) and bit
     k of its magnitude is set; bit v of _pmask[u] (of _nmask[u]) says f(u, v)
-    is positive (negative). push keeps all three in step."""
+    is positive (negative). push keeps all three in step.
 
-    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg", "_pmask", "_nmask")
+    _rows memoises each vertex's learned residual row for
+    CutCache.learned_neighbors: _rows[u] is (view, base_u, snapshot, res,
+    unknown), where snapshot is the cache's learned-pair mask of base_u when
+    the row was read, unknown the bitmask of view vertices whose base pair
+    with base_u was not learned then, and res the residual neighbours of u
+    among the other view vertices. push drops the rows of both ends."""
+
+    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg", "_pmask", "_nmask", "_rows")
 
     def __init__(self, source: int, sink: int):
         if source == sink:
@@ -385,6 +392,7 @@ class Flow:
         self._neg: dict[int, list[int]] = {}
         self._pmask: dict[int, int] = {}
         self._nmask: dict[int, int] = {}
+        self._rows: dict[int, tuple] = {}
 
     @classmethod
     def zero(cls, source: int, sink: int) -> "Flow":
@@ -408,6 +416,9 @@ class Flow:
             fv[u] = -new
         self._move(u, 1 << v, old, new)
         self._move(v, 1 << u, -old, -new)
+        rows = self._rows
+        rows.pop(u, None)
+        rows.pop(v, None)
 
     def _move(self, u: int, bit: int, old: int, new: int) -> None:
         """Move the entry `bit` of u's row from the value old to the value
@@ -1010,32 +1021,51 @@ class CutCache:
         the learned pairs alone; None when the base part of X holds a vertex
         whose capacity to u is not learned yet.
 
-        Under the zero flow the answer is the capacity support: the form's
-        virtual terms plus u's learned support mask. A vertex that sends
-        flow into u is a neighbour; the vertices u sends flow into are
+        The answer is read from u's learned residual row (_learned_row).
+        Under a flow, f memoises the row (Flow._rows) until a push touches
+        u or a pair of base_u is learned. Either way a fixed number of
+        bitmask operations for any X; charges nothing and counts no logical
+        BIS, and a probe of any part of X could not charge either, as its
+        base part has no unlearned remainder."""
+        if f is None:
+            row = self._learned_row(view, None, u)
+        else:
+            row = f._rows.get(u)
+            if row is None or row[0] is not view or row[1] is not None and self._known[row[1]] != row[2]:
+                row = f._rows[u] = self._learned_row(view, f, u)
+        if X & row[4]:
+            return None
+        return row[3] & X
+
+    def _learned_row(self, view: OracleView, f: Optional[Flow], u: int) -> tuple:
+        """u's learned residual row under f (None: the zero flow), as
+        Flow._rows holds it: the vertices whose base pair with u is
+        unlearned, and the residual neighbours among the other vertices of
+        the view. Under the zero flow these are the capacity support: the
+        form's virtual terms plus u's learned support mask. A vertex that
+        sends flow into u is a neighbour; the vertices u sends flow into are
         compared with their capacities all at once (_unsaturated), which
-        refuses an invalid flow. A fixed number of bitmask operations for
-        any X; charges nothing and counts no logical BIS, and a probe of any
-        part of X could not charge either, as its base part has no unlearned
-        remainder."""
+        refuses an invalid flow."""
         form = view.linear_form(u)
         terms, _scale, base_u, keep = form
-        real = X & keep
-        support = 0
-        if real:
-            if real & ~self._known[base_u]:
-                return None
+        others = view.mask & ~(1 << u)
+        real = others & keep
+        snapshot = unknown = support = 0
+        if base_u is not None:
+            snapshot = self._known[base_u]
+            unknown = real & ~snapshot
             support = self._support[base_u] & real
         for _w, m in terms:
             support |= m
+        learned = others & ~unknown
         if f is None:
-            return support & X
+            return view, base_u, snapshot, support & learned, unknown
         pos, neg = f.signs(u)
-        pos &= X
-        out = (support | neg) & X & ~pos
+        pos &= learned
+        res = (support | neg) & learned & ~pos
         if pos:
-            out |= self._unsaturated(form, f, u, pos)
-        return out
+            res |= self._unsaturated(form, f, u, pos)
+        return view, base_u, snapshot, res, unknown
 
     def _unsaturated(self, form: LinearForm, f: Flow, u: int, P: int) -> int:
         """Bitmask of the vertices v of the bitmask P with c(u, v) > f(u, v),

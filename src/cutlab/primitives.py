@@ -1,13 +1,12 @@
 """Residual-graph discovery using only BIS-style queries: find one neighbor
 by binary search, enumerate a whole neighborhood by group testing (one
 adaptive halving that probes low halves only and gets high halves by
-subtraction), and grow a layered BFS tree. A search whose candidates'
-capacities from the probing vertex are all learned reads its answer from
-the cache and probes nothing."""
+subtraction), and grow a layered BFS tree, optionally stopped at a sink. A
+search whose candidates' capacities from the probing vertex are all learned
+reads its answer from the cache as one bitmask and probes nothing."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -119,6 +118,14 @@ def neighborhood(
     learned = cache.learned_neighbors(view, f, u, mask)
     if learned is not None:
         return ids_of(learned) if learned else []
+    return _group_test(cache, view, f, u, B, mask)
+
+
+def _group_test(
+    cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: Sequence[int], mask: int
+) -> list[int]:
+    """The probing half of neighborhood: the residual neighbors of u among
+    the candidates B (sorted, with bitmask `mask`), by adaptive halving."""
     total = cache.residual_between(view, f, u, mask)
     if total <= 0:
         return []
@@ -148,31 +155,52 @@ def bfs_tree(
     f: Optional[Flow],
     root: int,
     within: Optional[Iterable[int]] = None,
+    sink: Optional[int] = None,
 ) -> BfsTree:
     """Layered BFS over the residual graph. Frontier vertices expand in
     (distance, id) order; `within` restricts the search to a candidate set,
-    which must lie inside the view."""
+    which must lie inside the view.
+
+    Each frontier vertex u takes all its undiscovered residual neighbors
+    at once: read from the learned pairs as one bitmask when they cover
+    them (CutCache.learned_neighbors), else found by neighborhood's
+    halving over the undiscovered vertices, listed in increasing order only
+    then. With a `sink`, the search returns as soon as it discovers the
+    sink: every layer below the sink's is then complete, and the sink's
+    own layer holds only the vertices found so far."""
     if root not in view.universe:
         raise QueryInputError(f"root {root} outside the view universe")
-    # the undiscovered vertices in increasing order, and as a bitmask
+    # the undiscovered vertices, as a bitmask
     if within is None:
-        undiscovered = [v for v in view.vertices() if v != root]
         mask = view.mask ^ 1 << root
     else:
-        undiscovered = sorted(set(within) - {root})
-        mask = _candidate_mask(view, undiscovered)
+        within = set(within)
+        within.discard(root)
+        mask = _candidate_mask(view, within)
     tree = BfsTree(root=root, parent={root: None}, dist={root: 0})
+    parent, dist = tree.parent, tree.dist
     frontier = [root]
+    d = 0
     while frontier and mask:
-        next_frontier: list[int] = []
+        d += 1
+        layer = 0
         for u in frontier:
             if not mask:
                 break
-            for v in neighborhood(cache, view, f, u, undiscovered, mask):
-                tree.parent[v] = u
-                tree.dist[v] = tree.dist[u] + 1
-                del undiscovered[bisect_left(undiscovered, v)]
-                mask ^= 1 << v
-                next_frontier.append(v)
-        frontier = sorted(next_frontier)
+            new = cache.learned_neighbors(view, f, u, mask)
+            if new is None:
+                found = _group_test(cache, view, f, u, ids_of(mask), mask)
+                new = mask_of(found)
+            elif new:
+                found = ids_of(new)
+            else:
+                continue
+            for v in found:
+                parent[v] = u
+                dist[v] = d
+            mask ^= new
+            layer |= new
+            if sink is not None and new >> sink & 1:
+                return tree
+        frontier = ids_of(layer)
     return tree

@@ -13,6 +13,7 @@ import pytest
 
 from cutlab.harness import InstanceSpec, generate
 from cutlab.oracle import (
+    AugmentedView,
     BaseView,
     ContractedView,
     CutCache,
@@ -149,34 +150,67 @@ def view_residual_neighbors(cap, f: Flow | None, u: int, B) -> list[int]:
     return out
 
 
+def push_random_path(g: GraphInstance, f: Flow, rng: random.Random) -> bool:
+    """Push a random amount along a random residual f.source-f.sink path of
+    g, found by a random DFS; False when there is none."""
+    s, t = f.source, f.sink
+    stack = [(s, [s])]
+    seen = {s}
+    path = None
+    while stack:
+        u, pth = stack.pop()
+        if u == t:
+            path = pth
+            break
+        nbrs = [v for v in range(g.n) if v not in seen and residual_capacity(g, f, u, v) > 0]
+        rng.shuffle(nbrs)
+        for v in nbrs:
+            seen.add(v)
+            stack.append((v, pth + [v]))
+    if path is None:
+        return False
+    bottleneck = min(residual_capacity(g, f, a, b) for a, b in zip(path, path[1:]))
+    amt = rng.randint(1, bottleneck)
+    for a, b in zip(path, path[1:]):
+        f.push(a, b, amt)
+    f.value += amt
+    return True
+
+
 def random_valid_flow(g: GraphInstance, s: int, t: int, seed: int, tries: int = 6) -> Flow:
     """Valid integral s-t flow built by pushing random amounts along random
     residual augmenting paths."""
     rng = random.Random(seed)
     f = Flow.zero(s, t)
     for _ in range(tries):
-        # random DFS for an augmenting path
-        stack = [(s, [s])]
-        seen = {s}
-        path = None
-        while stack:
-            u, pth = stack.pop()
-            if u == t:
-                path = pth
-                break
-            nbrs = [v for v in range(g.n) if v not in seen and residual_capacity(g, f, u, v) > 0]
-            rng.shuffle(nbrs)
-            for v in nbrs:
-                seen.add(v)
-                stack.append((v, pth + [v]))
-        if path is None:
+        if not push_random_path(g, f, rng):
             break
-        bottleneck = min(residual_capacity(g, f, a, b) for a, b in zip(path, path[1:]))
-        amt = rng.randint(1, bottleneck)
-        for a, b in zip(path, path[1:]):
-            f.push(a, b, amt)
-        f.value += amt
     return f
+
+
+def explicit_graph(view, cap) -> GraphInstance:
+    """The view graph with explicit adjacency cap as a GraphInstance on the
+    ids 0..max view id, for the explicit residual-graph oracles."""
+    return GraphInstance(view.vertices()[-1] + 1, {e: w for e, w in cap.items() if w})
+
+
+def flow_views(g: GraphInstance):
+    """(name, view, cap, s, t, real) for flows over one base view of g
+    (n >= 6): the base view, augmented views of scale 1 and 2 with two
+    terminals on each side, and a contracted view of all but the top three
+    ids. cap is the view's explicit adjacency, s and t its flow terminals,
+    and real the view vertices backed by base vertices."""
+    view, _, _ = make_view(g)
+    n = g.n
+    every = frozenset(range(n))
+    yield "base", view, g.edges, 0, n - 1, every
+    for scale in (1, 2):
+        aug = AugmentedView(view, [(0, 2), (1, 1)], [(n - 1, 2), (n - 2, 1)], scale=scale)
+        cap = materialize_augmented(g.edges, aug)
+        yield f"augmented_scale{scale}", aug, cap, aug.s_source, aug.s_sink, every
+    keep = tuple(range(n - 3))
+    cv = contracted_view(view, g.edges, keep)
+    yield "contracted", cv, contracted_edges(g.edges, cv), 0, cv.s_r, frozenset(keep)
 
 
 def brute_cut(g: GraphInstance, side) -> int:

@@ -75,6 +75,22 @@ def test_cut_value_matches_instance():
             assert g.cut_of(s) == want, s
 
 
+def test_ids_of_lists_sparse_and_dense_masks():
+    """ids_of lists a mask's bits in increasing order on both of its
+    branches, sparse masks and dense ones, at widths from 0 to 2,100
+    bits."""
+    rng = random.Random(3)
+    branches = set()
+    for _ in range(400):
+        width = rng.randint(0, 2100)
+        density = rng.choice((0.001, 0.01, 0.05, 0.5))
+        ids = [v for v in range(width) if rng.random() < density]
+        mask = sum(1 << v for v in ids)
+        branches.add(64 * len(ids) < mask.bit_length() + 128)
+        assert _kernels.ids_of(mask) == ids
+    assert branches == {True, False}
+
+
 def test_degree_matches_edge_list():
     for g in kernel_graphs():
         for v in range(g.n):

@@ -1,6 +1,12 @@
 """Layered graphs, blocking flow, the full max-flow loop, and path
 decomposition, checked against explicit-graph references."""
 
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cutlab.config import PINNED
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
 from cutlab.maxflow import (
@@ -9,9 +15,16 @@ from cutlab.maxflow import (
     dinitz_maxflow,
     path_decomposition,
 )
-from cutlab.oracle import AugmentedView, Flow, GraphInstance
-from cutlab.primitives import bfs_tree
-from conftest import make_view, random_graph, residual_capacity
+from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance
+from cutlab.primitives import bfs_tree, find_neighbor
+from conftest import (
+    explicit_graph,
+    flow_views,
+    make_view,
+    random_graph,
+    random_valid_flow,
+    residual_capacity,
+)
 
 
 def k33_with_st() -> GraphInstance:
@@ -128,6 +141,79 @@ def test_blocking_property_explicit_small():
 
         for path in paths(0, []):
             assert any(e in saturated for e in path), path
+
+
+def reset_blocking_round(cache, view, f, layered):
+    """Reference blocking-flow search that restarts from s after every
+    augmentation, with dead ends kept as sorted lists."""
+    s, d = layered.layers[0][0], layered.d
+    alive = [sorted(layer) for layer in layered.layers]
+    pushed = 0
+    stack = [s]
+    while stack:
+        u, depth = stack[-1], len(stack) - 1
+        v = find_neighbor(cache, view, f, u, alive[depth + 1])
+        if v is None:
+            stack.pop()
+            if depth > 0:
+                alive[depth].remove(u)
+            continue
+        stack.append(v)
+        if len(stack) == d + 1:
+            path = list(zip(stack, stack[1:]))
+            bottleneck = min(cache.capacity(view, a, b) - f.get(a, b) for a, b in path)
+            for a, b in path:
+                f.push(a, b, bottleneck)
+            f.value += bottleneck
+            pushed += bottleneck
+            stack = [s]
+    return pushed
+
+
+def layered_path_left(g, f, layered) -> bool:
+    """Whether the layered graph still holds an s-t path of residual edges
+    of the explicit graph g under f."""
+    reach = set(layered.layers[0])
+    for layer in layered.layers[1:]:
+        reach = {v for v in layer if any(residual_capacity(g, f, u, v) > 0 for u in reach)}
+    return bool(reach)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(6, 11),
+    st.sampled_from([1, 3]),
+    st.floats(0.2, 0.7),
+    st.integers(0, 10_000),
+)
+def test_retreating_blocking_round_matches_the_reset_search(n, W, p, seed):
+    """On base, augmented and contracted views, from a random valid flow,
+    the blocking round that retreats to the tail of the first saturated
+    edge pushes the same value along the same support as the search that
+    restarts from s, and leaves no residual s-t path in the layered graph.
+    It runs on a fresh cache (probing) and on one that learned every base
+    pair (learned reads); the reference runs on a fresh cache."""
+    g = random_graph(n, p, seed % 97, W=W)
+    rng = random.Random(seed)
+    learned = None
+    for name, view, cap, s, t, _real in flow_views(g):
+        if learned is None:  # the views share one base view
+            learned = CutCache(view.base_view)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    learned.base_pair_sum(a, 1 << b)
+        explicit = explicit_graph(view, cap)
+        f = random_valid_flow(explicit, s, t, seed, tries=rng.randint(0, 3))
+        layered = _layers_from_tree(bfs_tree(CutCache(view.base_view), view, f, s, sink=t), s, t)
+        if layered is None:
+            continue
+        want = f.copy()
+        value = reset_blocking_round(CutCache(view.base_view), view, want, layered)
+        for cache in (CutCache(view.base_view), learned):
+            got = f.copy()
+            assert blocking_flow_round(cache, view, got, layered) == value, name
+            assert got.value == want.value and got.support() == want.support(), name
+            assert not layered_path_left(explicit, got, layered), name
 
 
 def test_monotone_distance_asserted():
@@ -269,3 +355,18 @@ def test_path_decomposition_units_match_value():
         for path, units in paths:
             assert path[0] == 0 and path[-1] == 11 and units >= 1
             assert len(set(path)) == len(path)
+
+
+def test_dinitz_matches_networkx_with_a_shared_cache():
+    """Max-flow values against networkx at n = 150 with capacities 1-3,
+    five s-t pairs on one cache; each source side is a cut of that value."""
+    nx = pytest.importorskip("networkx")
+    g = random_graph(150, 0.1, 4, W=3)
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from((u, v, {"capacity": w}) for (u, v), w in g.edges.items())
+    view, _, cache = make_view(g)
+    for s, t in ((0, 149), (3, 77), (149, 0), (10, 11), (42, 120)):
+        res = dinitz_maxflow(view, s, t, cache=cache)
+        assert res.value == nx.maximum_flow_value(G, s, t), (s, t)
+        assert g.cut_of(res.mincut_source_side) == res.value

@@ -391,6 +391,30 @@ def test_global_mincut_value_equals_verified_side():
             assert g.cut_of(ans.side) == ans.value
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InstanceSpec("expander_like", 256).with_params(degree=3),
+        InstanceSpec("random_gnp", 128, 0).with_params(p=0.1),
+        InstanceSpec("planted_cut", 128, 0).with_params(k=2),
+    ],
+    ids=["expander_like_d3_n256", "random_gnp_p0.1_n128", "planted_cut_k2_n128"],
+)
+def test_global_mincut_matches_networkx_stoer_wagner(spec):
+    """Min-cut values against networkx above the exhaustive scans' reach;
+    the side returned is a cut of that value. The first two graphs answer
+    with a degree cut, the planted one with a balanced isolating cut."""
+    nx = pytest.importorskip("networkx")
+    g = generate(spec)
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    view, _, cache = make_view(g)
+    ans = global_mincut(view, cache=cache)
+    assert ans.value == nx.stoer_wagner(G)[0]
+    assert g.cut_of(ans.side) == ans.value
+
+
 def test_paper_profile_agrees_on_small_instances():
     for seed in range(3):
         g = random_graph(12, 0.4, seed)

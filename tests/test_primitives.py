@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlab.config import PINNED
-from cutlab.maxflow import dinitz_maxflow
+from cutlab.maxflow import _layers_from_tree, dinitz_maxflow
 from cutlab.oracle import (
     AugmentedView,
     CutCache,
     Flow,
     InducedView,
     QueryInputError,
+    ids_of,
     mask_of,
 )
 from cutlab.primitives import bfs_tree, find_neighbor, neighborhood
@@ -24,11 +25,15 @@ from conftest import (
     brute_residual_neighbors,
     contracted_edges,
     contracted_view,
+    explicit_graph,
+    flow_views,
     induced_view,
     make_view,
     materialize_augmented,
+    push_random_path,
     random_graph,
     random_valid_flow,
+    residual_capacity,
     view_residual_neighbors,
 )
 
@@ -264,3 +269,111 @@ def test_find_neighbor_agrees_with_brute_hypothesis(n, seed, p):
     brute = brute_residual_neighbors(g, None, [u], B)
     got = find_neighbor(cache, view, None, u, B)
     assert got == (brute[0] if brute else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(6, 11),
+    st.sampled_from([1, 3]),
+    st.floats(0.2, 0.7),
+    st.integers(0, 10_000),
+)
+def test_sink_stopped_bfs_keeps_every_layer_below_the_sink(n, W, p, seed):
+    """On base, augmented and contracted views under random valid flows, a
+    BFS given a sink returns the complete BFS's layers below the sink's
+    distance, the sink at that distance, and nothing beyond it; with the
+    sink unreachable it is the complete BFS. Either way the layered graph
+    built from it is the complete one's. Each stopped search runs on a
+    fresh cache (probing) and on the cache the complete search filled
+    (learned reads)."""
+    g = random_graph(n, p, seed % 97, W=W)
+    rng = random.Random(seed)
+    for name, view, cap, s, t, _real in flow_views(g):
+        explicit = explicit_graph(view, cap)
+        f = random_valid_flow(explicit, s, t, seed, tries=rng.randint(0, 4))
+        cache = CutCache(view.base_view)
+        full = bfs_tree(cache, view, f, s)
+        assert full.dist == brute_residual_dist(explicit, f, s), name
+        others = [v for v in view.vertices() if v != s]
+        for sink in (t, rng.choice(others)):
+            for c in (CutCache(view.base_view), cache):
+                stopped = bfs_tree(c, view, f, s, sink=sink)
+                for v, u in stopped.parent.items():
+                    assert u is None or residual_capacity(explicit, f, u, v) > 0, (name, u, v)
+                assert _layers_from_tree(stopped, s, sink) == _layers_from_tree(full, s, sink)
+                if sink not in full.dist:
+                    assert stopped.dist == full.dist, name
+                    continue
+                d = full.dist[sink]
+                assert stopped.dist[sink] == d, name
+                assert max(stopped.dist.values()) == d, name
+                below = {v: x for v, x in stopped.dist.items() if x < d}
+                assert below == {v: x for v, x in full.dist.items() if x < d}, name
+
+
+def _check_memoised_rows(cache, view, cap, f, real, learned, rng):
+    """Every vertex's learned row read through f's memo equals a fresh read
+    (a copy of f, whose memo is empty) and the explicit view graph cap:
+    None exactly while a base pair of u into X is not in `learned`, else
+    u's residual neighbours in X. A second read of the row, on a random
+    part of the other vertices, is served by the memo."""
+    verts = view.vertices()
+    for u in verts:
+        others = [v for v in verts if v != u]
+        part = sorted(rng.sample(others, rng.randint(1, len(others))))
+        for i, B in enumerate((others, part)):
+            X = mask_of(B)
+            got = cache.learned_neighbors(view, f, u, X)
+            if i == 0:
+                row = f._rows[u]
+            else:
+                assert f._rows[u] is row, u
+            assert got == cache.learned_neighbors(view, f.copy(), u, X), (u, B)
+            unknown = u in real and any(
+                (min(u, b), max(u, b)) not in learned for b in B if b in real
+            )
+            if unknown:
+                assert got is None, (u, B)
+            else:
+                assert got is not None, (u, B)
+                assert ids_of(got) == view_residual_neighbors(cap, f, u, B), (u, B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(6, 10),
+    st.sampled_from([1, 3]),
+    st.floats(0.2, 0.7),
+    st.integers(0, 10_000),
+)
+def test_memoised_residual_rows_follow_pushes_and_learned_pairs(n, W, p, seed):
+    """A flow memoises each vertex's learned residual row. On base,
+    augmented and contracted views, alternately push along a random
+    residual path and learn more base pairs (all of them before the last
+    push); after each step every row read through the memo is checked
+    (_check_memoised_rows). Then the flow grown on the scale-1 augmented
+    view, which is valid on the scale-2 one over the same ids, is read on
+    the latter: its memoised rows belong to the other view."""
+    g = random_graph(n, p, seed % 97, W=W)
+    rng = random.Random(seed)
+    grown = {}
+    for name, view, cap, s, t, real in flow_views(g):
+        cache = CutCache(view.base_view)
+        f = Flow.zero(s, t)
+        pending = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        rng.shuffle(pending)
+        chunk = -(-len(pending) // 3)
+        learned: set[tuple[int, int]] = set()
+        for step in range(8):
+            if step % 2:
+                for a, b in pending[-chunk:]:
+                    cache.base_pair_sum(a, 1 << b)
+                    learned.add((a, b))
+                del pending[-chunk:]
+            else:
+                push_random_path(explicit_graph(view, cap), f, rng)
+            _check_memoised_rows(cache, view, cap, f, real, learned, rng)
+        grown[name] = (cache, view, cap, f, real, learned)
+    cache, _view, _cap, f, real, learned = grown["augmented_scale1"]
+    _, view, cap, _, _, _ = grown["augmented_scale2"]
+    _check_memoised_rows(cache, view, cap, f, real, learned, rng)

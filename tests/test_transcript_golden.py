@@ -54,9 +54,9 @@ GOLDEN = [
         "mincut_expander_d3_n32",
         lambda: _mincut(InstanceSpec("expander_like", 32).with_params(degree=3)),
         6,
-        319,
-        381,
-        "8264d67f889eb537ae3dbd625fb888c17b9d5a9bdee73db2a61c664bc1cc2040",
+        317,
+        365,
+        "3679002d902efc864e1f150e4f60c39bc80366c83e32dc0b5118970a9f5f3b44",
     ),
     (
         "mincut_gnp_n24",
@@ -70,9 +70,9 @@ GOLDEN = [
         "maxflow_gnp_n32_0_31",
         lambda: _maxflow(GNP32, 0, 31),
         3,
-        168,
-        96,
-        "57203e6dc7742e5158c7f47f624809b6e0bc2d70d7f213670127b64dba94472f",
+        51,
+        28,
+        "1c084b8e6efc222194b0ec09b70bf9cac0b603ddc727e09c3a36dae623b342f1",
     ),
     (
         "maxflow_gnp_n32_5_17",
@@ -86,9 +86,9 @@ GOLDEN = [
         "mincut_expander_d3_n128",
         lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
         6,
-        1748,
-        2190,
-        "7814cf6c00f608ea79225863bf82b2e2dd8f6f4d93273cd28c3b03d2b2d8fe61",
+        1671,
+        1943,
+        "9493576ce97836328615a2e392a77e93beb06ec12cb9dd645138d27467ac2560",
     ),
     (
         "maxflow_gnp_w3_n48_shared_cache",
@@ -96,9 +96,9 @@ GOLDEN = [
             InstanceSpec("random_gnp", 48, 3).with_params(p=0.3, W=3), ((0, 47), (7, 30))
         ),
         (24, 18),
-        728,
-        964,
-        "f80ff74a53669dca2a6ec1c4b7d80a34cbfa05636b6ef4db1f4b12009739f2ec",
+        696,
+        879,
+        "27f74c8b3569e8c1d9a9f768ca33628d5e3e115fce63f656f2f1f43d1e630c66",
     ),
     (
         # builds contracted views, whose probes read their linear forms
