@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import harness
 from .config import get_profile, load_config_overrides
@@ -66,12 +67,15 @@ def cmd_isocuts(args) -> int:
         val = "inf" if rec.value == float("inf") else int(rec.value)
         print(f"lambda {rec.terminal} {val}")
     print(f"cut_queries {ledger.cut_count}")
+    print(f"bis_queries {cache.logical_bis}")
     return 0
 
 
 def cmd_expdecomp(args) -> int:
     params, _, view, cache, ledger = _setup(args)
-    phi = args.phi if args.phi is not None else params.phi_for(view.universe_size)
+    if args.phi is not None:
+        params = replace(params, phi=args.phi)
+    phi = params.phi_for(view.universe_size)
     parts = decompose(
         view, _ids(args.terminals), args.tau, params=params, cache=cache, phi=phi
     )
@@ -88,6 +92,7 @@ def cmd_expdecomp(args) -> int:
     print(f"crossing_edges {crossing // 2}")
     print(f"phi {phi}")
     print(f"cut_queries {ledger.cut_count}")
+    print(f"bis_queries {cache.logical_bis}")
     return 0
 
 
@@ -118,6 +123,7 @@ def cmd_domset(args) -> int:
     print(f"size {len(R)}")
     print(f"set {' '.join(map(str, R))}")
     print(f"cut_queries {ledger.cut_count}")
+    print(f"bis_queries {cache.logical_bis}")
     return 0
 
 
@@ -148,7 +154,8 @@ def cmd_verify(args) -> int:
     status = "ok" if row.answer == row.reference_answer else "MISMATCH"
     print(
         f"{status} algo={args.algo} answer={row.answer} "
-        f"reference={row.reference_answer} cut_queries={row.cut_queries}"
+        f"reference={row.reference_answer} cut_queries={row.cut_queries} "
+        f"bis_queries={row.bis_queries}"
     )
     return 0 if status == "ok" else 1
 

@@ -14,9 +14,22 @@ from dataclasses import dataclass, replace
 
 from .oracle import QueryInputError
 
+# Below this phi, 1/phi^3 in k_unbalanced overflows a float (at about 1.8e-103).
+PHI_MIN = 1e-100
+# An exhaustive scan over k slots holds tables of 2^(k-1) int64 entries,
+# 16 MiB each at k = 22.
+EXACT_LIMIT_MAX = 22
+
 
 @dataclass(frozen=True)
 class Params:
+    """Run parameters. Every field is checked on construction (and so on
+    dataclasses.replace and config overrides): phi and phi_x in (0, 1], phi
+    at least PHI_MIN; theta_core and bad_fraction in [0, 1]; beta finite
+    and nonnegative; rounds_base a nonnegative int; the exact limits ints in
+    [0, EXACT_LIMIT_MAX]. A None keeps the paper-profile formula. A value
+    out of range raises QueryInputError."""
+
     profile: str = "desk"
     # sparsity parameter; None means the paper-profile formula 1/log2(n)^10
     phi: float | None = 0.125
@@ -35,6 +48,34 @@ class Params:
     cut_player_exact_limit: int = 20
     prune_exact_limit: int = 18
     witness_check_limit: int = 18
+
+    def __post_init__(self):
+        if type(self.profile) is not str:
+            raise QueryInputError(f"profile must be a name, got {self.profile!r}")
+        # (field, low, high, low included, None allowed)
+        for key, lo, hi, closed, optional in (
+            ("phi", PHI_MIN, 1.0, True, True),
+            ("phi_x", 0.0, 1.0, False, True),
+            ("beta", 0.0, math.inf, True, True),
+            ("theta_core", 0.0, 1.0, True, True),
+            ("bad_fraction", 0.0, 1.0, True, False),
+        ):
+            val = getattr(self, key)
+            if val is None and optional:
+                continue
+            finite = type(val) in (int, float) and math.isfinite(val)
+            if not (finite and (lo <= val if closed else lo < val) and val <= hi):
+                span = f"{'[' if closed else '('}{lo:g}, {hi:g}]"
+                raise QueryInputError(f"{key} must be a number in {span}, got {val!r}")
+        for key, hi in (
+            ("rounds_base", math.inf),
+            ("cut_player_exact_limit", EXACT_LIMIT_MAX),
+            ("prune_exact_limit", EXACT_LIMIT_MAX),
+            ("witness_check_limit", EXACT_LIMIT_MAX),
+        ):
+            val = getattr(self, key)
+            if type(val) is not int or not 0 <= val <= hi:
+                raise QueryInputError(f"{key} must be an int in [0, {hi:g}], got {val!r}")
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:

@@ -23,6 +23,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    ids_of,
     mask_of,
 )
 from .primitives import bfs_tree
@@ -114,35 +115,31 @@ def isolating_cuts(
         cache = CutCache(view.base_view)
 
     partitions = bit_partitions(R)
-    sides: list[frozenset] = []
+    # each partition's closest min-cut side, as a bitmask
+    sides: list[int] = []
     ever_saturated: set[int] = set()
     for A, B in partitions:
         pc = partition_mincut(view, A, B, tau, cache=cache)
-        sides.append(frozenset(pc.source_side))
+        sides.append(mask_of(pc.source_side))
         ever_saturated.update(pc.saturated)
 
     def on_own_side(r: int) -> bool:
-        for (A, _B), side in zip(partitions, sides):
-            if r in A:
-                if r not in side:
-                    return False
-            elif r in side:
-                return False
-        return True
+        return all((r in A) == bool(side >> r & 1) for (A, _B), side in zip(partitions, sides))
 
     core_terminals = [
         r for r in R if r not in ever_saturated and on_own_side(r)
     ]
 
-    def signature(v: int) -> tuple[bool, ...]:
-        return tuple(v in side for side in sides)
-
-    classes: dict[tuple[bool, ...], list[int]] = {}
-    for v in view.vertices():
-        classes.setdefault(signature(v), []).append(v)
-
-    rset = set(R)
     everyone = view.mask
+
+    def signature_class(r: int) -> int:
+        """Bitmask of the vertices on r's side of every partition's cut."""
+        cls = everyone
+        for side in sides:
+            cls &= side if side >> r & 1 else ~side
+        return cls
+
+    r_mask = mask_of(R)
     records: list[TerminalRecord] = []
     regions: dict[int, tuple[int, ...]] = {}
     best: Optional[TerminalRecord] = None
@@ -153,13 +150,12 @@ def isolating_cuts(
         # region of r: its component inside its signature class; the deleted
         # cut boundaries are exactly the edges between distinct classes, so
         # a class-restricted BFS explores the surviving graph for free
-        cls = classes[signature(r)]
-        tree = bfs_tree(cache, view, None, r, within=cls)
-        region = tree.reached()
-        regions[r] = region
-        keep = canon({r} | (set(region) - rset))
+        region = bfs_tree(cache, view, None, r, within=signature_class(r)).reached()
+        regions[r] = tuple(ids_of(region))
+        keep_mask = (region & ~r_mask) | 1 << r
+        keep = tuple(ids_of(keep_mask))
         # each kept vertex's capacity to the outside, which s_r contracts
-        outside = everyone & ~mask_of(keep)
+        outside = everyone & ~keep_mask
         w_out = {x: cache.residual_between(view, None, x, outside) for x in keep}
         direct = w_out[r]
         lam: float

@@ -1,14 +1,15 @@
 """Blocking-flow max-flow over the oracle.
 
-Each round rebuilds the layered residual graph with a BFS costing Õ(n) BIS
-calls, stopped as soon as it discovers the sink, since the layered graph
-keeps nothing beyond the sink's layer. It then finds a blocking flow with a
-stack-based search: extend the partial path one layer at a time to the
-lowest-id live vertex with a residual edge, pop-and-delete dead ends, and
-on reaching the sink push the full path bottleneck and retreat to the tail
-of the first saturated edge. Residual rows whose pairs are all learned are
-read as bitmasks (CutCache.learned_neighbors, memoised per flow), so a
-round over a learned graph charges nothing and probes nothing. The
+Each round rebuilds the layered residual graph, one bitmask of vertices per
+distance, with a BFS costing Õ(n) BIS calls, stopped as soon as it
+discovers the sink, since the layered graph keeps nothing beyond the sink's
+layer. It then finds a blocking flow with a stack-based search: extend the
+partial path one layer at a time to the lowest-id live vertex with a
+residual edge, pop-and-delete dead ends, and on reaching the sink push the
+full path bottleneck and retreat to the tail of the first saturated edge.
+Residual rows whose pairs are all learned are read as bitmasks
+(CutCache.learned_neighbors, memoised per flow), so a round over a learned
+graph charges nothing and probes nothing. The
 source-sink distance strictly increases between rounds, which is asserted,
 and the final flow is maximum once the sink becomes unreachable; that last
 BFS explores the whole residual-reachable set, the source side of a
@@ -20,15 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .oracle import ContractViolation, CutCache, Flow, OracleView, QueryInputError, mask_of
-from .primitives import BfsTree, bfs_tree, find_neighbor
-
-
-@dataclass
-class LayeredGraph:
-    layers: list[list[int]]
-    dist: dict[int, int]
-    d: int
+from .oracle import ContractViolation, CutCache, Flow, OracleView, QueryInputError, ids_of
+from .primitives import bfs_tree, find_neighbor
 
 
 @dataclass
@@ -50,22 +44,6 @@ class FlowResult:
         return len(self.rounds)
 
 
-def _layers_from_tree(tree: BfsTree, s: int, t: int) -> Optional[LayeredGraph]:
-    if t not in tree.dist:
-        return None
-    d = tree.dist[t]
-    layers: list[list[int]] = [[] for _ in range(d + 1)]
-    dist: dict[int, int] = {}
-    for v in sorted(tree.dist):
-        dv = tree.dist[v]
-        if dv < d:
-            layers[dv].append(v)
-            dist[v] = dv
-    layers[d] = [t]  # drop non-sink vertices of the last layer
-    dist[t] = d
-    return LayeredGraph(layers=layers, dist=dist, d=d)
-
-
 def _residual_capacity(cache: CutCache, view: OracleView, f: Flow, u: int, v: int) -> int:
     fv = f.get(u, v)
     if fv >= 0 and view.unit_real_capacities() and view.linear_form(u).keep >> v & 1:
@@ -80,44 +58,34 @@ def blocking_flow_round(
     cache: CutCache,
     view: OracleView,
     f: Flow,
-    layered: LayeredGraph,
+    layers: list[int],
 ) -> int:
     """Find a blocking flow in the layered graph, augment f with it, and
-    return its value. Dead-end vertices are deleted for the rest of the
-    round; the layered graph is rebuilt by the caller afterwards.
+    return its value. `layers[d]` is the bitmask of the vertices at
+    distance d from the source; layers[0] holds the source alone and the
+    last layer the sink alone. Dead-end vertices are deleted for the rest of
+    the round; the layered graph is rebuilt by the caller afterwards.
 
     The search extends its path to the lowest-id live vertex of the next
-    layer with a residual edge from the path's end: read from the learned
-    pairs when they cover the layer (CutCache.learned_neighbors), else
-    found by find_neighbor. After pushing a path's bottleneck it retreats
-    to the tail of the path's first saturated edge. Restarting from s would
-    choose the same vertices again, since the push changes residual
-    capacities on path edges only, so the retreat only skips those
-    repeated searches."""
-    s = layered.layers[0][0]
-    d = layered.d
-    # the vertices of each layer not yet found to be dead ends, as a sorted
-    # list (for probing) and as a bitmask
-    alive = [sorted(layer) for layer in layered.layers]
-    alive_mask = [mask_of(layer) for layer in layered.layers]
+    layer with a residual edge from the path's end (find_neighbor, which
+    reads it from the learned pairs when they cover the layer). After
+    pushing a path's bottleneck it retreats to the tail of the path's first
+    saturated edge. Restarting from s would choose the same vertices again,
+    since the push changes residual capacities on path edges only, so the
+    retreat only skips those repeated searches."""
+    s = layers[0].bit_length() - 1
+    d = len(layers) - 1
+    # the vertices of each layer not yet found to be dead ends
+    alive = list(layers)
     pushed = 0
     stack = [s]
     while stack:
         u = stack[-1]
         depth = len(stack) - 1
-        B = alive_mask[depth + 1]
-        found = cache.learned_neighbors(view, f, u, B)
-        if found is None:
-            v = find_neighbor(cache, view, f, u, alive[depth + 1], B)
-        elif found:
-            v = (found & -found).bit_length() - 1
-        else:
-            v = None
+        v = find_neighbor(cache, view, f, u, alive[depth + 1])
         if v is None:
             stack.pop()
-            if depth > 0:
-                alive[depth].remove(u)
-                alive_mask[depth] ^= 1 << u
+            alive[depth] &= ~(1 << u)
             continue
         stack.append(v)
         if len(stack) == d + 1:
@@ -154,19 +122,19 @@ def dinitz_maxflow(
     prev_d = 0
     while True:
         tree = bfs_tree(cache, view, f, s, sink=t)
-        layered = _layers_from_tree(tree, s, t)
-        if layered is None:
-            side = tree.reached()
+        layers = tree.layers
+        if not layers[-1] >> t & 1:
+            side = tuple(ids_of(tree.reached()))
             break
-        if layered.d <= prev_d and rounds:
-            raise ContractViolation(
-                f"source-sink distance did not increase: {layered.d} after {prev_d}"
-            )
-        prev_d = layered.d
-        pushed = blocking_flow_round(cache, view, f, layered)
+        d = len(layers) - 1
+        if d <= prev_d and rounds:
+            raise ContractViolation(f"source-sink distance did not increase: {d} after {prev_d}")
+        prev_d = d
+        layers[-1] = 1 << t  # the sink's layer keeps the sink alone
+        pushed = blocking_flow_round(cache, view, f, layers)
         if pushed < 1:
             raise ContractViolation("blocking flow round made no progress")
-        rounds.append(RoundStats(layered.d, pushed, view.ledger.cut_count))
+        rounds.append(RoundStats(d, pushed, view.ledger.cut_count))
     return FlowResult(flow=f, value=f.value, mincut_source_side=side, rounds=rounds)
 
 

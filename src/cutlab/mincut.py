@@ -26,7 +26,6 @@ from .oracle import (
     QueryInputError,
     canon,
     ids_of,
-    mask_of,
 )
 from .primitives import bfs_tree, neighborhood
 
@@ -66,8 +65,7 @@ def dominating_set(view: OracleView, cache: Optional[CutCache] = None) -> tuple[
         R.append(w)
         in_R |= 1 << w
         alive &= ~(1 << w)
-        found = neighborhood(cache, view, None, w, ids_of(candidates), candidates)
-        alive &= ~mask_of(found)
+        alive &= ~neighborhood(cache, view, None, w, candidates)
 
     for w in verts:
         if not alive >> w & 1:
@@ -353,11 +351,10 @@ def global_mincut(
         cache = CutCache(view.base_view)
     ledger = view.ledger
 
-    tree = bfs_tree(cache, view, None, view.vertices()[0])
-    if len(tree.dist) < n:
-        side = tree.reached()
+    reached = bfs_tree(cache, view, None, view.vertices()[0]).reached()
+    if reached != view.mask:
         return MinCutAnswer(
-            0, side, "disconnected", ledger.cut_count, cache.logical_bis, 0
+            0, tuple(ids_of(reached)), "disconnected", ledger.cut_count, cache.logical_bis, 0
         )
 
     _, delta, v_min = degrees(view, cache)

@@ -1,48 +1,53 @@
 """Residual-graph discovery using only BIS-style queries: find one neighbor
 by binary search, enumerate a whole neighborhood by group testing (one
 adaptive halving that probes low halves only and gets high halves by
-subtraction), and grow a layered BFS tree, optionally stopped at a sink. A
+subtraction), and grow a layered BFS, optionally stopped at a sink. Vertex
+sets are bitmasks throughout: candidates, neighborhoods and BFS layers. A
 search whose candidates' capacities from the probing vertex are all learned
-reads its answer from the cache as one bitmask and probes nothing."""
+reads its answer from the cache as one bitmask and probes nothing; the
+candidates are listed by id only when a search has to probe."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-from .oracle import CutCache, Flow, OracleView, QueryInputError, canon, ids_of, mask_of
+from .oracle import CutCache, Flow, OracleView, QueryInputError, ids_of
 
 
 @dataclass
 class BfsTree:
-    root: int
-    parent: dict[int, Optional[int]] = field(default_factory=dict)
-    dist: dict[int, int] = field(default_factory=dict)
+    # layers[d] is the bitmask of the vertices at residual distance d
+    layers: list[int]
 
-    def reached(self) -> tuple[int, ...]:
-        return canon(self.dist)
+    def reached(self) -> int:
+        """Bitmask of every vertex the search reached."""
+        out = 0
+        for layer in self.layers:
+            out |= layer
+        return out
 
 
-def _candidate_mask(view: OracleView, B: Sequence[int]) -> int:
-    """Bitmask of the candidates B, refusing one outside the view before
-    any shift (a negative id cannot be shifted)."""
-    if not view.universe.issuperset(B):
+def _check_mask(view: OracleView, B: int) -> None:
+    """Refuse anything but the bitmask of a set of view vertices (a negative
+    int has bits outside any view)."""
+    if type(B) is not int or B | view.mask != view.mask:
         raise QueryInputError("vertex outside the view universe")
-    return mask_of(B)
+
+
+def _check_probe(view: OracleView, u: int, B: int, name: str) -> None:
+    if u not in view.universe:
+        raise QueryInputError("vertex outside the view universe")
+    _check_mask(view, B)
+    if B >> u & 1:
+        raise QueryInputError(f"{name} sets must be disjoint")
 
 
 def find_neighbor(
-    cache: CutCache,
-    view: OracleView,
-    f: Optional[Flow],
-    u: int,
-    B: Sequence[int],
-    mask: Optional[int] = None,
+    cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: int
 ) -> Optional[int]:
-    """Lowest-id vertex of B with a residual edge from u, or None. `mask`
-    is the bitmask of B when the caller already holds it; a caller that
-    passes it must also pass B sorted by increasing id, which is then used
-    as given.
+    """Lowest-id vertex of the bitmask B with a residual edge from u, or
+    None.
 
     When the capacities from u to every base vertex of B are learned, the
     answer is read from the cache (CutCache.learned_neighbors) and costs no
@@ -51,46 +56,31 @@ def find_neighbor(
     the sorted-id midpoint. When the lower half has no residual capacity,
     the upper half holds all of the current total, which is positive, so
     descending into it costs nothing extra. Raises QueryInputError when u
-    or a vertex of B is outside the view.
-    """
-    if mask is None:
-        B = sorted(B)
-        mask = _candidate_mask(view, B)
-    if u not in view.universe or mask | view.mask != view.mask:
-        raise QueryInputError("vertex outside the view universe")
-    if mask >> u & 1:
-        raise QueryInputError("find_neighbor sets must be disjoint")
-    cur = mask
-    learned = cache.learned_neighbors(view, f, u, cur)
+    or a vertex of B is outside the view, or B holds u."""
+    _check_probe(view, u, B, "find_neighbor")
+    learned = cache.learned_neighbors(view, f, u, B)
     if learned is not None:
         return (learned & -learned).bit_length() - 1 if learned else None
-    if cache.residual_between(view, f, u, cur) <= 0:
+    if cache.residual_between(view, f, u, B) <= 0:
         return None
-    # cur is the bitmask of B[lo:hi]
-    lo, hi = 0, len(B)
+    ids = ids_of(B)
+    # cur is the bitmask of ids[lo:hi]
+    cur, lo, hi = B, 0, len(ids)
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
-        low = cur & ((1 << B[mid]) - 1)
+        low = cur & ((1 << ids[mid]) - 1)
         if cache.residual_between(view, f, u, low) > 0:
             cur, hi = low, mid
         else:
             cur, lo = cur ^ low, mid
-    return B[lo]
+    return ids[lo]
 
 
 def neighborhood(
-    cache: CutCache,
-    view: OracleView,
-    f: Optional[Flow],
-    u: int,
-    candidates: Iterable[int],
-    mask: Optional[int] = None,
-) -> list[int]:
-    """All residual neighbors of u among the candidates B, in increasing id
-    order, by one adaptive halving. `mask` is the bitmask of the candidates
-    when the caller already holds it; as in find_neighbor, a caller that
-    passes it must also pass the candidates as a sequence sorted by
-    increasing id, which is then used as given.
+    cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: int
+) -> int:
+    """Bitmask of all residual neighbors of u among the bitmask B, by one
+    adaptive halving.
 
     When the capacities from u to every base vertex of B are learned, the
     whole neighborhood is read from the cache (CutCache.learned_neighbors)
@@ -104,42 +94,32 @@ def neighborhood(
     call of their own: the cache keeps each probed block's base total, so
     the probe of a low half also gives it the high half's (see
     CutCache.base_pair_sum), and learns its pairs where that total
-    teaches them. Raises QueryInputError when u or a candidate is outside
-    the view."""
-    if mask is None:
-        B = sorted(candidates)
-        mask = _candidate_mask(view, B)
-    else:
-        B = candidates
-    if u not in view.universe or mask | view.mask != view.mask:
-        raise QueryInputError("vertex outside the view universe")
-    if mask >> u & 1:
-        raise QueryInputError("neighborhood sets must be disjoint")
-    learned = cache.learned_neighbors(view, f, u, mask)
-    if learned is not None:
-        return ids_of(learned) if learned else []
-    return _group_test(cache, view, f, u, B, mask)
+    teaches them. Raises QueryInputError when u or a vertex of B is outside
+    the view, or B holds u."""
+    _check_probe(view, u, B, "neighborhood")
+    return _expand(cache, view, f, u, B)
 
 
-def _group_test(
-    cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: Sequence[int], mask: int
-) -> list[int]:
-    """The probing half of neighborhood: the residual neighbors of u among
-    the candidates B (sorted, with bitmask `mask`), by adaptive halving."""
-    total = cache.residual_between(view, f, u, mask)
+def _expand(cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: int) -> int:
+    """neighborhood after its checks: the learned read, else the halving."""
+    found = cache.learned_neighbors(view, f, u, B)
+    if found is not None:
+        return found
+    total = cache.residual_between(view, f, u, B)
     if total <= 0:
-        return []
-    found: list[int] = []
-    # blocks B[lo:hi] with bitmask cur and positive total; the low half is
-    # pushed last, so it is split first and neighbors come out in order
-    stack = [(0, len(B), mask, total)]
+        return 0
+    ids = ids_of(B)
+    found = 0
+    # blocks ids[lo:hi] with bitmask cur and positive total; the low half is
+    # pushed last, so it is split first
+    stack = [(0, len(ids), B, total)]
     while stack:
         lo, hi, cur, total = stack.pop()
         if hi - lo == 1:
-            found.append(B[lo])
+            found |= cur
             continue
         mid = lo + (hi - lo + 1) // 2
-        low = cur & ((1 << B[mid]) - 1)
+        low = cur & ((1 << ids[mid]) - 1)
         low_total = cache.residual_between(view, f, u, low)
         high_total = total - low_total
         if high_total > 0:
@@ -154,53 +134,41 @@ def bfs_tree(
     view: OracleView,
     f: Optional[Flow],
     root: int,
-    within: Optional[Iterable[int]] = None,
+    within: Optional[int] = None,
     sink: Optional[int] = None,
 ) -> BfsTree:
     """Layered BFS over the residual graph. Frontier vertices expand in
-    (distance, id) order; `within` restricts the search to a candidate set,
-    which must lie inside the view.
+    (distance, id) order; `within`, a bitmask of view vertices, restricts
+    the search to those candidates.
 
-    Each frontier vertex u takes all its undiscovered residual neighbors
-    at once: read from the learned pairs as one bitmask when they cover
-    them (CutCache.learned_neighbors), else found by neighborhood's
-    halving over the undiscovered vertices, listed in increasing order only
-    then. With a `sink`, the search returns as soon as it discovers the
-    sink: every layer below the sink's is then complete, and the sink's
-    own layer holds only the vertices found so far."""
+    Each frontier vertex u takes all its undiscovered residual neighbors at
+    once, as neighborhood would over the undiscovered vertices. Each layer
+    is listed by id once, as the next frontier. With a `sink`, the search
+    returns as soon as it discovers the sink: every layer below the sink's
+    is then complete, and the sink's own layer holds only the vertices found
+    so far."""
     if root not in view.universe:
         raise QueryInputError(f"root {root} outside the view universe")
-    # the undiscovered vertices, as a bitmask
     if within is None:
-        mask = view.mask ^ 1 << root
+        within = view.mask
     else:
-        within = set(within)
-        within.discard(root)
-        mask = _candidate_mask(view, within)
-    tree = BfsTree(root=root, parent={root: None}, dist={root: 0})
-    parent, dist = tree.parent, tree.dist
+        _check_mask(view, within)
+    # the undiscovered vertices
+    mask = within & ~(1 << root)
+    layers = [1 << root]
     frontier = [root]
-    d = 0
     while frontier and mask:
-        d += 1
         layer = 0
         for u in frontier:
             if not mask:
                 break
-            new = cache.learned_neighbors(view, f, u, mask)
-            if new is None:
-                found = _group_test(cache, view, f, u, ids_of(mask), mask)
-                new = mask_of(found)
-            elif new:
-                found = ids_of(new)
-            else:
-                continue
-            for v in found:
-                parent[v] = u
-                dist[v] = d
+            new = _expand(cache, view, f, u, mask)
             mask ^= new
             layer |= new
             if sink is not None and new >> sink & 1:
-                return tree
+                layers.append(layer)
+                return BfsTree(layers)
+        if layer:
+            layers.append(layer)
         frontier = ids_of(layer)
-    return tree
+    return BfsTree(layers)

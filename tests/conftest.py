@@ -74,18 +74,23 @@ def brute_residual_neighbors(g, f, A, B) -> list[int]:
     return out
 
 
-def brute_residual_dist(g: GraphInstance, f: Flow | None, root: int) -> dict[int, int]:
-    dist = {root: 0}
+def brute_bfs_layers(g: GraphInstance, f: Flow | None, root: int) -> list[int]:
+    """The residual BFS layers of g from root under f, as bitmasks: layers[d]
+    holds the vertices at distance d, found by scanning every vertex pair."""
+    layers = [1 << root]
+    seen = 1 << root
     frontier = [root]
-    while frontier:
-        nxt = []
+    while True:
+        nxt = 0
         for u in frontier:
             for v in range(g.n):
-                if v not in dist and residual_capacity(g, f, u, v) > 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    return dist
+                if not (seen | nxt) >> v & 1 and residual_capacity(g, f, u, v) > 0:
+                    nxt |= 1 << v
+        if not nxt:
+            return layers
+        layers.append(nxt)
+        seen |= nxt
+        frontier = [v for v in range(g.n) if nxt >> v & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,20 @@ def b6_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def tc12_file(tmp_path):
+    path = tmp_path / "tc12.graph"
+    generate(InstanceSpec("two_cliques_bridge", 12)).dump(path)
+    return str(path)
+
+
+def counter(out: str, name: str) -> int:
+    """The value of the one line `name <int>` of a command's output."""
+    lines = [ln for ln in out.splitlines() if ln.split()[:1] == [name]]
+    assert len(lines) == 1, (name, out)
+    return int(lines[0].split()[1])
+
+
 def test_cli_maxflow(b6_file, tmp_path, capsys):
     transcript = tmp_path / "flow.transcript"
     rc = main(
@@ -24,8 +38,7 @@ def test_cli_maxflow(b6_file, tmp_path, capsys):
     assert rc == 0
     assert "value 1" in out
     assert "cut 0 1 2" in out
-    bis = [ln for ln in out.splitlines() if ln.startswith("bis_queries ")]
-    assert len(bis) == 1 and int(bis[0].split()[1]) > 0
+    assert counter(out, "bis_queries") > 0
     records = QueryLedger.parse_transcript(transcript.read_text())
     g = generate(InstanceSpec("two_cliques_bridge", 6))
     assert QueryLedger.replay(records, g)
@@ -49,11 +62,9 @@ def test_cli_isocuts(b6_file, capsys):
     assert "value 1" in out
 
 
-def test_cli_expdecomp(tmp_path, capsys):
-    path = tmp_path / "tc12.graph"
-    generate(InstanceSpec("two_cliques_bridge", 12)).dump(path)
+def test_cli_expdecomp(tc12_file, capsys):
     rc = main(
-        ["expdecomp", "--graph", str(path), "--terminals",
+        ["expdecomp", "--graph", tc12_file, "--terminals",
          ",".join(map(str, range(12))), "--tau", "1"]
     )
     out = capsys.readouterr().out
@@ -87,6 +98,28 @@ def test_cli_verify(b6_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("ok")
+    assert out.count(" bis_queries=") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["maxflow", "--source", "0", "--sink", "11"],
+        ["isocuts", "--terminals", "0,11", "--tau", "1"],
+        ["expdecomp", "--terminals", ",".join(map(str, range(12))), "--tau", "1"],
+        ["mincut"],
+        ["domset"],
+    ],
+)
+def test_cli_prints_one_bis_queries_line(tc12_file, capsys, command):
+    """Every answering subcommand prints the residual probes it issued
+    (CutCache.logical_bis) once, next to its charged queries; a command
+    that ran a flow or a BFS has issued some."""
+    rc = main([command[0], "--graph", tc12_file, *command[1:]])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert counter(out, "cut_queries") > 0
+    assert counter(out, "bis_queries") > 0
 
 
 def test_cli_config_override(b6_file, tmp_path, capsys):
@@ -112,6 +145,28 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and needle in err[0], (text, err)
+
+
+@pytest.mark.parametrize("phi", ["0", "-0.5", "inf", "nan", "1e-300"])
+def test_cli_refuses_phi_out_of_range(tc12_file, tmp_path, capsys, phi):
+    """On two_cliques_bridge n=12 (min cut 1), phi = -0.5 or inf once gave
+    the degree cut 5 and 0, nan or 1e-300 a traceback; each is refused in
+    one line with status 2, from a config file and from expdecomp --phi."""
+    cfg = tmp_path / "phi.cfg"
+    cfg.write_text(f"phi = {phi}\n")
+    terminals = ",".join(map(str, range(12)))
+    for argv in (
+        ["mincut", "--graph", tc12_file, "--config", str(cfg)],
+        ["verify", "--graph", tc12_file, "--config", str(cfg)],
+        ["expdecomp", "--graph", tc12_file, "--terminals", terminals, "--tau", "1",
+         "--phi", phi],
+    ):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "phi must be a number in" in err[0], (argv, err)
 
 
 @pytest.mark.parametrize("command", [["mincut"], ["verify", "--algo", "mincut"]])

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from cutlab.config import PINNED
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
-from cutlab.maxflow import (
-    _layers_from_tree,
-    blocking_flow_round,
-    dinitz_maxflow,
-    path_decomposition,
-)
-from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance
+from cutlab.maxflow import blocking_flow_round, dinitz_maxflow, path_decomposition
+from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance, ids_of, mask_of
 from cutlab.primitives import bfs_tree, find_neighbor
 from conftest import (
     explicit_graph,
@@ -44,15 +39,24 @@ def k33_with_st() -> GraphInstance:
 # layered graph
 
 
+def layered_graph(cache, view, f, s, t):
+    """The layered graph of a Dinitz round, as dinitz_maxflow builds it: the
+    layers of the BFS stopped at t, the last one cut to t alone; None when t
+    is unreachable."""
+    layers = bfs_tree(cache, view, f, s, sink=t).layers
+    if not layers[-1] >> t & 1:
+        return None
+    return layers[:-1] + [1 << t]
+
+
 def test_build_layered_b6(b6):
     view, _, cache = make_view(b6)
-    L = _layers_from_tree(bfs_tree(cache, view, Flow.zero(0, 5), 0), 0, 5)
-    # shortest path 0-2-3-5 has three hops
-    assert L.d == 3
-    assert L.layers[0] == [0]
-    assert L.layers[1] == [1, 2]
-    assert L.layers[2] == [3]
-    assert L.layers[3] == [5]  # non-sink vertex 4 dropped from the last layer
+    # shortest path 0-2-3-5 has three hops; 3 discovers 4 with the sink
+    layers = bfs_tree(cache, view, Flow.zero(0, 5), 0, sink=5).layers
+    assert layers == [1 << 0, mask_of([1, 2]), 1 << 3, mask_of([4, 5])]
+    # the non-sink vertex 4 is dropped from the last layer
+    L = layered_graph(cache, view, Flow.zero(0, 5), 0, 5)
+    assert L == [1 << 0, mask_of([1, 2]), 1 << 3, 1 << 5]
 
 
 def test_build_layered_unreachable_when_bridge_saturated(b6):
@@ -61,14 +65,16 @@ def test_build_layered_unreachable_when_bridge_saturated(b6):
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
-    assert _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5) is None
+    assert layered_graph(cache, view, f, 0, 5) is None
+    # an unreachable sink leaves the complete BFS: the minimum cut's side
+    assert bfs_tree(cache, view, f, 0, sink=5).reached() == mask_of([0, 1, 2])
+    assert dinitz_maxflow(view, 0, 5, cache).mincut_source_side == (0, 1, 2)
 
 
 def test_build_layered_k4(k4):
     view, _, cache = make_view(k4)
-    L = _layers_from_tree(bfs_tree(cache, view, Flow.zero(0, 3), 0), 0, 3)
-    assert L.d == 1
-    assert L.layers == [[0], [3]]
+    L = layered_graph(cache, view, Flow.zero(0, 3), 0, 3)
+    assert L == [1 << 0, 1 << 3]
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +84,19 @@ def test_build_layered_k4(k4):
 def test_blocking_flow_b6_first_round(b6):
     view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
-    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5)
+    L = layered_graph(cache, view, f, 0, 5)
     # f starts at zero, so after the round it is the blocking flow
     assert blocking_flow_round(cache, view, f, L) == 1
     assert f.value == 1
     assert f.support() == [(0, 2, 1), (2, 3, 1), (3, 5, 1)]
     # distance strictly increases afterwards
-    assert _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 5) is None
+    assert layered_graph(cache, view, f, 0, 5) is None
 
 
 def test_blocking_flow_k4_round_one(k4):
     view, _, cache = make_view(k4)
     f = Flow.zero(0, 3)
-    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 3)
+    L = layered_graph(cache, view, f, 0, 3)
     assert blocking_flow_round(cache, view, f, L) == 1
     assert f.value == 1
     assert f.support() == [(0, 3, 1)]
@@ -101,19 +107,20 @@ def test_blocking_flow_k33_single_round_value_three():
     assert reference_maxflow(g, 0, 7) == 3
     view, _, cache = make_view(g)
     f = Flow.zero(0, 7)
-    L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 7)
-    assert L.d == 3
+    L = layered_graph(cache, view, f, 0, 7)
+    assert len(L) == 4
     assert blocking_flow_round(cache, view, f, L) == 3
     assert f.value == 3
 
 
 def brute_layered_edges(g, f, L):
-    """All residual edges that respect the layer structure."""
+    """All residual edges from one layer of L into the next."""
     out = []
-    for u in L.dist:
-        for v in L.dist:
-            if L.dist.get(v, -9) == L.dist[u] + 1 and residual_capacity(g, f, u, v) > 0:
-                out.append((u, v))
+    for here, there in zip(L, L[1:]):
+        for u in ids_of(here):
+            for v in ids_of(there):
+                if residual_capacity(g, f, u, v) > 0:
+                    out.append((u, v))
     return out
 
 
@@ -124,7 +131,7 @@ def test_blocking_property_explicit_small():
         g = random_graph(10, 0.5, seed)
         view, _, cache = make_view(g)
         f = Flow.zero(0, 9)
-        L = _layers_from_tree(bfs_tree(cache, view, f, 0), 0, 9)
+        L = layered_graph(cache, view, f, 0, 9)
         if L is None:
             continue
         before = {e: residual_capacity(g, f, *e) for e in brute_layered_edges(g, f, L)}
@@ -143,11 +150,11 @@ def test_blocking_property_explicit_small():
             assert any(e in saturated for e in path), path
 
 
-def reset_blocking_round(cache, view, f, layered):
+def reset_blocking_round(cache, view, f, layers):
     """Reference blocking-flow search that restarts from s after every
-    augmentation, with dead ends kept as sorted lists."""
-    s, d = layered.layers[0][0], layered.d
-    alive = [sorted(layer) for layer in layered.layers]
+    augmentation."""
+    s, d = ids_of(layers[0])[0], len(layers) - 1
+    alive = list(layers)
     pushed = 0
     stack = [s]
     while stack:
@@ -155,8 +162,7 @@ def reset_blocking_round(cache, view, f, layered):
         v = find_neighbor(cache, view, f, u, alive[depth + 1])
         if v is None:
             stack.pop()
-            if depth > 0:
-                alive[depth].remove(u)
+            alive[depth] &= ~(1 << u)
             continue
         stack.append(v)
         if len(stack) == d + 1:
@@ -170,12 +176,12 @@ def reset_blocking_round(cache, view, f, layered):
     return pushed
 
 
-def layered_path_left(g, f, layered) -> bool:
+def layered_path_left(g, f, layers) -> bool:
     """Whether the layered graph still holds an s-t path of residual edges
     of the explicit graph g under f."""
-    reach = set(layered.layers[0])
-    for layer in layered.layers[1:]:
-        reach = {v for v in layer if any(residual_capacity(g, f, u, v) > 0 for u in reach)}
+    reach = ids_of(layers[0])
+    for layer in layers[1:]:
+        reach = [v for v in ids_of(layer) if any(residual_capacity(g, f, u, v) > 0 for u in reach)]
     return bool(reach)
 
 
@@ -204,7 +210,7 @@ def test_retreating_blocking_round_matches_the_reset_search(n, W, p, seed):
                     learned.base_pair_sum(a, 1 << b)
         explicit = explicit_graph(view, cap)
         f = random_valid_flow(explicit, s, t, seed, tries=rng.randint(0, 3))
-        layered = _layers_from_tree(bfs_tree(CutCache(view.base_view), view, f, s, sink=t), s, t)
+        layered = layered_graph(CutCache(view.base_view), view, f, s, t)
         if layered is None:
             continue
         want = f.copy()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlab.config import PINNED
-from cutlab.maxflow import _layers_from_tree, dinitz_maxflow
+from cutlab.maxflow import dinitz_maxflow
 from cutlab.oracle import (
     AugmentedView,
     CutCache,
@@ -21,7 +21,7 @@ from cutlab.oracle import (
 )
 from cutlab.primitives import bfs_tree, find_neighbor, neighborhood
 from conftest import (
-    brute_residual_dist,
+    brute_bfs_layers,
     brute_residual_neighbors,
     contracted_edges,
     contracted_view,
@@ -33,22 +33,21 @@ from conftest import (
     push_random_path,
     random_graph,
     random_valid_flow,
-    residual_capacity,
     view_residual_neighbors,
 )
 
 
 def test_find_neighbor_examples(p4, b6):
     view, _, cache = make_view(p4)
-    assert find_neighbor(cache, view, None, 1, [2, 3]) == 2
-    assert find_neighbor(cache, view, None, 0, [2, 3]) is None
+    assert find_neighbor(cache, view, None, 1, mask_of([2, 3])) == 2
+    assert find_neighbor(cache, view, None, 0, mask_of([2, 3])) is None
     view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
     # only the back edge 3->2 survives toward the first triangle
-    assert find_neighbor(cache, view, f, 3, [0, 1, 2]) == 2
+    assert find_neighbor(cache, view, f, 3, mask_of([0, 1, 2])) == 2
 
 
 def test_find_neighbor_returns_lowest_id_and_counts_bis():
@@ -60,7 +59,7 @@ def test_find_neighbor_returns_lowest_id_and_counts_bis():
             B = [v for v in range(11) if v != u]
             brute = brute_residual_neighbors(g, f, [u], B)
             before = cache.logical_bis
-            got = find_neighbor(cache, view, f, u, B)
+            got = find_neighbor(cache, view, f, u, mask_of(B))
             used = cache.logical_bis - before
             if brute:
                 assert got == brute[0]
@@ -73,15 +72,15 @@ def test_find_neighbor_returns_lowest_id_and_counts_bis():
 def test_find_neighbor_disjointness_error(p4):
     view, _, cache = make_view(p4)
     with pytest.raises(QueryInputError):
-        find_neighbor(cache, view, None, 1, [1, 2])
+        find_neighbor(cache, view, None, 1, mask_of([1, 2]))
 
 
 def test_neighborhood_examples(k4, b6):
     view, _, cache = make_view(k4)
-    assert neighborhood(cache, view, None, 0, [1, 2, 3]) == [1, 2, 3]
+    assert neighborhood(cache, view, None, 0, mask_of([1, 2, 3])) == mask_of([1, 2, 3])
     view, _, cache = make_view(b6)
-    assert neighborhood(cache, view, None, 2, [3, 4, 5]) == [3]
-    assert neighborhood(cache, view, None, 0, [3, 4, 5]) == []
+    assert neighborhood(cache, view, None, 2, mask_of([3, 4, 5])) == mask_of([3])
+    assert neighborhood(cache, view, None, 0, mask_of([3, 4, 5])) == 0
 
 
 def test_neighborhood_matches_brute_on_random_graphs():
@@ -91,19 +90,17 @@ def test_neighborhood_matches_brute_on_random_graphs():
         view, _, cache = make_view(g)
         for u in (0, 3):
             cands = [v for v in range(10) if v != u]
-            assert neighborhood(cache, view, f, u, cands) == brute_residual_neighbors(
-                g, f, [u], cands
-            )
+            got = neighborhood(cache, view, f, u, mask_of(cands))
+            assert ids_of(got) == brute_residual_neighbors(g, f, [u], cands)
 
 
-def scan_neighborhood(cache, view, f, u, candidates):
-    """Reference: list the neighbors one find_neighbor call at a time, each
-    probing everything not found yet."""
-    remaining = sorted(candidates)
+def scan_neighborhood(cache, view, f, u, B):
+    """Reference: list the neighbors of u in the bitmask B one find_neighbor
+    call at a time, each probing everything not found yet."""
     found = []
-    while (v := find_neighbor(cache, view, f, u, remaining)) is not None:
+    while (v := find_neighbor(cache, view, f, u, B)) is not None:
         found.append(v)
-        remaining.remove(v)
+        B ^= 1 << v
     return found
 
 
@@ -147,10 +144,10 @@ def test_neighborhood_matches_scan_on_every_view(W):
                     real = mask_of(B) & form.keep
                     learned = not real or not real & ~cache._known[form.base_u]
                     before = cache.logical_bis
-                    got = neighborhood(cache, view, f, u, B)
+                    got = ids_of(neighborhood(cache, view, f, u, mask_of(B)))
                     used = cache.logical_bis - before
                     assert got == view_residual_neighbors(cap, f, u, B), (name, u, B)
-                    assert got == scan_neighborhood(ref, view, f, u, B), (name, u, B)
+                    assert got == scan_neighborhood(ref, view, f, u, mask_of(B)), (name, u, B)
                     paths["learned" if learned else "probed"] += 1
                     if learned:
                         assert used == 0, (name, u, B)
@@ -164,7 +161,7 @@ def test_neighborhood_matches_scan_on_every_view(W):
 def test_neighborhood_disjointness_error(p4):
     view, _, cache = make_view(p4)
     with pytest.raises(QueryInputError):
-        neighborhood(cache, view, None, 1, [1, 2])
+        neighborhood(cache, view, None, 1, mask_of([1, 2]))
 
 
 def test_probing_vertex_outside_the_view_is_refused(b6):
@@ -176,7 +173,7 @@ def test_probing_vertex_outside_the_view_is_refused(b6):
     for v, u in ((iv, 3), (view, 9)):
         for search in (neighborhood, find_neighbor):
             with pytest.raises(QueryInputError):
-                search(cache, v, None, u, [0, 1, 2])
+                search(cache, v, None, u, mask_of([0, 1, 2]))
     assert ledger.cut_count == 0 and cache.logical_bis == 0
 
 
@@ -185,15 +182,16 @@ def test_vertices_outside_the_view_are_refused(b6):
     candidate 3 as 2's neighbour and the pair (3, 2) as capacity 1; on the
     6-vertex base view, -1 and 9 would fail on a shift or an index. Every
     public probe, and a BFS restricted to such candidates, refuses them
-    before charging or counting anything."""
+    before charging or counting anything, as it refuses a negative mask
+    and candidates that are not one int bitmask."""
     view, ledger, cache = make_view(b6)
     iv = InducedView(view, (0, 1, 2))
+    bad = ((iv, 2, 1 << 3), (iv, 2, mask_of((1, 3))), (view, 0, 1 << 9), (view, 0, -2),
+           (view, 0, -1 << 6), (view, 0, [1, 2]), (view, 0, True), (view, 0, 2.0))
     for search in (neighborhood, find_neighbor):
-        for v, u, cands in ((iv, 2, [3]), (view, 0, [-1]), (view, 0, [9])):
+        for v, u, B in bad:
             with pytest.raises(QueryInputError):
-                search(cache, v, None, u, cands)
-        with pytest.raises(QueryInputError):
-            search(cache, iv, None, 2, [1, 3], mask_of((1, 3)))
+                search(cache, v, None, u, B)
     for v, u, w in ((iv, 3, 2), (iv, 2, 3), (view, -1, 0), (view, 9, 0), (view, 0, 9)):
         with pytest.raises(QueryInputError):
             cache.capacity(v, u, w)
@@ -202,7 +200,7 @@ def test_vertices_outside_the_view_are_refused(b6):
                 cache.residual_between(v, None, u, 1 << w)
     with pytest.raises(QueryInputError):
         cache.residual_between(view, None, 0, -2)
-    for v, within in ((iv, [1, 3]), (view, [1, -1])):
+    for v, _u, within in bad:
         with pytest.raises(QueryInputError):
             bfs_tree(cache, v, None, 0, within=within)
     assert ledger.cut_count == 0 and cache.logical_bis == 0
@@ -211,17 +209,17 @@ def test_vertices_outside_the_view_are_refused(b6):
 def test_bfs_tree_examples(p4, k4, b6):
     view, _, cache = make_view(p4)
     tree = bfs_tree(cache, view, None, 0)
-    assert tree.dist == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert tree.layers == [1 << 0, 1 << 1, 1 << 2, 1 << 3]
     view, _, cache = make_view(k4)
     tree = bfs_tree(cache, view, None, 2)
-    assert max(tree.dist.values()) == 1
+    assert tree.layers == [1 << 2, mask_of([0, 1, 3])]
     view, _, cache = make_view(b6)
     f = Flow.zero(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
     tree = bfs_tree(cache, view, f, 0)
-    assert set(tree.dist) == {0, 1, 2}  # the far triangle is unreachable
+    assert tree.reached() == mask_of([0, 1, 2])  # the far triangle is unreachable
 
 
 def test_bfs_tree_matches_brute_with_flows():
@@ -230,20 +228,18 @@ def test_bfs_tree_matches_brute_with_flows():
         f = random_valid_flow(g, 0, 9, seed)
         view, _, cache = make_view(g)
         tree = bfs_tree(cache, view, f, 0)
-        assert tree.dist == brute_residual_dist(g, f, 0)
-        # parent edges must be residual edges
-        for v, p in tree.parent.items():
-            if p is not None:
-                key = (min(p, v), max(p, v))
-                assert g.edges.get(key, 0) - f.get(p, v) > 0
+        assert tree.layers == brute_bfs_layers(g, f, 0)
 
 
 def test_bfs_tree_within_restriction(b6):
     view, _, cache = make_view(b6)
-    tree = bfs_tree(cache, view, None, 0, within=[1, 2])
-    assert set(tree.dist) == {0, 1, 2}
-    tree = bfs_tree(cache, view, None, 0, within=[4, 5])
-    assert set(tree.dist) == {0}
+    tree = bfs_tree(cache, view, None, 0, within=mask_of([1, 2]))
+    assert tree.layers == [1 << 0, mask_of([1, 2])]
+    tree = bfs_tree(cache, view, None, 0, within=mask_of([4, 5]))
+    assert tree.layers == [1 << 0]
+    # the root need not lie in `within`; 1 is reached only through 2
+    tree = bfs_tree(cache, view, None, 3, within=mask_of([1, 2]))
+    assert tree.layers == [1 << 3, 1 << 2, 1 << 1]
 
 
 def test_bfs_bis_budget_pinned():
@@ -267,7 +263,7 @@ def test_find_neighbor_agrees_with_brute_hypothesis(n, seed, p):
     u = rng.randrange(n)
     B = [v for v in range(n) if v != u]
     brute = brute_residual_neighbors(g, None, [u], B)
-    got = find_neighbor(cache, view, None, u, B)
+    got = find_neighbor(cache, view, None, u, mask_of(B))
     assert got == (brute[0] if brute else None)
 
 
@@ -282,33 +278,28 @@ def test_sink_stopped_bfs_keeps_every_layer_below_the_sink(n, W, p, seed):
     """On base, augmented and contracted views under random valid flows, a
     BFS given a sink returns the complete BFS's layers below the sink's
     distance, the sink at that distance, and nothing beyond it; with the
-    sink unreachable it is the complete BFS. Either way the layered graph
-    built from it is the complete one's. Each stopped search runs on a
-    fresh cache (probing) and on the cache the complete search filled
-    (learned reads)."""
+    sink unreachable it is the complete BFS. The sink's layer holds only
+    vertices of the complete one's. Each stopped search runs on a fresh
+    cache (probing) and on the cache the complete search filled (learned
+    reads)."""
     g = random_graph(n, p, seed % 97, W=W)
     rng = random.Random(seed)
     for name, view, cap, s, t, _real in flow_views(g):
         explicit = explicit_graph(view, cap)
         f = random_valid_flow(explicit, s, t, seed, tries=rng.randint(0, 4))
         cache = CutCache(view.base_view)
-        full = bfs_tree(cache, view, f, s)
-        assert full.dist == brute_residual_dist(explicit, f, s), name
+        full = bfs_tree(cache, view, f, s).layers
+        assert full == brute_bfs_layers(explicit, f, s), name
         others = [v for v in view.vertices() if v != s]
         for sink in (t, rng.choice(others)):
+            d = next((i for i, layer in enumerate(full) if layer >> sink & 1), None)
             for c in (CutCache(view.base_view), cache):
-                stopped = bfs_tree(c, view, f, s, sink=sink)
-                for v, u in stopped.parent.items():
-                    assert u is None or residual_capacity(explicit, f, u, v) > 0, (name, u, v)
-                assert _layers_from_tree(stopped, s, sink) == _layers_from_tree(full, s, sink)
-                if sink not in full.dist:
-                    assert stopped.dist == full.dist, name
+                stopped = bfs_tree(c, view, f, s, sink=sink).layers
+                if d is None:
+                    assert stopped == full, name
                     continue
-                d = full.dist[sink]
-                assert stopped.dist[sink] == d, name
-                assert max(stopped.dist.values()) == d, name
-                below = {v: x for v, x in stopped.dist.items() if x < d}
-                assert below == {v: x for v, x in full.dist.items() if x < d}, name
+                assert len(stopped) == d + 1 and stopped[:d] == full[:d], name
+                assert stopped[d] >> sink & 1 and not stopped[d] & ~full[d], name
 
 
 def _check_memoised_rows(cache, view, cap, f, real, learned, rng):
