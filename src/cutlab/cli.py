@@ -28,7 +28,10 @@ from .oracle import (
 
 
 def _ids(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise QueryInputError(f"expected integers, got {text!r}") from None
 
 
 def _setup(args):
@@ -223,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, QueryInputError) as exc:
+    except (GraphFormatError, QueryInputError, OSError) as exc:
         print(f"cutlab {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,19 +25,16 @@ EXACT_LIMIT_MAX = 22
 class Params:
     """Run parameters. Every field is checked on construction (and so on
     dataclasses.replace and config overrides): phi and phi_x in (0, 1], phi
-    at least PHI_MIN; theta_core and bad_fraction in [0, 1]; beta finite
-    and nonnegative; rounds_base a nonnegative int; the exact limits ints in
-    [0, EXACT_LIMIT_MAX]. A None keeps the paper-profile formula. A value
-    out of range raises QueryInputError."""
+    at least PHI_MIN; bad_fraction in [0, 1]; beta finite and nonnegative;
+    rounds_base a nonnegative int; the exact limits ints in [0,
+    EXACT_LIMIT_MAX]. A None keeps the paper-profile formula. A value out
+    of range raises QueryInputError."""
 
     profile: str = "desk"
     # sparsity parameter; None means the paper-profile formula 1/log2(n)^10
     phi: float | None = 0.125
     # matching-player slack; None means |R|/log2(n)^5
     beta: float | None = 1.0
-    # tolerated core loss per one_step: |R'| >= (1 - theta_core)|R|;
-    # None means 1/log2(n)
-    theta_core: float | None = 0.5
     # fraction of (tau+1) fake/pruned incident edges a core terminal may have
     bad_fraction: float = 0.5
     # cut-matching rounds: rounds_base + ceil(log2(slots))
@@ -57,7 +54,6 @@ class Params:
             ("phi", PHI_MIN, 1.0, True, True),
             ("phi_x", 0.0, 1.0, False, True),
             ("beta", 0.0, math.inf, True, True),
-            ("theta_core", 0.0, 1.0, True, True),
             ("bad_fraction", 0.0, 1.0, True, False),
         ):
             val = getattr(self, key)
@@ -87,11 +83,6 @@ class Params:
             return self.beta
         return max(1.0, r_size / max(math.log2(max(n, 4)), 1.0) ** 5)
 
-    def theta_core_for(self, n: int) -> float:
-        if self.theta_core is not None:
-            return self.theta_core
-        return 1.0 / max(math.log2(max(n, 4)), 1.0)
-
     def rounds_for(self, slots: int) -> int:
         return max(2, self.rounds_base + math.ceil(math.log2(max(slots, 2))))
 
@@ -114,7 +105,6 @@ PAPER = Params(
     profile="paper",
     phi=None,
     beta=None,
-    theta_core=None,
     bad_fraction=0.1,
     rounds_base=2,
 )
@@ -159,7 +149,8 @@ def get_profile(name: str) -> Params:
 
 def load_config_overrides(path, base: Params) -> Params:
     """Apply key=value overrides from a plain-text config file. A malformed
-    line, an unknown key or a non-numeric value raises QueryInputError."""
+    line, an unknown key, a profile key (a profile is chosen by name, not
+    overridden) or a non-numeric value raises QueryInputError."""
     updates = {}
     with open(path) as fh:
         for ln in fh:
@@ -171,11 +162,11 @@ def load_config_overrides(path, base: Params) -> Params:
             key, val = (part.strip() for part in ln.split("=", 1))
             if key not in Params.__dataclass_fields__:
                 raise QueryInputError(f"unknown config key: {key!r}")
+            if key == "profile":
+                raise QueryInputError("config key 'profile' is refused; choose it with --profile")
             current = getattr(base, key)
             try:
-                if key == "profile":
-                    updates[key] = val
-                elif val.lower() == "none":
+                if val.lower() == "none":
                     updates[key] = None
                 elif isinstance(current, int) and not isinstance(current, bool):
                     updates[key] = int(val)

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import _kernels
 from .config import DESK, Params
-from .oracle import BaseView, CutCache, GraphInstance, GraphFormatError, QueryLedger
+from .oracle import (
+    BaseView,
+    CutCache,
+    GraphFormatError,
+    GraphInstance,
+    QueryInputError,
+    QueryLedger,
+)
 
 FAMILIES = (
     "random_gnp",
@@ -370,7 +377,7 @@ def run_one(
         answer = len(R)
         reference = len(R) if is_dominating(instance, R) else -1
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise QueryInputError(f"unknown algorithm {algorithm!r}")
     wall_ms = int((time.perf_counter() - start) * 1000)
     row = ExperimentRow(
         family="",

@@ -117,7 +117,7 @@ def dinitz_maxflow(
         raise QueryInputError("source or sink outside the view universe")
     if cache is None:
         cache = CutCache(view.base_view)
-    f = Flow.zero(s, t)
+    f = Flow(s, t)
     rounds: list[RoundStats] = []
     prev_d = 0
     while True:
@@ -143,8 +143,6 @@ def path_decomposition(f: Flow) -> list[tuple[tuple[int, ...], int]]:
     cycles in the support are cancelled, not emitted."""
     out: dict[int, dict[int, int]] = {}
     for u, v, val in f.support():
-        if not isinstance(val, int):
-            raise ContractViolation("path decomposition needs an integral flow")
         out.setdefault(u, {})[v] = val
 
     def drop(a: int, b: int, amount: int) -> None:

@@ -366,11 +366,12 @@ def _toggle(rows: dict[int, list[int]], u: int, bit: int, mag: int) -> None:
 class Flow:
     """Antisymmetric integral flow assignment: get(u, v) == -get(v, u).
 
-    Each row is held three ways: as a dict (get, support, copy), as signed
-    bit planes (out_to, pos_planes) and as sign masks (signs). Bit v of
-    _pos[u][k] (of _neg[u][k]) says f(u, v) is positive (negative) and bit
-    k of its magnitude is set; bit v of _pmask[u] (of _nmask[u]) says f(u, v)
-    is positive (negative). push keeps all three in step.
+    Each row is held as signed bit planes: bit v of _pos[u][k] (of
+    _neg[u][k]) says f(u, v) is positive (negative) and bit k of its
+    magnitude is set. push toggles the old value out of the planes and the
+    new one in; two toggles of the same planes compose by XOR, so each
+    side's planes are toggled once, by the XOR of its old and new
+    magnitudes.
 
     _rows memoises each vertex's learned residual row for
     CutCache.learned_neighbors: _rows[u] is (view, base_u, snapshot, res,
@@ -379,7 +380,7 @@ class Flow:
     with base_u was not learned then, and res the residual neighbours of u
     among the other view vertices. push drops the rows of both ends."""
 
-    __slots__ = ("source", "sink", "value", "_adj", "_pos", "_neg", "_pmask", "_nmask", "_rows")
+    __slots__ = ("source", "sink", "value", "_pos", "_neg", "_rows")
 
     def __init__(self, source: int, sink: int):
         if source == sink:
@@ -387,54 +388,41 @@ class Flow:
         self.source = source
         self.sink = sink
         self.value = 0
-        self._adj: dict[int, dict[int, int]] = {}
         self._pos: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
-        self._pmask: dict[int, int] = {}
-        self._nmask: dict[int, int] = {}
         self._rows: dict[int, tuple] = {}
 
-    @classmethod
-    def zero(cls, source: int, sink: int) -> "Flow":
-        return cls(source, sink)
-
     def get(self, u: int, v: int) -> int:
-        return self._adj.get(u, {}).get(v, 0)
+        bit = 1 << v
+        val = 0
+        k = 1
+        for m in self._pos.get(u, ()):
+            if m & bit:
+                val += k
+            k <<= 1
+        k = 1
+        for m in self._neg.get(u, ()):
+            if m & bit:
+                val -= k
+            k <<= 1
+        return val
 
     def push(self, u: int, v: int, amount: int) -> None:
         if amount == 0:
             return
-        fu = self._adj.setdefault(u, {})
-        fv = self._adj.setdefault(v, {})
-        old = fu.get(v, 0)
+        old = self.get(u, v)
         new = old + amount
-        if new == 0:
-            fu.pop(v, None)
-            fv.pop(u, None)
-        else:
-            fu[v] = new
-            fv[u] = -new
-        self._move(u, 1 << v, old, new)
-        self._move(v, 1 << u, -old, -new)
+        dpos = max(old, 0) ^ max(new, 0)
+        dneg = max(-old, 0) ^ max(-new, 0)
+        if dpos:
+            _toggle(self._pos, u, 1 << v, dpos)
+            _toggle(self._neg, v, 1 << u, dpos)
+        if dneg:
+            _toggle(self._neg, u, 1 << v, dneg)
+            _toggle(self._pos, v, 1 << u, dneg)
         rows = self._rows
         rows.pop(u, None)
         rows.pop(v, None)
-
-    def _move(self, u: int, bit: int, old: int, new: int) -> None:
-        """Move the entry `bit` of u's row from the value old to the value
-        new in the bit planes and the sign masks."""
-        if old > 0 and new > 0:
-            _toggle(self._pos, u, bit, old ^ new)
-        elif old < 0 and new < 0:
-            _toggle(self._neg, u, bit, -old ^ -new)
-        else:
-            for val in (old, new):
-                if val > 0:
-                    _toggle(self._pos, u, bit, val)
-                    self._pmask[u] = self._pmask.get(u, 0) ^ bit
-                elif val < 0:
-                    _toggle(self._neg, u, bit, -val)
-                    self._nmask[u] = self._nmask.get(u, 0) ^ bit
 
     def out_to(self, u: int, X: int) -> int:
         """Net flow from u into the vertices of the bitmask X."""
@@ -451,7 +439,12 @@ class Flow:
 
     def signs(self, u: int) -> tuple[int, int]:
         """Bitmasks of the vertices v with f(u, v) > 0 and with f(u, v) < 0."""
-        return self._pmask.get(u, 0), self._nmask.get(u, 0)
+        pos = neg = 0
+        for m in self._pos.get(u, ()):
+            pos |= m
+        for m in self._neg.get(u, ()):
+            neg |= m
+        return pos, neg
 
     def pos_planes(self, u: int) -> list[int]:
         """u's positive flow, bit-sliced: bit v of the k-th mask says
@@ -461,25 +454,17 @@ class Flow:
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
         out = []
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                val = self._adj[u][v]
-                if val > 0:
-                    out.append((u, v, val))
+        for u in sorted(self._pos):
+            planes = self._pos[u]
+            pos = 0
+            for m in planes:
+                pos |= m
+            for v in ids_of(pos):
+                val = 0
+                for k, m in enumerate(planes):
+                    val += (m >> v & 1) << k
+                out.append((u, v, val))
         return out
-
-    def vertices(self) -> list[int]:
-        return sorted(self._adj)
-
-    def copy(self) -> "Flow":
-        f = Flow(self.source, self.sink)
-        f.value = self.value
-        f._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
-        f._pos = {u: list(planes) for u, planes in self._pos.items()}
-        f._neg = {u: list(planes) for u, planes in self._neg.items()}
-        f._pmask = dict(self._pmask)
-        f._nmask = dict(self._nmask)
-        return f
 
 
 # ---------------------------------------------------------------------------

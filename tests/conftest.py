@@ -186,11 +186,21 @@ def random_valid_flow(g: GraphInstance, s: int, t: int, seed: int, tries: int = 
     """Valid integral s-t flow built by pushing random amounts along random
     residual augmenting paths."""
     rng = random.Random(seed)
-    f = Flow.zero(s, t)
+    f = Flow(s, t)
     for _ in range(tries):
         if not push_random_path(g, f, rng):
             break
     return f
+
+
+def copy_flow(f: Flow) -> Flow:
+    """A flow with f's entries and value, rebuilt by pushes, so its row
+    memo starts empty."""
+    g = Flow(f.source, f.sink)
+    for u, v, val in f.support():
+        g.push(u, v, val)
+    g.value = f.value
+    return g
 
 
 def explicit_graph(view, cap) -> GraphInstance:

@@ -124,18 +124,21 @@ def test_cli_prints_one_bis_queries_line(tc12_file, capsys, command):
 
 def test_cli_config_override(b6_file, tmp_path, capsys):
     cfg = tmp_path / "knobs.cfg"
-    cfg.write_text("phi = 0.25\ntheta_core = 0.4\n")
+    cfg.write_text("phi = 0.25\nbad_fraction = 0.4\n")
     rc = main(["mincut", "--graph", b6_file, "--config", str(cfg)])
     assert rc == 0
     assert "value 1" in capsys.readouterr().out
-    # removed knobs, an unknown key (a method name too) and a non-numeric
-    # value are refused in one line with status 2
+    # removed knobs, an unknown key (a method name too), a non-numeric
+    # value and a profile (chosen by --profile only; a config line once
+    # relabelled the run) are refused in one line with status 2
     for text, needle in (
         ("reset_policy = full\n", "unknown config key"),
         ("zeta = 0.5\n", "unknown config key"),
         ("bogus = 1\n", "unknown config key"),
         ("phi_for = 1\n", "unknown config key"),
         ("phi = abc\n", "needs a number"),
+        ("profile = paper\n", "--profile"),
+        ("profile = bogus\n", "--profile"),
     ):
         cfg.write_text(text)
         rc = main(["maxflow", "--graph", b6_file, "--source", "0", "--sink", "5",
@@ -145,6 +148,25 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and needle in err[0], (text, err)
+
+
+def test_cli_refuses_malformed_input(b6_file, tmp_path, capsys):
+    """Non-integer vertex lists, an unknown algorithm and a graph file that
+    does not exist are refused in one line with status 2, not a
+    traceback."""
+    missing = str(tmp_path / "missing.graph")
+    for argv, needle in (
+        (["isocuts", "--graph", b6_file, "--terminals", "a,b", "--tau", "1"], "'a,b'"),
+        (["bench", "--families", "complete", "--sizes", "x"], "'x'"),
+        (["bench", "--families", "complete", "--sizes", "4", "--algos", "bogus"], "'bogus'"),
+        (["mincut", "--graph", missing], missing),
+    ):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and needle in err[0], (argv, err)
 
 
 @pytest.mark.parametrize("phi", ["0", "-0.5", "inf", "nan", "1e-300"])

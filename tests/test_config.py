@@ -12,7 +12,6 @@ BAD = {
     "phi": [0, 0.0, -0.5, float("inf"), float("nan"), 1e-300, 1.5, "0.1", True],
     "phi_x": [0, -1.0, 1.01, float("nan")],
     "beta": [-0.1, float("inf"), float("nan")],
-    "theta_core": [-0.1, 1.5, float("nan")],
     "bad_fraction": [None, -0.1, 1.5, float("inf")],
     "rounds_base": [-1, 1.0, None],
     "cut_player_exact_limit": [-1, EXACT_LIMIT_MAX + 1, 20.0, None],
@@ -25,7 +24,6 @@ GOOD = {
     "phi": [None, PHI_MIN, 1e-12, 1, 1.0],
     "phi_x": [None, 1e-300, 1.0],
     "beta": [None, 0, 0.0, 1e9],
-    "theta_core": [None, 0.0, 1.0],
     "bad_fraction": [0, 0.0, 1.0],
     "rounds_base": [0, 7],
     "cut_player_exact_limit": [0, EXACT_LIMIT_MAX],

@@ -278,15 +278,14 @@ def test_one_step_two_terminals_core():
     assert res.core == (2, 5)
 
 
-def test_one_step_core_fraction_respects_theta():
+def test_one_step_core_keeps_half_the_terminals():
     for seed in range(4):
         g = random_graph(12, 0.6, seed)
         view, _, cache = make_view(g)
         R = tuple(range(0, 12, 2))
         res = one_step(view, R, 1, cache=cache)
         if res.kind == "core":
-            theta = DESK.theta_core_for(12)
-            assert len(res.core) >= (1 - theta) * len(R)
+            assert len(res.core) >= 0.5 * len(R)
 
 
 def test_witness_sparsity_after_full_game():

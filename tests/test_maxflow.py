@@ -13,6 +13,7 @@ from cutlab.maxflow import blocking_flow_round, dinitz_maxflow, path_decompositi
 from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance, ids_of, mask_of
 from cutlab.primitives import bfs_tree, find_neighbor
 from conftest import (
+    copy_flow,
     explicit_graph,
     flow_views,
     make_view,
@@ -52,16 +53,16 @@ def layered_graph(cache, view, f, s, t):
 def test_build_layered_b6(b6):
     view, _, cache = make_view(b6)
     # shortest path 0-2-3-5 has three hops; 3 discovers 4 with the sink
-    layers = bfs_tree(cache, view, Flow.zero(0, 5), 0, sink=5).layers
+    layers = bfs_tree(cache, view, Flow(0, 5), 0, sink=5).layers
     assert layers == [1 << 0, mask_of([1, 2]), 1 << 3, mask_of([4, 5])]
     # the non-sink vertex 4 is dropped from the last layer
-    L = layered_graph(cache, view, Flow.zero(0, 5), 0, 5)
+    L = layered_graph(cache, view, Flow(0, 5), 0, 5)
     assert L == [1 << 0, mask_of([1, 2]), 1 << 3, 1 << 5]
 
 
 def test_build_layered_unreachable_when_bridge_saturated(b6):
     view, _, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
@@ -73,7 +74,7 @@ def test_build_layered_unreachable_when_bridge_saturated(b6):
 
 def test_build_layered_k4(k4):
     view, _, cache = make_view(k4)
-    L = layered_graph(cache, view, Flow.zero(0, 3), 0, 3)
+    L = layered_graph(cache, view, Flow(0, 3), 0, 3)
     assert L == [1 << 0, 1 << 3]
 
 
@@ -83,7 +84,7 @@ def test_build_layered_k4(k4):
 
 def test_blocking_flow_b6_first_round(b6):
     view, _, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     L = layered_graph(cache, view, f, 0, 5)
     # f starts at zero, so after the round it is the blocking flow
     assert blocking_flow_round(cache, view, f, L) == 1
@@ -95,7 +96,7 @@ def test_blocking_flow_b6_first_round(b6):
 
 def test_blocking_flow_k4_round_one(k4):
     view, _, cache = make_view(k4)
-    f = Flow.zero(0, 3)
+    f = Flow(0, 3)
     L = layered_graph(cache, view, f, 0, 3)
     assert blocking_flow_round(cache, view, f, L) == 1
     assert f.value == 1
@@ -106,7 +107,7 @@ def test_blocking_flow_k33_single_round_value_three():
     g = k33_with_st()
     assert reference_maxflow(g, 0, 7) == 3
     view, _, cache = make_view(g)
-    f = Flow.zero(0, 7)
+    f = Flow(0, 7)
     L = layered_graph(cache, view, f, 0, 7)
     assert len(L) == 4
     assert blocking_flow_round(cache, view, f, L) == 3
@@ -130,7 +131,7 @@ def test_blocking_property_explicit_small():
     for seed in range(5):
         g = random_graph(10, 0.5, seed)
         view, _, cache = make_view(g)
-        f = Flow.zero(0, 9)
+        f = Flow(0, 9)
         L = layered_graph(cache, view, f, 0, 9)
         if L is None:
             continue
@@ -213,10 +214,10 @@ def test_retreating_blocking_round_matches_the_reset_search(n, W, p, seed):
         layered = layered_graph(CutCache(view.base_view), view, f, s, t)
         if layered is None:
             continue
-        want = f.copy()
+        want = copy_flow(f)
         value = reset_blocking_round(CutCache(view.base_view), view, want, layered)
         for cache in (CutCache(view.base_view), learned):
-            got = f.copy()
+            got = copy_flow(f)
             assert blocking_flow_round(cache, view, got, layered) == value, name
             assert got.value == want.value and got.support() == want.support(), name
             assert not layered_path_left(explicit, got, layered), name
@@ -334,11 +335,11 @@ def test_path_decomposition_examples(b6, k4):
     paths = path_decomposition(res.flow)
     assert len(paths) == 3
     assert sum(units for _, units in paths) == 3
-    assert path_decomposition(Flow.zero(0, 3)) == []
+    assert path_decomposition(Flow(0, 3)) == []
 
 
 def test_path_decomposition_cancels_cycles():
-    f = Flow.zero(0, 3)
+    f = Flow(0, 3)
     for a, b in ((0, 1), (1, 3)):
         f.push(a, b, 2)
     f.value = 2

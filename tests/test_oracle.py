@@ -167,7 +167,7 @@ def test_bis_query_examples_and_cost(p4, b6):
 
 def test_residual_bis_on_saturated_bridge(b6):
     view, ledger, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
@@ -180,7 +180,7 @@ def test_residual_bis_on_saturated_bridge(b6):
 
 def test_residual_bis_equals_bis_on_zero_flow(b6):
     view, _, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     for u, B in ((0, (1, 2)), (0, (3, 4, 5)), (2, (3,))):
         X = mask_of(B)
         assert cache.residual_between(view, f, u, X) == cache.residual_between(view, None, u, X)
@@ -346,7 +346,7 @@ def _split_over_bundles(flow, s, t, bundles):
     """The flow of an augmented base view with the same source and sink ids,
     moved onto the unit-subdivided graph: a terminal edge carrying k units
     becomes the first k unit paths of its bundle."""
-    f = Flow.zero(s, t)
+    f = Flow(s, t)
     for u, v, val in flow.support():
         if u == s:
             for y in bundles[v][:val]:
@@ -823,7 +823,7 @@ def test_flow_distorted_residuals_never_become_capacities(W):
     capacity W."""
     g = GraphInstance(6, {(0, 4): 1, (0, 5): W, (5, 1): 1})
     view, _, cache = make_view(g)
-    f = Flow.zero(0, 1)
+    f = Flow(0, 1)
     f.push(0, 5, 1)
     f.push(5, 1, 1)
     f.value = 1
@@ -1061,7 +1061,7 @@ def test_learned_neighbors_under_flow_and_invalid_flows():
     for a in range(5):
         for b in range(a + 1, 5):
             cache.base_pair_sum(a, 1 << b)
-    f = Flow.zero(0, 3)
+    f = Flow(0, 3)
     f.push(0, 1, 1)
     f.push(0, 2, 1)
     f.push(4, 0, 1)
@@ -1071,7 +1071,7 @@ def test_learned_neighbors_under_flow_and_invalid_flows():
     assert probed == [1, 4]
     with pytest.raises(ContractViolation):
         cache.learned_neighbors(view, f, 4, mask_of((0, 1, 2, 3)))
-    f = Flow.zero(2, 3)
+    f = Flow(2, 3)
     f.push(2, 3, 2)
     with pytest.raises(ContractViolation):
         cache.learned_neighbors(view, f, 2, mask_of((0, 3)))
@@ -1151,7 +1151,7 @@ def test_graph_file_errors():
 
 
 def test_flow_antisymmetry_and_across():
-    f = Flow.zero(0, 3)
+    f = Flow(0, 3)
     f.push(0, 1, 2)
     f.push(1, 2, 2)
     assert f.get(1, 0) == -2
@@ -1163,30 +1163,37 @@ def test_flow_antisymmetry_and_across():
 
 
 def test_flow_out_to_matches_row_sums():
-    """Random pushes with values above 1 and cancellations: out_to (bit
-    planes) equals the sum over the dict row, and signs (sign masks) the
-    signs of its entries, also on a copy that diverges afterwards."""
+    """Random pushes with values above 1, cancellations and sign flips,
+    against a dict model of the flow kept here: get, out_to, signs and
+    support agree with the model for every u and v."""
     rng = random.Random(5)
+    n = 10
     for _ in range(20):
-        n = 10
-        f = Flow.zero(0, n - 1)
+        f = Flow(0, n - 1)
+        model: dict[tuple[int, int], int] = {}
         for _ in range(80):
             u, v = rng.sample(range(n), 2)
-            if rng.random() < 0.25:
-                f.push(u, v, -f.get(u, v))  # cancel the entry
+            old = model.get((u, v), 0)
+            r = rng.random()
+            if r < 0.2:
+                amount = -old  # cancel the entry
+            elif r < 0.4 and old:
+                amount = -old - (1 if old > 0 else -1) * rng.randint(1, 40)  # flip its sign
             else:
-                f.push(u, v, rng.choice((-6, -3, -1, 1, 2, 5, 9)))
-        g = f.copy()
-        g.push(1, 2, 4)
-        for h in (f, g):
-            for u in range(n):
-                for _ in range(4):
-                    X = rng.getrandbits(n) & ~(1 << u)
-                    want = sum(val for v, val in h._adj.get(u, {}).items() if X >> v & 1)
-                    assert h.out_to(u, X) == want, (u, X)
-                pos = mask_of(v for v in range(n) if h.get(u, v) > 0)
-                neg = mask_of(v for v in range(n) if h.get(u, v) < 0)
-                assert h.signs(u) == (pos, neg), u
+                amount = rng.choice((-33, -6, -3, -1, 1, 2, 5, 9, 17))
+            f.push(u, v, amount)
+            model[u, v] = old + amount
+            model[v, u] = -(old + amount)
+        for u in range(n):
+            row = [model.get((u, v), 0) for v in range(n)]
+            assert [f.get(u, v) for v in range(n)] == row, u
+            for X in [1 << v for v in range(n)] + [rng.getrandbits(n) for _ in range(4)]:
+                want = sum(val for v, val in enumerate(row) if X >> v & 1)
+                assert f.out_to(u, X) == want, (u, X)
+            pos = mask_of(v for v in range(n) if row[v] > 0)
+            neg = mask_of(v for v in range(n) if row[v] < 0)
+            assert f.signs(u) == (pos, neg), u
+        assert f.support() == sorted((u, v, val) for (u, v), val in model.items() if val > 0)
 
 
 def test_random_valid_flows_conserve(b6):

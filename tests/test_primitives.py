@@ -25,6 +25,7 @@ from conftest import (
     brute_residual_neighbors,
     contracted_edges,
     contracted_view,
+    copy_flow,
     explicit_graph,
     flow_views,
     induced_view,
@@ -42,7 +43,7 @@ def test_find_neighbor_examples(p4, b6):
     assert find_neighbor(cache, view, None, 1, mask_of([2, 3])) == 2
     assert find_neighbor(cache, view, None, 0, mask_of([2, 3])) is None
     view, _, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
@@ -214,7 +215,7 @@ def test_bfs_tree_examples(p4, k4, b6):
     tree = bfs_tree(cache, view, None, 2)
     assert tree.layers == [1 << 2, mask_of([0, 1, 3])]
     view, _, cache = make_view(b6)
-    f = Flow.zero(0, 5)
+    f = Flow(0, 5)
     for a, b in ((0, 2), (2, 3), (3, 5)):
         f.push(a, b, 1)
     f.value = 1
@@ -319,7 +320,7 @@ def _check_memoised_rows(cache, view, cap, f, real, learned, rng):
                 row = f._rows[u]
             else:
                 assert f._rows[u] is row, u
-            assert got == cache.learned_neighbors(view, f.copy(), u, X), (u, B)
+            assert got == cache.learned_neighbors(view, copy_flow(f), u, X), (u, B)
             unknown = u in real and any(
                 (min(u, b), max(u, b)) not in learned for b in B if b in real
             )
@@ -350,7 +351,7 @@ def test_memoised_residual_rows_follow_pushes_and_learned_pairs(n, W, p, seed):
     grown = {}
     for name, view, cap, s, t, real in flow_views(g):
         cache = CutCache(view.base_view)
-        f = Flow.zero(s, t)
+        f = Flow(s, t)
         pending = [(a, b) for a in range(n) for b in range(a + 1, n)]
         rng.shuffle(pending)
         chunk = -(-len(pending) // 3)
