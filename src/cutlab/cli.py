@@ -78,10 +78,7 @@ def cmd_expdecomp(args) -> int:
     params, _, view, cache, ledger = _setup(args)
     if args.phi is not None:
         params = replace(params, phi=args.phi)
-    phi = params.phi_for(view.universe_size)
-    parts = decompose(
-        view, _ids(args.terminals), args.tau, params=params, cache=cache, phi=phi
-    )
+    parts = decompose(view, _ids(args.terminals), args.tau, params=params, cache=cache)
     crossing = 0
     for part in parts:
         boundary = cache.cut(view, part.vertices) if len(part.vertices) < view.universe_size else 0
@@ -93,7 +90,7 @@ def cmd_expdecomp(args) -> int:
         )
     print(f"parts {len(parts)}")
     print(f"crossing_edges {crossing // 2}")
-    print(f"phi {phi}")
+    print(f"phi {params.phi_for(view.n)}")
     print(f"cut_queries {ledger.cut_count}")
     print(f"bis_queries {cache.logical_bis}")
     return 0

@@ -16,19 +16,15 @@ from .oracle import QueryInputError
 
 # Below this phi, 1/phi^3 in k_unbalanced overflows a float (at about 1.8e-103).
 PHI_MIN = 1e-100
-# An exhaustive scan over k slots holds tables of 2^(k-1) int64 entries,
-# 16 MiB each at k = 22.
-EXACT_LIMIT_MAX = 22
 
 
 @dataclass(frozen=True)
 class Params:
     """Run parameters. Every field is checked on construction (and so on
-    dataclasses.replace and config overrides): phi and phi_x in (0, 1], phi
-    at least PHI_MIN; bad_fraction in [0, 1]; beta finite and nonnegative;
-    rounds_base a nonnegative int; the exact limits ints in [0,
-    EXACT_LIMIT_MAX]. A None keeps the paper-profile formula. A value out
-    of range raises QueryInputError."""
+    dataclasses.replace and config overrides): phi in [PHI_MIN, 1];
+    bad_fraction in [0, 1]; beta finite and nonnegative; rounds_base a
+    nonnegative int. A None keeps the paper-profile formula. A value out of
+    range raises QueryInputError."""
 
     profile: str = "desk"
     # sparsity parameter; None means the paper-profile formula 1/log2(n)^10
@@ -39,39 +35,24 @@ class Params:
     bad_fraction: float = 0.5
     # cut-matching rounds: rounds_base + ceil(log2(slots))
     rounds_base: int = 1
-    # witness conductance target; None means 1/(6 ln|X| + 6)
-    phi_x: float | None = None
-    # exhaustive-search thresholds for the explicit witness graph
-    cut_player_exact_limit: int = 20
-    prune_exact_limit: int = 18
-    witness_check_limit: int = 18
 
     def __post_init__(self):
         if type(self.profile) is not str:
             raise QueryInputError(f"profile must be a name, got {self.profile!r}")
-        # (field, low, high, low included, None allowed)
-        for key, lo, hi, closed, optional in (
-            ("phi", PHI_MIN, 1.0, True, True),
-            ("phi_x", 0.0, 1.0, False, True),
-            ("beta", 0.0, math.inf, True, True),
-            ("bad_fraction", 0.0, 1.0, True, False),
+        # (field, low, high, None allowed)
+        for key, lo, hi, optional in (
+            ("phi", PHI_MIN, 1.0, True),
+            ("beta", 0.0, math.inf, True),
+            ("bad_fraction", 0.0, 1.0, False),
         ):
             val = getattr(self, key)
             if val is None and optional:
                 continue
             finite = type(val) in (int, float) and math.isfinite(val)
-            if not (finite and (lo <= val if closed else lo < val) and val <= hi):
-                span = f"{'[' if closed else '('}{lo:g}, {hi:g}]"
-                raise QueryInputError(f"{key} must be a number in {span}, got {val!r}")
-        for key, hi in (
-            ("rounds_base", math.inf),
-            ("cut_player_exact_limit", EXACT_LIMIT_MAX),
-            ("prune_exact_limit", EXACT_LIMIT_MAX),
-            ("witness_check_limit", EXACT_LIMIT_MAX),
-        ):
-            val = getattr(self, key)
-            if type(val) is not int or not 0 <= val <= hi:
-                raise QueryInputError(f"{key} must be an int in [0, {hi:g}], got {val!r}")
+            if not (finite and lo <= val <= hi):
+                raise QueryInputError(f"{key} must be a number in [{lo:g}, {hi:g}], got {val!r}")
+        if type(self.rounds_base) is not int or self.rounds_base < 0:
+            raise QueryInputError(f"rounds_base must be an int >= 0, got {self.rounds_base!r}")
 
     def phi_for(self, n: int) -> float:
         if self.phi is not None:
@@ -85,11 +66,6 @@ class Params:
 
     def rounds_for(self, slots: int) -> int:
         return max(2, self.rounds_base + math.ceil(math.log2(max(slots, 2))))
-
-    def phi_x_for(self, x_size: int) -> float:
-        if self.phi_x is not None:
-            return self.phi_x
-        return 1.0 / (6.0 * math.log(max(x_size, 2)) + 6.0)
 
     def bad_budget(self, tau: int) -> float:
         return self.bad_fraction * (tau + 1)

@@ -34,6 +34,14 @@ from .oracle import (
     canon,
 )
 
+# Slot counts up to which the witness graph is searched exhaustively: the
+# cut player's bisection, pruning's conductance cut and the expansion check.
+# An exhaustive scan over k slots holds tables of 2^(k-1) int64 entries,
+# 4 MiB each at k = 20.
+CUT_PLAYER_EXACT_LIMIT = 20
+PRUNE_EXACT_LIMIT = 18
+WITNESS_CHECK_LIMIT = 18
+
 
 # ---------------------------------------------------------------------------
 # witness graph
@@ -64,7 +72,6 @@ class WitnessGraph:
 
     slots: tuple[int, ...]
     b: int
-    pad: Optional[int] = None
     edges: Counter = field(default_factory=Counter)
     fake: Counter = field(default_factory=Counter)
     rounds: int = 0
@@ -139,16 +146,16 @@ def _bisection_masks(k: int) -> np.ndarray:
     return masks
 
 
-def cut_player(X: WitnessGraph, params: Params = DESK) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def cut_player(X: WitnessGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bisection of the witness slots: the exact minimum-crossing bisection
-    by exhaustive search up to the configured limit, else a deterministic
-    spectral split. Costs zero queries (X is explicit)."""
+    by exhaustive search up to CUT_PLAYER_EXACT_LIMIT slots, else a
+    deterministic spectral split. Costs zero queries (X is explicit)."""
     slots = X.slots
     k = len(slots)
     if k < 2 or k % 2:
         raise QueryInputError("cut player needs an even number of slots")
     index = {s: i for i, s in enumerate(slots)}
-    if k <= params.cut_player_exact_limit:
+    if k <= CUT_PLAYER_EXACT_LIMIT:
         eu, ev, ew = _edge_arrays(X.combined(), index)
         cuts = _kernels.subset_cuts(k, eu, ev, ew, range(k - 1))
         # argmin keeps the first minimum in the table's order
@@ -239,19 +246,14 @@ class PruneReport:
     within_budget: bool
 
 
-def prune(
-    X: WitnessGraph,
-    fake: Optional[Counter] = None,
-    phi_x: Optional[float] = None,
-    params: Params = DESK,
-) -> PruneReport:
+def prune(X: WitnessGraph, phi_x: Optional[float] = None) -> PruneReport:
     """Iterative peeling realisation of expander pruning: while the fake-free
     witness has a cut of conductance below phi_x/6, move its smaller-volume
-    side into the prune set. The volume bound vol(P) <= (8/phi_x)|F'| is
-    reported as a diagnostic, not enforced."""
-    fake = X.fake if fake is None else fake
+    side into the prune set. phi_x defaults to 1/(6 ln|X| + 6). The volume
+    bound vol(P) <= (8/phi_x)|F'| is reported as a diagnostic, not
+    enforced."""
     if phi_x is None:
-        phi_x = params.phi_x_for(len(X.slots))
+        phi_x = 1.0 / (6.0 * math.log(max(len(X.slots), 2)) + 6.0)
     target = phi_x / 6.0
     real_edges = Counter(X.edges)
     alive = list(X.slots)
@@ -268,7 +270,7 @@ def prune(
         eu, ev, ew = _edge_arrays(real_edges, index)
         if eu.shape[0] == 0:
             break
-        if len(alive) <= params.prune_exact_limit:
+        if len(alive) <= PRUNE_EXACT_LIMIT:
             cross, vol, mask = _kernels.best_conductance_cut(len(alive), eu, ev, ew)
         else:
             cross, vol, mask = _spectral_conductance_cut(len(alive), eu, ev, ew)
@@ -291,7 +293,7 @@ def prune(
                 kept[u, v] = c
         real_edges = kept
     volume = sum(orig_deg[v] for v in pruned)
-    fake_count = sum(fake.values())
+    fake_count = sum(X.fake.values())
     budget = (8.0 / phi_x) * fake_count
     return PruneReport(
         pruned=canon(pruned),
@@ -372,7 +374,6 @@ def one_step(
     tau: int,
     params: Params = DESK,
     cache: Optional[CutCache] = None,
-    phi: Optional[float] = None,
 ) -> OneStepResult:
     """One round of the decomposition: either a balanced sparse cut, or a
     core R' of terminals certified by the witness graph after pruning."""
@@ -382,18 +383,17 @@ def one_step(
     if cache is None:
         cache = CutCache(view.base_view)
     n = view.base_view.n
-    if phi is None:
-        phi = params.phi_for(n)
+    phi = params.phi_for(n)
     beta = params.beta_for(len(R), n)
     pad = None
     slots = R
     if len(slots) % 2:
         pad = max(slots) + 1
         slots = slots + (pad,)
-    X = WitnessGraph(slots=slots, b=tau + 1, pad=pad)
+    X = WitnessGraph(slots=slots, b=tau + 1)
     r_max = params.rounds_for(len(slots))
     for _ in range(r_max):
-        A, B = cut_player(X, params)
+        A, B = cut_player(X)
         A_real = tuple(a for a in A if a != pad)
         B_real = tuple(b for b in B if b != pad)
         out = matching_player(view, A_real, B_real, tau, phi, beta, cache=cache)
@@ -410,9 +410,9 @@ def one_step(
             deficit[v] -= c
         fakes = _complete_with_fakes(A, B, deficit)
         X.add_round(out.matching, fakes)
-        if len(slots) <= params.witness_check_limit and X.sparsity_at_least(tau + 1):
+        if len(slots) <= WITNESS_CHECK_LIMIT and X.sparsity_at_least(tau + 1):
             break
-    report = prune(X, params=params)
+    report = prune(X)
     pruned = set(report.pruned)
     budget = params.bad_budget(tau)
     # fake degree plus the real edges into pruned slots, in one pass each
@@ -473,16 +473,20 @@ def decompose(
     tau: int,
     params: Params = DESK,
     cache: Optional[CutCache] = None,
-    phi: Optional[float] = None,
 ) -> list[DecompositionPart]:
     """Recursive one_step over induced sub-views. A sub-view answers
-    through its parent's linear forms, so creating one costs nothing."""
+    through its parent's linear forms, so creating one costs nothing.
+    Raises QueryInputError, before any charge, for a terminal outside the
+    view and for a tau that is not an int >= 0."""
     R = canon(R)
+    for r in R:
+        if r not in view.universe:
+            raise QueryInputError(f"terminal {r!r} not in the view")
+    if not isinstance(tau, int) or tau < 0:
+        raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:
         cache = CutCache(view.base_view)
-    n = view.base_view.n
-    if phi is None:
-        phi = params.phi_for(n)
+    phi = params.phi_for(view.base_view.n)
     parts: list[DecompositionPart] = []
 
     def emit(sub_view: OracleView, terms: tuple[int, ...], core: tuple[int, ...]):
@@ -499,16 +503,17 @@ def decompose(
         if len(terms) < 2:
             emit(sub_view, terms, terms)
             return
-        res = one_step(sub_view, terms, tau, params=params, cache=cache, phi=phi)
+        res = one_step(sub_view, terms, tau, params=params, cache=cache)
         if res.kind == "core":
             emit(sub_view, terms, res.core)
             return
         side = canon(res.cut)
         rest = canon(set(sub_view.vertices()) - set(side))
-        side_view, rest_view = _induce(sub_view, side, rest)
+        # nothing is learned here: a flow inside either induced view reads
+        # only pairs inside it, never the pairs that cross the split
         children = [
-            (side_view, canon(set(terms) & set(side))),
-            (rest_view, canon(set(terms) - set(side))),
+            (InducedView(sub_view, side), canon(set(terms) & set(side))),
+            (InducedView(sub_view, rest), canon(set(terms) - set(side))),
         ]
         children.sort(key=lambda child: child[0].vertices()[0])
         for child_view, child_terms in children:
@@ -517,12 +522,3 @@ def decompose(
     rec(view, R)
     parts.sort(key=lambda p: p.vertices[0] if p.vertices else -1)
     return parts
-
-
-def _induce(
-    parent: OracleView, part: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[InducedView, InducedView]:
-    """The induced views of `part` and `other`, which split the parent's
-    vertices. Nothing is learned here: a flow inside either view reads
-    only pairs inside it, never the pairs that cross the split."""
-    return InducedView(parent, part), InducedView(parent, other)

@@ -157,13 +157,15 @@ def isolating_cuts(
         # each kept vertex's capacity to the outside, which s_r contracts
         outside = everyone & ~keep_mask
         w_out = {x: cache.residual_between(view, None, x, outside) for x in keep}
+        # r's own edges to the outside are counted directly, not in the flow
         direct = w_out[r]
+        w_out[r] = 0
         lam: float
         if len(keep) == 1:
             lam = direct
             side = (r,)
         else:
-            cv = ContractedView(view, keep, w_out, drops={r: direct})
+            cv = ContractedView(view, keep, w_out)
             local = dinitz_maxflow(cv, r, cv.s_r, cache=cache)
             lam = direct + local.value
             side = local.mincut_source_side

@@ -44,16 +44,6 @@ class FlowResult:
         return len(self.rounds)
 
 
-def _residual_capacity(cache: CutCache, view: OracleView, f: Flow, u: int, v: int) -> int:
-    fv = f.get(u, v)
-    if fv >= 0 and view.unit_real_capacities() and view.linear_form(u).keep >> v & 1:
-        # a residual edge between real vertices with nonnegative flow on a
-        # unit-capacity view must be an unused real edge; an edge with a
-        # virtual end may be heavier, and its capacity is read free
-        return 1 - fv
-    return cache.capacity(view, u, v) - fv
-
-
 def blocking_flow_round(
     cache: CutCache,
     view: OracleView,
@@ -72,7 +62,9 @@ def blocking_flow_round(
     pushing a path's bottleneck it retreats to the tail of the path's first
     saturated edge. Restarting from s would choose the same vertices again,
     since the push changes residual capacities on path edges only, so the
-    retreat only skips those repeated searches."""
+    retreat only skips those repeated searches. The path's capacities are
+    read with CutCache.capacity; the search that found each path edge
+    taught its pair, so these reads charge nothing."""
     s = layers[0].bit_length() - 1
     d = len(layers) - 1
     # the vertices of each layer not yet found to be dead ends
@@ -89,7 +81,7 @@ def blocking_flow_round(
             continue
         stack.append(v)
         if len(stack) == d + 1:
-            caps = [_residual_capacity(cache, view, f, a, b) for a, b in zip(stack, stack[1:])]
+            caps = [cache.capacity(view, a, b) - f.get(a, b) for a, b in zip(stack, stack[1:])]
             bottleneck = min(caps)
             if bottleneck < 1:
                 raise ContractViolation("found path with no residual capacity")

@@ -20,6 +20,7 @@ from .config import DESK, Params
 from .expander import decompose
 from .isolating import isolating_cuts
 from .oracle import (
+    BaseView,
     CutCache,
     GraphInstance,
     OracleView,
@@ -247,9 +248,7 @@ def balanced_sparsify(
     R = canon(R)
     if cache is None:
         cache = CutCache(view.base_view)
-    n = view.base_view.n
-    phi = params.phi_for(n)
-    parts = decompose(view, R, tau, params=params, cache=cache, phi=phi)
+    parts = decompose(view, R, tau, params=params, cache=cache)
     full = view.universe_size
     for part in parts:
         if len(part.vertices) == full:
@@ -257,15 +256,14 @@ def balanced_sparsify(
         boundary = cache.cut(view, part.vertices)
         if boundary <= tau:
             return SparsifyResult("cut", side=part.vertices, value=boundary)
-    small_limit = (1.0 / phi) ** 2
-    large_pick = 1 + math.ceil(1.0 / phi)
+    large_pick = 1 + math.ceil(1.0 / params.phi_for(view.base_view.n))
     chosen: set[int] = set()
     for part in parts:
         core = part.core
         chosen.update(r for r in part.terminals if r not in set(core))
         if not core:
             continue
-        if len(core) <= small_limit:
+        if part.classification == "small":
             chosen.add(core[0])
         else:
             chosen.update(core[:large_pick])
@@ -334,17 +332,20 @@ class MinCutAnswer:
 
 
 def global_mincut(
-    view: OracleView,
+    view: BaseView,
     cache: Optional[CutCache] = None,
     params: Params = DESK,
 ) -> MinCutAnswer:
     """Binary search over the threshold algorithm. The top threshold
     delta-1 is probed first: failure there certifies the degree cut
-    immediately, success pins the search interval."""
-    n = view.universe_size
-    if n < 2:
+    immediately, success pins the search interval. Refuses, before any
+    charge, a view other than the base view, fewer than two vertices and a
+    graph that is not a unit graph."""
+    if view is not view.base_view:
+        raise QueryInputError("global min cut runs on the base view only")
+    if view.n < 2:
         raise QueryInputError("global min cut needs n >= 2")
-    if not view.unit_real_capacities():
+    if not view.unit:
         # the dominating-set argument below holds for simple graphs only
         raise QueryInputError("global min cut needs unit edge capacities")
     if cache is None:

@@ -514,11 +514,6 @@ class OracleView:
     def universe_size(self) -> int:
         return len(self.vertices())
 
-    def unit_real_capacities(self) -> bool:
-        """True when every real (base-graph-backed) edge in this view has
-        capacity exactly 1, so a residual edge with zero flow has capacity 1."""
-        raise NotImplementedError
-
     def linear_form(self, u: int) -> LinearForm:
         """The capacity of u towards any vertex set, as a LinearForm, built
         once per view and vertex."""
@@ -532,7 +527,8 @@ class OracleView:
 
 
 class BaseView(OracleView):
-    """Direct window onto the hidden graph."""
+    """Direct window onto the hidden graph. `unit` is True when every
+    edge of the hidden graph has capacity 1 (a simple unit graph)."""
 
     def __init__(self, instance: GraphInstance, ledger: Optional[QueryLedger] = None):
         self._instance = instance
@@ -541,6 +537,7 @@ class BaseView(OracleView):
         self.universe = frozenset(self._verts)
         self.n = instance.n
         self.mask = (1 << instance.n) - 1
+        self.unit = instance.W == 1
         self._forms: dict[int, LinearForm] = {}
 
     @property
@@ -551,9 +548,6 @@ class BaseView(OracleView):
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    def unit_real_capacities(self) -> bool:
-        return self._instance.W == 1
 
     def _build_form(self, u: int) -> LinearForm:
         return LinearForm((), 1, u, self.mask)
@@ -623,9 +617,6 @@ class AugmentedView(OracleView):
     def vertices(self) -> tuple[int, ...]:
         return self._verts
 
-    def unit_real_capacities(self) -> bool:
-        return self.scale == 1 and self.parent.unit_real_capacities()
-
     def bundle_flow(self, f: Flow, terminal: int) -> int:
         """Units the flow routes over a terminal's virtual edge."""
         if terminal in self._source_cap:
@@ -649,20 +640,13 @@ class AugmentedView(OracleView):
 
 class ContractedView(OracleView):
     """Everything outside `keep` is contracted into one vertex s_r, parallel
-    edges merging into summed capacities. `drops` removes explicitly known
-    capacity between a kept vertex and s_r (used once its value is known).
-    The parent capacity from each kept vertex to the contracted outside
-    (`w_out`) is learned once by the caller; the linear forms read it at
-    zero query cost. A drop larger than its vertex's w_out, which would
-    leave a negative capacity to s_r, is refused."""
+    edges merging into summed capacities. `w_out` gives each kept vertex's
+    capacity to s_r (0 when missing), learned once by the caller; the
+    linear forms read it at zero query cost. A caller may give a vertex
+    less than its parent capacity to the outside, to drop edges whose value
+    it already knows. A negative capacity to s_r is refused."""
 
-    def __init__(
-        self,
-        parent: OracleView,
-        keep: Iterable[int],
-        w_out: dict[int, int],
-        drops: Optional[dict[int, int]] = None,
-    ):
+    def __init__(self, parent: OracleView, keep: Iterable[int], w_out: dict[int, int]):
         super().__init__(parent.base_view)
         keep = canon(keep)
         puni = parent.universe
@@ -676,9 +660,8 @@ class ContractedView(OracleView):
         self.parent = parent
         self.keep = keep
         self.s_r = max(parent.vertices()) + 1
-        self.drops = dict(drops or {})
         # capacity between each kept vertex and s_r
-        self._to_s = {v: int(w_out.get(v, 0)) - self.drops.get(v, 0) for v in keep}
+        self._to_s = {v: int(w_out.get(v, 0)) for v in keep}
         for v, w in self._to_s.items():
             if w < 0:
                 raise QueryInputError(f"vertex {v} would have capacity {w} < 0 to s_r")
@@ -689,10 +672,6 @@ class ContractedView(OracleView):
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    def unit_real_capacities(self) -> bool:
-        # edges into s_r are merged parallels, so they may exceed 1
-        return False
 
     def _build_form(self, u: int) -> LinearForm:
         if u == self.s_r:
@@ -732,9 +711,6 @@ class InducedView(OracleView):
 
     def vertices(self) -> tuple[int, ...]:
         return self._verts
-
-    def unit_real_capacities(self) -> bool:
-        return self.parent.unit_real_capacities()
 
     def linear_form(self, u: int) -> LinearForm:
         return self.parent.linear_form(u)
@@ -814,7 +790,7 @@ class CutCache:
         self._known = [0] * base.n
         self._planes: list[list[int]] = []
         self._support = [0] * base.n
-        self._unit_base = base._instance.W == 1
+        self._unit_base = base.unit
         # block totals that taught no pair: _blocks[u] maps a bitmask R of
         # vertices to c(u, R); no key meets _keyed[u], the learned pairs of u
         # when the table was last re-keyed (a subset of _known[u])

@@ -113,9 +113,10 @@ def materialize_augmented(parent_edges, aug):
     return cap
 
 
-def contracted_edges(parent_edges, cv):
+def contracted_edges(parent_edges, cv, drop=None):
     """Explicit adjacency of a contracted view, from the explicit adjacency
-    of its parent: parallel edges into s_r merge, and drops come off."""
+    of its parent: parallel edges into s_r merge, and the edge between
+    `drop` and s_r, if given, comes off."""
     cap = {}
     for (u, v), w in parent_edges.items():
         uu = u if u in cv.keep else cv.s_r
@@ -123,19 +124,22 @@ def contracted_edges(parent_edges, cv):
         if uu != vv:
             key = (min(uu, vv), max(uu, vv))
             cap[key] = cap.get(key, 0) + w
-    for x, w in cv.drops.items():
-        cap[(x, cv.s_r)] -= w
+    if drop is not None:
+        cap.pop((drop, cv.s_r), None)
     return cap
 
 
-def contracted_view(parent, parent_edges, keep, drops=None):
+def contracted_view(parent, parent_edges, keep, drop=None):
     """Contracted view of `keep` with its true crossing capacities, from the
-    explicit adjacency of its parent."""
+    explicit adjacency of its parent; the kept vertex `drop`, if given, gets
+    capacity 0 to s_r, as isolating_cuts gives its terminal."""
     w_out = dict.fromkeys(keep, 0)
     for (a, b), w in parent_edges.items():
         if (a in w_out) != (b in w_out):
             w_out[a if a in w_out else b] += w
-    return ContractedView(parent, keep, w_out, drops)
+    if drop is not None:
+        w_out[drop] = 0
+    return ContractedView(parent, keep, w_out)
 
 
 def induced_view(view, g, part):

@@ -134,6 +134,10 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
     for text, needle in (
         ("reset_policy = full\n", "unknown config key"),
         ("zeta = 0.5\n", "unknown config key"),
+        ("phi_x = 0.5\n", "unknown config key"),
+        ("cut_player_exact_limit = 20\n", "unknown config key"),
+        ("prune_exact_limit = 18\n", "unknown config key"),
+        ("witness_check_limit = 18\n", "unknown config key"),
         ("bogus = 1\n", "unknown config key"),
         ("phi_for = 1\n", "unknown config key"),
         ("phi = abc\n", "needs a number"),
@@ -151,15 +155,19 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
 
 
 def test_cli_refuses_malformed_input(b6_file, tmp_path, capsys):
-    """Non-integer vertex lists, an unknown algorithm and a graph file that
-    does not exist are refused in one line with status 2, not a
-    traceback."""
+    """Non-integer vertex lists, an unknown algorithm, a graph file that
+    does not exist, and expdecomp terminals outside the graph or a negative
+    tau (once answered with exit 0 and a core) are refused in one line with
+    status 2, not a traceback."""
     missing = str(tmp_path / "missing.graph")
     for argv, needle in (
         (["isocuts", "--graph", b6_file, "--terminals", "a,b", "--tau", "1"], "'a,b'"),
         (["bench", "--families", "complete", "--sizes", "x"], "'x'"),
         (["bench", "--families", "complete", "--sizes", "4", "--algos", "bogus"], "'bogus'"),
         (["mincut", "--graph", missing], missing),
+        (["expdecomp", "--graph", b6_file, "--terminals", "999", "--tau", "1"], "999"),
+        (["expdecomp", "--graph", b6_file, "--terminals", "-3", "--tau", "-5"], "-3"),
+        (["expdecomp", "--graph", b6_file, "--terminals", "0", "--tau", "-5"], "tau"),
     ):
         rc = main(argv)
         captured = capsys.readouterr()

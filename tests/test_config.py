@@ -5,30 +5,22 @@ from dataclasses import replace
 
 import pytest
 
-from cutlab.config import DESK, EXACT_LIMIT_MAX, PAPER, PHI_MIN, Params, load_config_overrides
+from cutlab.config import DESK, PAPER, PHI_MIN, Params, load_config_overrides
 from cutlab.oracle import QueryInputError
 
 BAD = {
     "phi": [0, 0.0, -0.5, float("inf"), float("nan"), 1e-300, 1.5, "0.1", True],
-    "phi_x": [0, -1.0, 1.01, float("nan")],
     "beta": [-0.1, float("inf"), float("nan")],
     "bad_fraction": [None, -0.1, 1.5, float("inf")],
     "rounds_base": [-1, 1.0, None],
-    "cut_player_exact_limit": [-1, EXACT_LIMIT_MAX + 1, 20.0, None],
-    "prune_exact_limit": [-1, EXACT_LIMIT_MAX + 1],
-    "witness_check_limit": [-1, EXACT_LIMIT_MAX + 1],
     "profile": [None, 3],
 }
 
 GOOD = {
     "phi": [None, PHI_MIN, 1e-12, 1, 1.0],
-    "phi_x": [None, 1e-300, 1.0],
     "beta": [None, 0, 0.0, 1e9],
     "bad_fraction": [0, 0.0, 1.0],
     "rounds_base": [0, 7],
-    "cut_player_exact_limit": [0, EXACT_LIMIT_MAX],
-    "prune_exact_limit": [0, EXACT_LIMIT_MAX],
-    "witness_check_limit": [0, EXACT_LIMIT_MAX],
 }
 
 
@@ -51,10 +43,10 @@ def test_params_accept_the_ends_of_each_range(key):
 
 def test_config_overrides_are_checked(tmp_path):
     cfg = tmp_path / "knobs.cfg"
-    for text in ("phi = 0\n", "phi = nan\n", "bad_fraction = none\n", "prune_exact_limit = 40\n"):
+    for text in ("phi = 0\n", "phi = nan\n", "bad_fraction = none\n"):
         cfg.write_text(text)
         with pytest.raises(QueryInputError, match=text.split()[0]):
             load_config_overrides(cfg, DESK)
-    cfg.write_text("phi = 1\nphi_x = 0.5\nrounds_base = 0\n")
+    cfg.write_text("phi = 1\nbeta = 2\nrounds_base = 0\n")
     params = load_config_overrides(cfg, DESK)
-    assert (params.phi, params.phi_x, params.rounds_base) == (1.0, 0.5, 0)
+    assert (params.phi, params.beta, params.rounds_base) == (1.0, 2.0, 0)

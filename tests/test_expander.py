@@ -10,6 +10,7 @@ import pytest
 
 from cutlab.config import DESK, PINNED
 from cutlab.expander import (
+    CUT_PLAYER_EXACT_LIMIT,
     WitnessGraph,
     bisection_table,
     cut_player,
@@ -19,7 +20,7 @@ from cutlab.expander import (
     prune,
 )
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
-from cutlab.oracle import GraphInstance
+from cutlab.oracle import GraphInstance, InducedView, QueryInputError
 from conftest import make_view, random_graph
 
 
@@ -73,7 +74,7 @@ def _first_min_bisection(X):
     return A, tuple(s for s in slots if s not in best[1])
 
 
-@pytest.mark.parametrize("k", range(2, DESK.cut_player_exact_limit + 1, 2))
+@pytest.mark.parametrize("k", range(2, CUT_PLAYER_EXACT_LIMIT + 1, 2))
 def test_cut_player_exact_matches_brute_force(k):
     rng = random.Random(k)
     slots = tuple(sorted(rng.sample(range(5, 10 * k), k)))
@@ -350,6 +351,29 @@ def test_decompose_two_cliques():
     assert covered == list(range(12))
     crossing = sum(g.cut_of(p.vertices) for p in parts) // 2
     assert crossing == 1
+
+
+def test_decompose_refuses_terminals_outside_the_view_and_negative_tau():
+    """Fewer than two terminals once skipped every check, so terminal 999
+    or tau -5 came back as a core; each case is refused before any charge,
+    as are two terminals with one outside an induced view."""
+    g = generate(InstanceSpec("two_cliques_bridge", 12))
+    view, ledger, cache = make_view(g)
+    left = InducedView(view, range(6))
+    for v, R, tau in (
+        (view, (999,), 1),
+        (view, (-3,), -5),
+        (view, (0,), -5),
+        (view, (0,), 1.5),
+        (view, (), -1),
+        (view, (0, 999), 1),
+        (view, (0, 5), -1),
+        (left, (7,), 1),
+        (left, (0, 7), 1),
+    ):
+        with pytest.raises(QueryInputError):
+            decompose(v, R, tau, cache=cache)
+    assert ledger.cut_count == 0
 
 
 def test_decompose_k8_single_part():

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlab.config import PINNED
+from cutlab.expander import decompose
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
 from cutlab.maxflow import blocking_flow_round, dinitz_maxflow, path_decomposition
 from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance, ids_of, mask_of
+from cutlab.mincut import global_mincut
 from cutlab.primitives import bfs_tree, find_neighbor
 from conftest import (
     copy_flow,
@@ -377,3 +379,42 @@ def test_dinitz_matches_networkx_with_a_shared_cache():
         res = dinitz_maxflow(view, s, t, cache=cache)
         assert res.value == nx.maximum_flow_value(G, s, t), (s, t)
         assert g.cut_of(res.mincut_source_side) == res.value
+
+
+def test_blocking_search_reads_path_capacities_for_free(monkeypatch):
+    """The blocking search reads each path edge's capacity with
+    CutCache.capacity, its only caller. The search that found the edge
+    taught its pair, so no read charges a query: on unit and W=3 graphs
+    with several s-t pairs on one cache, and inside global_mincut's and
+    decompose's derived views."""
+    charges = []
+    read = CutCache.capacity
+
+    def capacity(self, view, u, v):
+        before = view.ledger.cut_count
+        out = read(self, view, u, v)
+        charges.append(view.ledger.cut_count - before)
+        return out
+
+    monkeypatch.setattr(CutCache, "capacity", capacity)
+    rng = random.Random(7)
+    for W in (1, 3):
+        for n in (24, 48):
+            g = random_graph(n, 0.3, n + W, W=W)
+            view, _, cache = make_view(g)
+            for _ in range(6):
+                s, t = rng.sample(range(n), 2)
+                assert dinitz_maxflow(view, s, t, cache=cache).value == reference_maxflow(g, s, t)
+    for spec in (
+        InstanceSpec("expander_like", 32),
+        InstanceSpec("random_gnp", 24, 1, (("p", 0.5),)),
+        InstanceSpec("planted_cut", 32),
+        InstanceSpec("two_cliques_bridge", 16),
+    ):
+        g = generate(spec)
+        view, _, cache = make_view(g)
+        global_mincut(view, cache=cache)
+        view, _, cache = make_view(g)
+        decompose(view, range(g.n), 1, cache=cache)
+    assert len(charges) > 1000
+    assert not any(charges)

@@ -27,7 +27,7 @@ from cutlab.mincut import (
     threshold_mincut,
     unbalanced_case,
 )
-from cutlab.oracle import GraphInstance, QueryInputError
+from cutlab.oracle import GraphInstance, InducedView, QueryInputError
 from conftest import make_view, random_graph, small_corpus
 
 
@@ -368,6 +368,12 @@ def test_global_mincut_refuses_capacitated_graphs():
     view, ledger, cache = make_view(g)
     with pytest.raises(QueryInputError):
         global_mincut(view, cache=cache)
+    assert ledger.cut_count == 0
+    # a derived view is refused up front too: an induced view of a unit
+    # graph once paid the connectivity BFS before degrees refused it
+    view, ledger, cache = make_view(random_graph(8, 0.5, 9))
+    with pytest.raises(QueryInputError):
+        global_mincut(InducedView(view, range(6)), cache=cache)
     assert ledger.cut_count == 0
 
 

@@ -447,16 +447,14 @@ def test_contracted_view_examples(b6, k4):
 
 
 def test_contracted_view_refuses_negative_capacity_to_s_r(b6):
-    """A drop above w_out would give 2 capacity -2 to s_r, whose
-    neighbourhood then read [] from a fresh cache and [0, 1, 6] once the
-    pairs were learned; the view refuses it, and a drop equal to w_out
-    leaves capacity 0."""
+    """A w_out of -2 would give 2 capacity -2 to s_r, whose neighbourhood
+    then read [] from a fresh cache and [0, 1, 6] once the pairs were
+    learned; the view refuses it, and a w_out of 0 leaves capacity 0."""
     view, _, cache = make_view(b6)
-    with pytest.raises(QueryInputError):
-        ContractedView(view, (0, 1, 2), {2: 1}, drops={2: 3})
-    with pytest.raises(QueryInputError):
-        ContractedView(view, (0, 1, 2), {2: -1})
-    cv = ContractedView(view, (0, 1, 2), {2: 1}, drops={2: 1})
+    for w in (-2, -1):
+        with pytest.raises(QueryInputError):
+            ContractedView(view, (0, 1, 2), {2: w})
+    cv = ContractedView(view, (0, 1, 2), {2: 0})
     assert cache.capacity(cv, 2, cv.s_r) == 0
     assert neighborhood(cache, cv, None, 2, mask_of([0, 1, cv.s_r])) == mask_of([0, 1])
     bis = cache.logical_bis
@@ -481,9 +479,9 @@ def test_contracted_view_full_enumeration():
             to_s = {x: contracted_edges(parent_edges, full).get((x, full.s_r), 0) for x in keep}
             x = max(keep, key=to_s.get)
             assert to_s[x] > 0
-            cv = contracted_view(parent, parent_edges, keep, {x: to_s[x]})
+            cv = contracted_view(parent, parent_edges, keep, drop=x)
             assert cv.s_r == 7 or parent is view
-            cap = {e: w for e, w in contracted_edges(parent_edges, cv).items() if w}
+            cap = {e: w for e, w in contracted_edges(parent_edges, cv, drop=x).items() if w}
             verts = cv.vertices()
             for k in range(1, len(verts)):
                 for side in itertools.combinations(verts, k):
