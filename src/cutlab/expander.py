@@ -364,7 +364,6 @@ class OneStepResult:
     cut: tuple[int, ...] = ()
     core: tuple[int, ...] = ()
     witness: Optional[WitnessGraph] = None
-    prune_report: Optional[PruneReport] = None
     rounds: int = 0
 
 
@@ -426,9 +425,7 @@ def one_step(
         if a in pruned:
             bad[b] += c
     core = [v for v in R if v not in pruned and bad[v] <= budget]
-    return OneStepResult(
-        "core", core=canon(core), witness=X, prune_report=report, rounds=X.rounds
-    )
+    return OneStepResult("core", core=canon(core), witness=X, rounds=X.rounds)
 
 
 def _complete_with_fakes(A, B, deficit: Counter) -> Counter:

@@ -13,7 +13,8 @@ graph charges nothing and probes nothing. The
 source-sink distance strictly increases between rounds, which is asserted,
 and the final flow is maximum once the sink becomes unreachable; that last
 BFS explores the whole residual-reachable set, the source side of a
-minimum cut.
+minimum cut. A caller that only needs to know whether the flow reaches a
+limit can stop it there, before that last BFS.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def blocking_flow_round(
     since the push changes residual capacities on path edges only, so the
     retreat only skips those repeated searches. The path's capacities are
     read with CutCache.capacity; the search that found each path edge
-    taught its pair, so these reads charge nothing."""
+    taught its pair, so these reads charge nothing. Each path edge's flow is
+    read once and handed to the push."""
     s = layers[0].bit_length() - 1
     d = len(layers) - 1
     # the vertices of each layer not yet found to be dead ends
@@ -81,12 +83,14 @@ def blocking_flow_round(
             continue
         stack.append(v)
         if len(stack) == d + 1:
-            caps = [cache.capacity(view, a, b) - f.get(a, b) for a, b in zip(stack, stack[1:])]
+            edges = list(zip(stack, stack[1:]))
+            flows = [f.get(a, b) for a, b in edges]
+            caps = [cache.capacity(view, a, b) - x for (a, b), x in zip(edges, flows)]
             bottleneck = min(caps)
             if bottleneck < 1:
                 raise ContractViolation("found path with no residual capacity")
-            for a, b in zip(stack, stack[1:]):
-                f.push(a, b, bottleneck)
+            for (a, b), x in zip(edges, flows):
+                f.push(a, b, bottleneck, x)
             f.value += bottleneck
             pushed += bottleneck
             del stack[caps.index(bottleneck) + 1 :]
@@ -98,21 +102,31 @@ def dinitz_maxflow(
     s: int,
     t: int,
     cache: Optional[CutCache] = None,
+    limit: Optional[int] = None,
 ) -> FlowResult:
     """Repeated blocking flow until the sink is unreachable; also extracts
     the source side of a minimum cut as the final residual-reachable set.
     Each round's BFS stops once it discovers t; the last one, which does
-    not, explores all the residual-reachable set."""
+    not, explores all the residual-reachable set.
+
+    With a limit, the flow also stops once its value reaches the limit,
+    before the next BFS: a caller that only asks whether the max flow is
+    below the limit skips that last, whole-set BFS. Such a result has no
+    source side (mincut_source_side is empty). A flow whose max is below
+    the limit runs exactly as without it."""
     if s == t:
         raise QueryInputError("source and sink must differ")
     if s not in view.universe or t not in view.universe:
         raise QueryInputError("source or sink outside the view universe")
+    if limit is not None and limit < 1:
+        raise QueryInputError("flow limit must be >= 1")
     if cache is None:
         cache = CutCache(view.base_view)
     f = Flow(s, t)
     rounds: list[RoundStats] = []
     prev_d = 0
-    while True:
+    side: tuple[int, ...] = ()
+    while limit is None or f.value < limit:
         tree = bfs_tree(cache, view, f, s, sink=t)
         layers = tree.layers
         if not layers[-1] >> t & 1:

@@ -7,6 +7,14 @@ Key structural fact exploited throughout: in a simple graph a dominating set
 is separated by every cut of size at most delta-1, so it can serve as the
 terminal set for Steiner-style machinery while keeping every flow instance
 at bounded value.
+
+When the splitter family is the star {R0, Ri}, as under both shipped
+profiles, the sweep grows its source (Hao–Orlin 1994): the i-th flow runs
+from all of R[:i] to Ri. Take any cut of size <= tau that splits R and its
+first terminal Ri on the far side from R0. Every earlier terminal lies on
+R0's side, so the flow from R[:i] to Ri is at most the cut, and the sweep
+finds a cut of size <= tau at step i or before. Each flow stops as soon as
+it reaches tau+1, which certifies its step without a last, whole-graph BFS.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from . import _kernels
 from .config import DESK, Params
 from .expander import decompose
 from .isolating import isolating_cuts
+from .maxflow import dinitz_maxflow
 from .oracle import (
+    AugmentedView,
     BaseView,
     CutCache,
     GraphInstance,
@@ -208,8 +218,20 @@ def unbalanced_case(
     cache: Optional[CutCache] = None,
     k: Optional[int] = None,
 ) -> Optional[tuple[tuple[int, ...], int]]:
-    """Isolating cuts over every splitter set; first cut of size <= tau wins
-    (the family order is deterministic)."""
+    """A cut of size <= tau that separates two terminals of R, as (side,
+    value), or None when the sweep finds none.
+
+    When the star is the splitter family (`sweeps_star`), the sweep grows
+    its source, the source-growing step of Hao–Orlin (1994): for i = 1 ..
+    |R|-1 it runs one flow from all of R[:i] to Ri, each terminal edge of
+    capacity tau+1, stopped once the flow reaches tau+1, and returns the
+    first flow of value <= tau with its min-cut source side. Any cut of
+    size <= tau that splits R has a first terminal Ri on the far side from
+    R0; all of R[:i] lies on R0's side, so the flow from R[:i] to Ri is at
+    most that cut and the sweep stops at step i or earlier. The cut it
+    returns need not isolate a terminal. Otherwise isolating cuts run over
+    every set of the residue-class family; the first cut of size <= tau
+    wins (the family order is deterministic)."""
     R = canon(R)
     if len(R) < 2:
         return None
@@ -218,6 +240,16 @@ def unbalanced_case(
     n = view.base_view.n
     if k is None:
         k = params.k_unbalanced(len(R), n)
+    if sweeps_star(len(R), k):
+        real = view.universe
+        for i in range(1, len(R)):
+            aug = AugmentedView(view, [(r, tau + 1) for r in R[:i]], [(R[i], tau + 1)])
+            res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, limit=tau + 1)
+            if res.value <= tau:
+                # a flow below tau+1 saturates no terminal edge, so its min
+                # cut cuts res.value real edges between R[:i] and Ri
+                return tuple(v for v in res.mincut_source_side if v in real), res.value
+        return None
     family = splitter_family(len(R), k)
     for F in family.sets:
         terminals = tuple(R[i] for i in F)
@@ -280,9 +312,15 @@ def threshold_mincut(
     """Either a cut of size <= tau or the certificate that the global min
     cut exceeds tau. Requires tau <= delta - 1.
 
-    Each pass sweeps the splitter family over R, and an empty sweep of the
-    star certifies "above". Otherwise balanced sparsification shrinks R to
-    at most half; if it cannot, the next pass sweeps the star over R."""
+    Every cut of size <= tau splits R (a dominating set, or any set that
+    such cuts split), so it suffices to find a cut of size <= tau between
+    terminals of R. Each pass runs `unbalanced_case` over R. When it sweeps
+    the star, an empty sweep certifies "above": a cut of size <= tau would
+    have a first terminal Ri on the far side from R0, and the grown-source
+    flow from R[:i] to Ri would have found it. Otherwise balanced
+    sparsification shrinks R to at most half; if it cannot, the next pass
+    sweeps the star over R. A cut from `unbalanced_case` carries the
+    certificate `terminal_cut`, one from a part boundary `threshold_path`."""
     if cache is None:
         cache = CutCache(view.base_view)
     _, delta, _ = degrees(view, cache)
@@ -297,10 +335,10 @@ def threshold_mincut(
         found = unbalanced_case(view, R, tau, params=params, cache=cache, k=k)
         if found is not None:
             side, value = found
-            return ThresholdResult("cut", side=side, value=value, certificate="isolating_cut")
+            return ThresholdResult("cut", side=side, value=value, certificate="terminal_cut")
         if sweeps_star(len(R), k):
-            # the star hits every proper trace of R, so an empty sweep
-            # certifies the threshold outright
+            # the grown-source sweep finds every cut of size <= tau that
+            # splits R, so an empty sweep certifies the threshold outright
             return ThresholdResult("above")
         res = balanced_sparsify(view, R, tau, params=params, cache=cache)
         if res.kind == "cut":
@@ -325,7 +363,7 @@ def threshold_mincut(
 class MinCutAnswer:
     value: int
     side: tuple[int, ...]
-    certificate: str  # degree_cut | isolating_cut | threshold_path | disconnected
+    certificate: str  # degree_cut | terminal_cut | threshold_path | disconnected
     cut_queries: int = 0  # charged base-graph queries
     bis_queries: int = 0  # residual probes issued (CutCache.logical_bis); learned reads issue none
     probes: int = 0
@@ -338,9 +376,11 @@ def global_mincut(
 ) -> MinCutAnswer:
     """Binary search over the threshold algorithm. The top threshold
     delta-1 is probed first: failure there certifies the degree cut
-    immediately, success pins the search interval. Refuses, before any
-    charge, a view other than the base view, fewer than two vertices and a
-    graph that is not a unit graph."""
+    immediately. Each cut found, at the top or at a midpoint, bounds lambda
+    from above, so it lowers the top of the search interval to its own
+    value; the search ends at a found cut of value lambda. Refuses, before
+    any charge, a view other than the base view, fewer than two vertices
+    and a graph that is not a unit graph."""
     if view is not view.base_view:
         raise QueryInputError("global min cut runs on the base view only")
     if view.n < 2:
@@ -368,13 +408,13 @@ def global_mincut(
         probes += 1
         if res.kind == "cut":
             best = res
-            lo, hi = 1, top
+            lo, hi = 1, res.value
             while lo < hi:
                 mid = (lo + hi) // 2
                 probe = threshold_mincut(view, mid, params=params, cache=cache, R=R)
                 probes += 1
                 if probe.kind == "cut":
-                    hi = mid
+                    hi = probe.value
                     best = probe
                 else:
                     lo = mid + 1

@@ -407,10 +407,13 @@ class Flow:
             k <<= 1
         return val
 
-    def push(self, u: int, v: int, amount: int) -> None:
+    def push(self, u: int, v: int, amount: int, old: Optional[int] = None) -> None:
+        """Add amount to f(u, v). A caller that has just read f(u, v) passes
+        it as old, which spares the read here."""
         if amount == 0:
             return
-        old = self.get(u, v)
+        if old is None:
+            old = self.get(u, v)
         new = old + amount
         dpos = max(old, 0) ^ max(new, 0)
         dneg = max(-old, 0) ^ max(-new, 0)

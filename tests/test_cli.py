@@ -50,7 +50,7 @@ def test_cli_mincut(b6_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "value 1" in out
-    assert "certificate isolating_cut" in out
+    assert "certificate terminal_cut" in out
     assert csv.read_text().startswith("family,n,m,seed,algorithm")
 
 

@@ -11,7 +11,15 @@ from cutlab.config import PINNED
 from cutlab.expander import decompose
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
 from cutlab.maxflow import blocking_flow_round, dinitz_maxflow, path_decomposition
-from cutlab.oracle import AugmentedView, CutCache, Flow, GraphInstance, ids_of, mask_of
+from cutlab.oracle import (
+    AugmentedView,
+    CutCache,
+    Flow,
+    GraphInstance,
+    QueryInputError,
+    ids_of,
+    mask_of,
+)
 from cutlab.mincut import global_mincut
 from cutlab.primitives import bfs_tree, find_neighbor
 from conftest import (
@@ -313,6 +321,46 @@ def test_round_records_support_phase_split():
         assert len(long) <= bound
         assert sum(r.value for r in long) <= bound
         assert sum(r.value for r in res.rounds) == res.value
+
+
+def test_dinitz_limit_stops_before_the_next_bfs(monkeypatch):
+    """With a limit at most the max flow, the flow stops in the round that
+    reaches it: no BFS runs after that round, the source side is empty and
+    the transcript is a prefix of the unlimited flow's. With a limit above
+    the max flow, value, side and transcript are those of the unlimited
+    flow."""
+    import cutlab.maxflow as mf
+
+    real_bfs = mf.bfs_tree
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(mf, "bfs_tree", counting)
+    for seed in range(5):
+        g = random_graph(20, 0.4, seed, W=2)
+        view, ledger, cache = make_view(g)
+        full = dinitz_maxflow(view, 0, 19, cache=cache)
+        full_text = ledger.transcript_text().splitlines()
+        for limit in range(1, full.value + 3):
+            calls.clear()
+            view, ledger, cache = make_view(g)
+            res = dinitz_maxflow(view, 0, 19, cache=cache, limit=limit)
+            text = ledger.transcript_text().splitlines()
+            if limit <= full.value:
+                assert res.value >= limit
+                assert res.value - res.rounds[-1].value < limit
+                assert res.mincut_source_side == ()
+                assert len(calls) == res.round_count
+                assert text == full_text[: len(text)]
+            else:
+                assert res.value == full.value
+                assert res.mincut_source_side == full.mincut_source_side
+                assert text == full_text
+        with pytest.raises(QueryInputError):
+            dinitz_maxflow(view, 0, 19, cache=cache, limit=0)
 
 
 def test_dinitz_on_augmented_view(b6):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from cutlab import mincut
+from cutlab import _kernels, mincut
 from cutlab.config import DESK, PAPER, PINNED
 from cutlab.harness import (
     InstanceSpec,
@@ -336,6 +336,82 @@ def test_threshold_sweeps_star_when_it_is_smaller(spec, monkeypatch):
     _assert_threshold_matches_reference(generate(spec), replace(DESK, phi=0.5))
 
 
+def _two_disjoint_k5() -> GraphInstance:
+    edges = {}
+    for base in (0, 5):
+        for u, v in itertools.combinations(range(base, base + 5), 2):
+            edges[(u, v)] = 1
+    return GraphInstance(10, edges)
+
+
+def _sweep_corpus():
+    # graphs whose minimum cut lies below delta (planted cuts, bridges, a
+    # disconnected graph) or at delta (expanders, dense gnp, a clique)
+    for seed in range(3):
+        yield InstanceSpec("random_gnp", 12, seed).with_params(p=0.5)
+        yield InstanceSpec("random_gnp", 16, seed).with_params(p=0.3)
+        yield InstanceSpec("expander_like", 14, seed).with_params(degree=3)
+        for k in (1, 2, 3):
+            yield InstanceSpec("planted_cut", 16, seed).with_params(k=k)
+    yield InstanceSpec("two_cliques_bridge", 16)
+    yield InstanceSpec("barbell", 16)
+    yield InstanceSpec("complete", 10)
+    yield "two_disjoint_k5"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(_sweep_corpus()),
+    ids=lambda s: s if isinstance(s, str) else InstanceSpec.label(s),
+)
+def test_grown_sweep_threshold_is_exact_at_every_tau(spec):
+    """threshold_mincut under the shipped profile (the star sweep with a
+    grown source, over the dominating set) answers "cut" exactly when the
+    exhaustive minimum cut is at most tau, with a side that cuts the graph
+    at the value it reports."""
+    g = _two_disjoint_k5() if spec == "two_disjoint_k5" else generate(spec)
+    lam, _ = _kernels.min_cut_scan(g.n, *g.edge_arrays())
+    view, _, cache = make_view(g)
+    _, delta, _ = degrees(view, cache)
+    for tau in range(delta):
+        view, _, cache = make_view(g)
+        res = threshold_mincut(view, tau, cache=cache)
+        assert (res.kind == "cut") == (lam <= tau), (tau, lam)
+        if res.kind == "cut":
+            assert 0 < len(res.side) < g.n
+            assert g.cut_of(res.side) == res.value <= tau
+
+
+def test_binary_search_probes_below_every_cut_found(monkeypatch):
+    # each cut found lowers the top of the search to its own value, so no
+    # later threshold is at or above the value of a cut already in hand
+    calls = []
+    real = mincut.threshold_mincut
+
+    def recording(view, tau, **kwargs):
+        res = real(view, tau, **kwargs)
+        calls.append((tau, res))
+        return res
+
+    monkeypatch.setattr(mincut, "threshold_mincut", recording)
+    specs = [
+        InstanceSpec("planted_cut", 48, seed).with_params(k=k) for seed in range(3) for k in (1, 2, 3)
+    ]
+    specs += [InstanceSpec("two_cliques_bridge", 24), InstanceSpec("barbell", 24)]
+    # the top probe finds a cut of value 9 and the probe at 5 one of value 1
+    specs.append(InstanceSpec("planted_cut", 32, 3).with_params(k=1))
+    for spec in specs:
+        calls.clear()
+        g = generate(spec)
+        view, _, cache = make_view(g)
+        ans = global_mincut(view, cache=cache)
+        assert ans.value == reference_mincut(g)[0], spec
+        assert ans.probes == len(calls)
+        for j, (tau, _) in enumerate(calls[1:], 1):
+            found = [r.value for _, r in calls[:j] if r.kind == "cut"]
+            assert tau < min(found), (spec, calls)
+
+
 def test_global_mincut_examples(b6, k4):
     view, _, cache = make_view(b6)
     ans = global_mincut(view, cache=cache)
@@ -409,7 +485,7 @@ def test_global_mincut_value_equals_verified_side():
 def test_global_mincut_matches_networkx_stoer_wagner(spec):
     """Min-cut values against networkx above the exhaustive scans' reach;
     the side returned is a cut of that value. The first two graphs answer
-    with a degree cut, the planted one with a balanced isolating cut."""
+    with a degree cut, the planted one with a balanced terminal cut."""
     nx = pytest.importorskip("networkx")
     g = generate(spec)
     G = nx.Graph()

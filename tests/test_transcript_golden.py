@@ -54,17 +54,17 @@ GOLDEN = [
         "mincut_expander_d3_n32",
         lambda: _mincut(InstanceSpec("expander_like", 32).with_params(degree=3)),
         6,
-        317,
-        365,
-        "3679002d902efc864e1f150e4f60c39bc80366c83e32dc0b5118970a9f5f3b44",
+        323,
+        361,
+        "2363bc8f3dec835cd43e835f6b8e63c5361dd9d34bf0a3ad2310ac785b071592",
     ),
     (
         "mincut_gnp_n24",
         lambda: _mincut(InstanceSpec("random_gnp", 24, 1).with_params(p=0.3)),
         3,
-        162,
-        155,
-        "7089bf1485fe35ee8bcbb6223c7a6169a26bf9b653789563aad918942f8426d3",
+        166,
+        129,
+        "78ed68b547720609df5ff41236a16eeca0faa3876a4bc3c2ffc5ec6eb467c38d",
     ),
     (
         "maxflow_gnp_n32_0_31",
@@ -86,9 +86,9 @@ GOLDEN = [
         "mincut_expander_d3_n128",
         lambda: _mincut(InstanceSpec("expander_like", 128).with_params(degree=3)),
         6,
-        1671,
-        1943,
-        "9493576ce97836328615a2e392a77e93beb06ec12cb9dd645138d27467ac2560",
+        1664,
+        2066,
+        "5702b3ac0d350d0bf7b9f9ae9d1adc35bf5a67b8f1e6d3fdafce973b7732d72b",
     ),
     (
         "maxflow_gnp_w3_n48_shared_cache",
@@ -105,9 +105,19 @@ GOLDEN = [
         "mincut_planted_cut_n32",
         lambda: _mincut(InstanceSpec("planted_cut", 32, 5).with_params(k=2)),
         2,
-        190,
-        311,
-        "edd6c6ed72701727e4541958c7fef92fa601fbc3b1ae070eba4a7a4d7490e848",
+        181,
+        171,
+        "01ae9f9ba832ed18b066ba46b37eb1404c547f472a702648fab8b8a5f4d203cc",
+    ),
+    (
+        # a dense graph whose minimum cut is the degree cut: the top probe
+        # sweeps every terminal of R and certifies "above"
+        "mincut_gnp_dense_n48",
+        lambda: _mincut(InstanceSpec("random_gnp", 48, 1).with_params(p=0.5)),
+        15,
+        466,
+        453,
+        "bb0093ea13f21ad720d898d60dbf233287db8f23b529837226fe123caac8f629",
     ),
     (
         "decompose_two_cliques_n16",
