@@ -1,5 +1,9 @@
 """Deterministic cut-query algorithm laboratory."""
 
+# `import cutlab` loads isolating too, the one algorithm module that no other
+# algorithm imports, so a tool that wraps functions by module name (as
+# cutbench/tracer.py does, through sys.modules) finds every one of them.
+from . import isolating  # noqa: F401
 from .config import DESK, PAPER, Params, get_profile
 from .oracle import (
     AugmentedView,

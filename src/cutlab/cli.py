@@ -35,18 +35,15 @@ def _ids(text: str) -> list[int]:
 
 
 def _setup(args):
-    params = get_profile(getattr(args, "profile", "desk"))
-    if getattr(args, "config", None):
-        params = load_config_overrides(args.config, params)
     instance = GraphInstance.load(args.graph)
     ledger = QueryLedger()
     view = BaseView(instance, ledger)
     cache = CutCache(view)
-    return params, instance, view, cache, ledger
+    return instance, view, cache, ledger
 
 
 def cmd_maxflow(args) -> int:
-    _, _, view, cache, ledger = _setup(args)
+    _, view, cache, ledger = _setup(args)
     res = dinitz_maxflow(view, args.source, args.sink, cache=cache)
     print(f"value {res.value}")
     print(f"cut {' '.join(map(str, res.mincut_source_side))}")
@@ -59,7 +56,7 @@ def cmd_maxflow(args) -> int:
 
 
 def cmd_isocuts(args) -> int:
-    _, _, view, cache, ledger = _setup(args)
+    _, view, cache, ledger = _setup(args)
     res = isolating_cuts(view, _ids(args.terminals), args.tau, cache=cache)
     print(f"verdict {res.verdict}")
     if res.verdict == "found":
@@ -75,7 +72,10 @@ def cmd_isocuts(args) -> int:
 
 
 def cmd_expdecomp(args) -> int:
-    params, _, view, cache, ledger = _setup(args)
+    params = get_profile(args.profile)
+    if args.config:
+        params = load_config_overrides(args.config, params)
+    _, view, cache, ledger = _setup(args)
     if args.phi is not None:
         params = replace(params, phi=args.phi)
     parts = decompose(view, _ids(args.terminals), args.tau, params=params, cache=cache)
@@ -97,8 +97,8 @@ def cmd_expdecomp(args) -> int:
 
 
 def cmd_mincut(args) -> int:
-    params, instance, view, cache, ledger = _setup(args)
-    ans = global_mincut(view, cache=cache, params=params)
+    instance, view, cache, ledger = _setup(args)
+    ans = global_mincut(view, cache=cache)
     print(f"value {ans.value}")
     print(f"side {' '.join(map(str, ans.side))}")
     print(f"certificate {ans.certificate}")
@@ -111,14 +111,14 @@ def cmd_mincut(args) -> int:
             family="file", n=instance.n, m=instance.m, seed=0, algorithm="mincut",
             answer=ans.value, reference_answer=ans.value,
             cut_queries=ans.cut_queries, bis_queries=ans.bis_queries,
-            rounds=ans.probes, wall_ms=0, profile=params.profile,
+            rounds=ans.probes, wall_ms=0,
         )
         harness.write_csv([row], args.csv)
     return 0
 
 
 def cmd_domset(args) -> int:
-    _, _, view, cache, ledger = _setup(args)
+    _, view, cache, ledger = _setup(args)
     R = dominating_set(view, cache=cache)
     print(f"size {len(R)}")
     print(f"set {' '.join(map(str, R))}")
@@ -128,9 +128,6 @@ def cmd_domset(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = get_profile(args.profile)
-    if args.config:
-        params = load_config_overrides(args.config, params)
     specs = [
         harness.InstanceSpec(fam, n, seed)
         for fam in args.families.split(",")
@@ -140,7 +137,6 @@ def cmd_bench(args) -> int:
     rows = harness.run_suite(
         specs,
         args.algos.split(","),
-        params=params,
         csv_path=args.csv,
         transcripts_dir=args.transcripts,
     )
@@ -149,8 +145,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params, instance, _, _, _ = _setup(args)
-    row, _ = harness.run_one(instance, args.algo, params)
+    row, _ = harness.run_one(GraphInstance.load(args.graph), args.algo)
     status = "ok" if row.answer == row.reference_answer else "MISMATCH"
     print(
         f"{status} algo={args.algo} answer={row.answer} "
@@ -164,40 +159,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cutlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=True):
-        p.add_argument("--graph", required=True)
-        if profile:
-            p.add_argument("--profile", default="desk", choices=["desk", "paper"])
-        p.add_argument("--config", default=None, help="key=value overrides")
-
     p = sub.add_parser("maxflow", help="s-t max flow through the oracle")
-    common(p)
+    p.add_argument("--graph", required=True)
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--sink", type=int, required=True)
     p.add_argument("--transcript", default=None)
     p.set_defaults(func=cmd_maxflow)
 
     p = sub.add_parser("isocuts", help="minimum isolating cuts under a threshold")
-    common(p)
+    p.add_argument("--graph", required=True)
     p.add_argument("--terminals", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.set_defaults(func=cmd_isocuts)
 
     p = sub.add_parser("expdecomp", help="almost-expander decomposition")
-    common(p)
+    p.add_argument("--graph", required=True)
+    p.add_argument("--profile", default="desk", choices=["desk", "paper"])
+    p.add_argument("--config", default=None, help="key=value overrides")
     p.add_argument("--terminals", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--phi", type=float, default=None)
     p.set_defaults(func=cmd_expdecomp)
 
     p = sub.add_parser("mincut", help="global minimum cut")
-    common(p)
+    p.add_argument("--graph", required=True)
     p.add_argument("--transcript", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_mincut)
 
     p = sub.add_parser("domset", help="dominating set")
-    common(p, profile=False)
+    p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_domset)
 
     p = sub.add_parser("bench", help="benchmark suite with CSV output")
@@ -205,14 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True)
     p.add_argument("--seeds", default="0")
     p.add_argument("--algos", default="mincut")
-    p.add_argument("--profile", default="desk", choices=["desk", "paper"])
-    p.add_argument("--config", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--transcripts", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="single cross-check against the reference")
-    common(p, profile=True)
+    p.add_argument("--graph", required=True)
     p.add_argument("--algo", default="mincut", choices=["mincut", "maxflow", "domset"])
     p.set_defaults(func=cmd_verify)
 

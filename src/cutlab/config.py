@@ -1,10 +1,11 @@
 """Run profiles and pinned constants.
 
-The asymptotic thresholds of the min-cut pipeline (phi, beta, balance, core
+The asymptotic thresholds of the expander decomposition (phi, beta, core
 fraction, round counts) are polylog expressions that degenerate at desk
 scale, so the desk profile fixes them to explicit constants; the paper
-profile keeps the original formulas. Every result records which profile and
-constants produced it.
+profile keeps the original formulas. `Params` reach only `decompose` (and
+`balanced_sparsify`, which calls it); max flow, isolating cuts, the
+dominating set and the global min cut take none.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, replace
 
 from .oracle import QueryInputError
 
-# Below this phi, 1/phi^3 in k_unbalanced overflows a float (at about 1.8e-103).
+# Below this phi, (1/phi)**2 in expander.classify_core overflows a float and
+# raises OverflowError (at about 1e-154).
 PHI_MIN = 1e-100
 
 
@@ -69,11 +71,6 @@ class Params:
 
     def bad_budget(self, tau: int) -> float:
         return self.bad_fraction * (tau + 1)
-
-    def k_unbalanced(self, r_size: int, n: int) -> int:
-        inv = 1.0 / self.phi_for(n)
-        expr = math.ceil(inv**3 + inv)
-        return min(expr, r_size - 1)
 
 
 DESK = Params()

@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .config import DESK, Params
 from .oracle import (
     BaseView,
     CutCache,
@@ -320,18 +319,17 @@ class ExperimentRow:
     bis_queries: int  # residual probes issued (CutCache.logical_bis); learned reads issue none
     rounds: int
     wall_ms: int
-    profile: str
 
     CSV_HEADER = (
         "family,n,m,seed,algorithm,answer,reference_answer,"
-        "cut_queries,bis_queries,rounds,wall_ms,profile"
+        "cut_queries,bis_queries,rounds,wall_ms"
     )
 
     def csv_line(self) -> str:
         return (
             f"{self.family},{self.n},{self.m},{self.seed},{self.algorithm},"
             f"{self.answer},{self.reference_answer},{self.cut_queries},"
-            f"{self.bis_queries},{self.rounds},{self.wall_ms},{self.profile}"
+            f"{self.bis_queries},{self.rounds},{self.wall_ms}"
         )
 
 
@@ -347,11 +345,7 @@ class SuiteMismatch(RuntimeError):
         self.row = row
 
 
-def run_one(
-    instance: GraphInstance,
-    algorithm: str,
-    params: Params = DESK,
-) -> tuple[ExperimentRow, QueryLedger]:
+def run_one(instance: GraphInstance, algorithm: str) -> tuple[ExperimentRow, QueryLedger]:
     """Run one algorithm against one instance with a fresh ledger."""
     from . import mincut as mincut_mod
     from .maxflow import dinitz_maxflow
@@ -362,7 +356,7 @@ def run_one(
     start = time.perf_counter()
     rounds = 0
     if algorithm == "mincut":
-        answer_obj = mincut_mod.global_mincut(view, cache=cache, params=params)
+        answer_obj = mincut_mod.global_mincut(view, cache=cache)
         answer = answer_obj.value
         reference = reference_mincut(instance)[0]
         rounds = answer_obj.probes
@@ -391,7 +385,6 @@ def run_one(
         bis_queries=cache.logical_bis,
         rounds=rounds,
         wall_ms=wall_ms,
-        profile=params.profile,
     )
     return row, ledger
 
@@ -399,7 +392,6 @@ def run_one(
 def run_suite(
     specs: list[InstanceSpec],
     algorithms: list[str],
-    params: Params = DESK,
     csv_path: Optional[str] = None,
     transcripts_dir: Optional[str] = None,
 ) -> list[ExperimentRow]:
@@ -413,7 +405,7 @@ def run_suite(
     for spec in specs:
         instance = generate(spec)
         for algo in algorithms:
-            row, ledger = run_one(instance, algo, params)
+            row, ledger = run_one(instance, algo)
             row.family = spec.family
             row.seed = spec.seed
             if tdir:
@@ -438,13 +430,14 @@ def write_csv(rows: list[ExperimentRow], path) -> None:
 
 
 def csv_without_wall(text: str) -> str:
-    """Strip the wall_ms column so determinism checks can compare runs."""
+    """Strip the wall_ms column, found by its header name, so determinism
+    checks can compare runs."""
+    lines = text.splitlines()
+    col = lines[0].split(",").index("wall_ms")
     out = []
-    for ln in text.splitlines():
+    for ln in lines:
         parts = ln.split(",")
-        if len(parts) == 12:
-            parts = parts[:10] + parts[11:]
-        out.append(",".join(parts))
+        out.append(",".join(parts[:col] + parts[col + 1 :]))
     return "\n".join(out)
 
 

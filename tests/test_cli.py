@@ -122,12 +122,14 @@ def test_cli_prints_one_bis_queries_line(tc12_file, capsys, command):
     assert counter(out, "bis_queries") > 0
 
 
-def test_cli_config_override(b6_file, tmp_path, capsys):
+def test_cli_config_override(tc12_file, tmp_path, capsys):
     cfg = tmp_path / "knobs.cfg"
     cfg.write_text("phi = 0.25\nbad_fraction = 0.4\n")
-    rc = main(["mincut", "--graph", b6_file, "--config", str(cfg)])
+    expdecomp = ["expdecomp", "--graph", tc12_file, "--terminals",
+                 ",".join(map(str, range(12))), "--tau", "1", "--config", str(cfg)]
+    rc = main(expdecomp)
     assert rc == 0
-    assert "value 1" in capsys.readouterr().out
+    assert "phi 0.25" in capsys.readouterr().out
     # removed knobs, an unknown key (a method name too), a non-numeric
     # value and a profile (chosen by --profile only; a config line once
     # relabelled the run) are refused in one line with status 2
@@ -145,13 +147,40 @@ def test_cli_config_override(b6_file, tmp_path, capsys):
         ("profile = bogus\n", "--profile"),
     ):
         cfg.write_text(text)
-        rc = main(["maxflow", "--graph", b6_file, "--source", "0", "--sink", "5",
-                   "--config", str(cfg)])
+        rc = main(expdecomp)
         captured = capsys.readouterr()
         assert rc == 2, text
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and needle in err[0], (text, err)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["maxflow", "--source", "0", "--sink", "5"],
+        ["isocuts", "--terminals", "0,5", "--tau", "1"],
+        ["mincut"],
+        ["domset"],
+        ["verify"],
+        ["bench", "--families", "complete", "--sizes", "6"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_cli_profile_and_config_only_on_expdecomp(b6_file, tmp_path, capsys, command):
+    """Only expdecomp reads Params; every other command refuses --profile
+    and --config as unknown arguments (argparse exits 2), instead of
+    accepting a setting that would change nothing."""
+    cfg = tmp_path / "knobs.cfg"
+    cfg.write_text("phi = 0.25\n")
+    graph = [] if command[0] == "bench" else ["--graph", b6_file]
+    for extra in (["--profile", "paper"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], *graph, *command[1:], *extra])
+        assert exc.value.code == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert extra[0] in captured.err
 
 
 def test_cli_refuses_malformed_input(b6_file, tmp_path, capsys):
@@ -181,13 +210,14 @@ def test_cli_refuses_malformed_input(b6_file, tmp_path, capsys):
 def test_cli_refuses_phi_out_of_range(tc12_file, tmp_path, capsys, phi):
     """On two_cliques_bridge n=12 (min cut 1), phi = -0.5 or inf once gave
     the degree cut 5 and 0, nan or 1e-300 a traceback; each is refused in
-    one line with status 2, from a config file and from expdecomp --phi."""
+    one line with status 2 by expdecomp, from a --config file and from
+    --phi."""
     cfg = tmp_path / "phi.cfg"
     cfg.write_text(f"phi = {phi}\n")
     terminals = ",".join(map(str, range(12)))
     for argv in (
-        ["mincut", "--graph", tc12_file, "--config", str(cfg)],
-        ["verify", "--graph", tc12_file, "--config", str(cfg)],
+        ["expdecomp", "--graph", tc12_file, "--terminals", terminals, "--tau", "1",
+         "--config", str(cfg)],
         ["expdecomp", "--graph", tc12_file, "--terminals", terminals, "--tau", "1",
          "--phi", phi],
     ):

@@ -123,6 +123,10 @@ def test_run_suite_rows_and_determinism(tmp_path):
     assert all(r.answer == r.reference_answer for r in rows1)
     # byte-identical CSV once the wall-clock column is stripped
     assert csv_without_wall(out1.read_text()) == csv_without_wall(out2.read_text())
+    header = ExperimentRow.CSV_HEADER.split(",")
+    stripped = csv_without_wall(out1.read_text()).splitlines()
+    assert stripped[0].split(",") == [c for c in header if c != "wall_ms"]
+    assert all(len(ln.split(",")) == len(header) - 1 for ln in stripped)
     # byte-identical transcripts
     names = sorted(p.name for p in t1.iterdir())
     assert names == sorted(p.name for p in t2.iterdir())
@@ -162,7 +166,7 @@ def test_suite_mismatch_aborts(tmp_path, monkeypatch):
 
 def test_scaling_summary_format():
     rows = [
-        ExperimentRow("complete", n, n * (n - 1) // 2, 0, "mincut", 1, 1, q, 0, 0, 0, "desk")
+        ExperimentRow("complete", n, n * (n - 1) // 2, 0, "mincut", 1, 1, q, 0, 0, 0)
         for n, q in ((8, 100), (16, 300), (32, 900))
     ]
     slopes = scaling_summary(rows)

@@ -3,13 +3,28 @@ completeness against exhaustive search."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutlab
 from cutlab.harness import InstanceSpec, generate, reference_isolating
 from cutlab.isolating import bit_partitions, isolating_cuts, partition_mincut
 from cutlab.oracle import QueryInputError
 from conftest import make_view, random_graph, small_corpus
+
+
+def test_import_cutlab_loads_isolating():
+    # no other algorithm module imports isolating, and the benchmark's
+    # tracer looks each wrapped module up in sys.modules, so `import cutlab`
+    # loads it; a fresh interpreter shows it (this process imported it above)
+    src = str(Path(cutlab.__file__).resolve().parents[1])
+    code = "import sys, cutlab; assert 'cutlab.isolating' in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_bit_partitions_two_and_four():

@@ -1,15 +1,14 @@
-"""Dominating sets, separation, splitter families, the threshold algorithm,
-and the global min-cut driver, cross-checked against query-free references."""
+"""Dominating sets, separation, the grown-source sweep, the balanced-case
+primitive, the threshold algorithm, and the global min-cut driver,
+cross-checked against query-free references."""
 
 import itertools
 import math
-import time
-from dataclasses import replace
 
 import pytest
 
 from cutlab import _kernels, mincut
-from cutlab.config import DESK, PAPER, PINNED
+from cutlab.config import DESK, PINNED
 from cutlab.harness import (
     InstanceSpec,
     generate,
@@ -22,8 +21,6 @@ from cutlab.mincut import (
     dominating_set,
     global_mincut,
     separation_check,
-    splitter_family,
-    sweeps_star,
     threshold_mincut,
     unbalanced_case,
 )
@@ -104,67 +101,6 @@ def test_dominating_sets_are_delta_minus_one_separated():
 
 
 # ---------------------------------------------------------------------------
-# splitter families
-
-
-def exhaustive_hitting(n, k, fam):
-    for size in range(1, k + 1):
-        for S in itertools.combinations(range(n), size):
-            if not fam.hits_exactly_once(S):
-                return False, S
-    return True, None
-
-
-def test_splitter_family_examples():
-    fam = splitter_family(4, 1)
-    ok, bad = exhaustive_hitting(4, 1, fam)
-    assert ok, bad
-    fam = splitter_family(6, 2)
-    ok, bad = exhaustive_hitting(6, 2, fam)
-    assert ok, bad
-    assert splitter_family(5, 0).sets == ()
-    with pytest.raises(QueryInputError):
-        splitter_family(4, 4)
-
-
-def test_splitter_family_exhaustive_grid():
-    for n in range(2, 25):
-        for k in range(1, min(5, n)):
-            fam = splitter_family(n, k)
-            for F in fam.sets:
-                assert len(F) >= 2
-            ok, bad = exhaustive_hitting(n, k, fam)
-            assert ok, (n, k, bad)
-
-
-def test_splitter_family_size_bound():
-    # |F| <= coeff * (k + 1)^exponent * (log2 n + 1)^2
-    coeff, exponent = 8, 4
-    for n in (8, 16, 24):
-        for k in (1, 2, 3, 4):
-            fam = splitter_family(n, k)
-            bound = coeff * (k + 1) ** exponent * (math.log2(n) + 1) ** 2
-            assert len(fam.sets) <= bound, (n, k, len(fam.sets))
-
-
-def test_sweeps_star_covers_k_at_least_n_minus_one():
-    for n in range(2, 300):
-        assert sweeps_star(n, n - 1), n
-    assert sweeps_star(16, 10) and not sweeps_star(16, 2)
-
-
-def test_splitter_family_large_k_is_the_star_without_listing_primes(monkeypatch):
-    def refuse(count):
-        raise AssertionError(f"asked for {count} primes")
-
-    monkeypatch.setattr(mincut, "_primes", refuse)
-    start = time.perf_counter()
-    fam = splitter_family(600, 520)
-    assert time.perf_counter() - start < 1.0
-    assert fam.sets == tuple((0, i) for i in range(1, 600))
-
-
-# ---------------------------------------------------------------------------
 # unbalanced / balanced cases
 
 
@@ -216,10 +152,10 @@ def test_balanced_sparsify_k8_shrinks():
 
 
 def test_sparsified_terminals_stay_separated():
-    """Acceptance 5(e) in miniature, mirroring the driver's precondition:
-    sparsification replaces R only after the unbalanced sweep found nothing.
-    In that regime R-with-a-surviving-cut must still be separated by R~, or
-    the part boundary itself must be the cut."""
+    """Acceptance 5(e) in miniature, in the paper's precondition for
+    sparsification: the unbalanced sweep found nothing. In that regime
+    R-with-a-surviving-cut must still be separated by R~, or the part
+    boundary itself must be the cut."""
     events = 0
     for g in small_corpus(max_n=14, seeds=1):
         if g.n > 14:
@@ -243,9 +179,9 @@ def test_sparsified_terminals_stay_separated():
             assert separation_check(g, res.terminals, tau), (g, R, res.terminals)
         elif res.kind == "cut":
             assert g.cut_of(res.side) <= tau
-    # with the exhaustive desk splitter the unbalanced sweep finds every
-    # surviving cut, so the loop above may legitimately be vacuous; exercise
-    # the sparsifier's structural guarantees directly as well
+    # the grown-source sweep finds every cut of size <= tau that splits R,
+    # so the loop above may legitimately be vacuous; exercise the
+    # sparsifier's structural guarantees directly as well
     g = generate(InstanceSpec("two_cliques_bridge", 12))
     view, _, cache = make_view(g)
     res = balanced_sparsify(view, tuple(range(12)), 1, cache=cache)
@@ -301,39 +237,21 @@ def _threshold_corpus():
     yield InstanceSpec("two_cliques_bridge", 16)
 
 
-def _assert_threshold_matches_reference(g, params):
+@pytest.mark.parametrize("spec", list(_threshold_corpus()), ids=InstanceSpec.label)
+def test_threshold_with_every_vertex_terminal_matches_reference(spec):
+    # R = every vertex: each cut of size <= tau splits it, so the sweep over
+    # R answers "cut" exactly when the minimum cut is at most tau
+    g = generate(spec)
     lam, _ = reference_mincut(g)
     view, _, cache = make_view(g)
     _, delta, _ = degrees(view, cache)
     for tau in range(delta):
-        res = threshold_mincut(view, tau, params=params, cache=cache, R=tuple(range(g.n)))
+        res = threshold_mincut(view, tau, cache=cache, R=tuple(range(g.n)))
         if lam <= tau:
             assert res.kind == "cut", (g, tau)
             assert res.value <= tau and g.cut_of(res.side) == res.value, (g, tau)
         else:
             assert res.kind == "above", (g, tau)
-
-
-@pytest.mark.parametrize("spec", list(_threshold_corpus()), ids=InstanceSpec.label)
-def test_threshold_prime_family_and_sparsification_match_reference(spec):
-    # phi = 1 gives k = 2, far below |R| - 1 = n - 1, so the sweep uses the
-    # prime family and an empty sweep goes on to balanced_sparsify (and to
-    # the star sweep when sparsification stalls)
-    _assert_threshold_matches_reference(generate(spec), replace(DESK, phi=1.0))
-
-
-@pytest.mark.parametrize(
-    "spec", [s for s in _threshold_corpus() if s.n == 16], ids=InstanceSpec.label
-)
-def test_threshold_sweeps_star_when_it_is_smaller(spec, monkeypatch):
-    # phi = 0.5 gives k = 10; at |R| = 16 the prime family would list 201
-    # primes, so the star is swept and its empty sweep answers "above"
-    # without sparsifying
-    def refuse(*args, **kwargs):
-        raise AssertionError("balanced_sparsify called")
-
-    monkeypatch.setattr(mincut, "balanced_sparsify", refuse)
-    _assert_threshold_matches_reference(generate(spec), replace(DESK, phi=0.5))
 
 
 def _two_disjoint_k5() -> GraphInstance:
@@ -495,13 +413,3 @@ def test_global_mincut_matches_networkx_stoer_wagner(spec):
     ans = global_mincut(view, cache=cache)
     assert ans.value == nx.stoer_wagner(G)[0]
     assert g.cut_of(ans.side) == ans.value
-
-
-def test_paper_profile_agrees_on_small_instances():
-    for seed in range(3):
-        g = random_graph(12, 0.4, seed)
-        view, _, cache = make_view(g)
-        desk = global_mincut(view, cache=cache, params=DESK)
-        view2, _, cache2 = make_view(g)
-        paper = global_mincut(view2, cache=cache2, params=PAPER)
-        assert desk.value == paper.value == reference_mincut(g)[0]
