@@ -81,7 +81,7 @@ def cmd_expdecomp(args) -> int:
     parts = decompose(view, _ids(args.terminals), args.tau, params=params, cache=cache)
     crossing = 0
     for part in parts:
-        boundary = cache.cut(view, part.vertices) if len(part.vertices) < view.universe_size else 0
+        boundary = cache.cut(view, part.vertices) if len(part.vertices) < view.n else 0
         crossing += boundary
         print(
             f"part {part.classification} boundary={boundary} "
@@ -109,7 +109,7 @@ def cmd_mincut(args) -> int:
     if args.csv:
         row = harness.ExperimentRow(
             family="file", n=instance.n, m=instance.m, seed=0, algorithm="mincut",
-            answer=ans.value, reference_answer=ans.value,
+            answer=ans.value, reference_answer=harness.reference_mincut(instance)[0],
             cut_queries=ans.cut_queries, bis_queries=ans.bis_queries,
             rounds=ans.probes, wall_ms=0,
         )

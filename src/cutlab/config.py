@@ -28,7 +28,6 @@ class Params:
     nonnegative int. A None keeps the paper-profile formula. A value out of
     range raises QueryInputError."""
 
-    profile: str = "desk"
     # sparsity parameter; None means the paper-profile formula 1/log2(n)^10
     phi: float | None = 0.125
     # matching-player slack; None means |R|/log2(n)^5
@@ -39,8 +38,6 @@ class Params:
     rounds_base: int = 1
 
     def __post_init__(self):
-        if type(self.profile) is not str:
-            raise QueryInputError(f"profile must be a name, got {self.profile!r}")
         # (field, low, high, None allowed)
         for key, lo, hi, optional in (
             ("phi", PHI_MIN, 1.0, True),
@@ -75,7 +72,6 @@ class Params:
 
 DESK = Params()
 PAPER = Params(
-    profile="paper",
     phi=None,
     beta=None,
     bad_fraction=0.1,
@@ -122,8 +118,7 @@ def get_profile(name: str) -> Params:
 
 def load_config_overrides(path, base: Params) -> Params:
     """Apply key=value overrides from a plain-text config file. A malformed
-    line, an unknown key, a profile key (a profile is chosen by name, not
-    overridden) or a non-numeric value raises QueryInputError."""
+    line, an unknown key or a non-numeric value raises QueryInputError."""
     updates = {}
     with open(path) as fh:
         for ln in fh:
@@ -135,8 +130,6 @@ def load_config_overrides(path, base: Params) -> Params:
             key, val = (part.strip() for part in ln.split("=", 1))
             if key not in Params.__dataclass_fields__:
                 raise QueryInputError(f"unknown config key: {key!r}")
-            if key == "profile":
-                raise QueryInputError("config key 'profile' is refused; choose it with --profile")
             current = getattr(base, key)
             try:
                 if val.lower() == "none":

@@ -230,7 +230,7 @@ def matching_player(
             "matching", matching=matching, embedding=embedding,
             flow_value=res.value, demand=demand,
         )
-    side = tuple(v for v in res.mincut_source_side if v in view.universe)
+    side = tuple(v for v in res.mincut_source_side if v in view)
     return MatchOutcome("sparse_cut", cut=side, flow_value=res.value, demand=demand)
 
 
@@ -475,10 +475,11 @@ def decompose(
     through its parent's linear forms, so creating one costs nothing.
     Raises QueryInputError, before any charge, for a terminal outside the
     view and for a tau that is not an int >= 0."""
-    R = canon(R)
+    R = tuple(R)
     for r in R:
-        if r not in view.universe:
+        if r not in view:
             raise QueryInputError(f"terminal {r!r} not in the view")
+    R = canon(R)
     if not isinstance(tau, int) or tau < 0:
         raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:

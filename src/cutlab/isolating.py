@@ -70,8 +70,7 @@ def partition_mincut(
         scale=1,
     )
     res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache)
-    real = view.universe
-    side = tuple(v for v in res.mincut_source_side if v in real)
+    side = tuple(v for v in res.mincut_source_side if v in view)
     saturated = []
     for a in A:
         if aug.bundle_flow(res.flow, a) == tau + 1:

@@ -116,8 +116,8 @@ def dinitz_maxflow(
     the limit runs exactly as without it."""
     if s == t:
         raise QueryInputError("source and sink must differ")
-    if s not in view.universe or t not in view.universe:
-        raise QueryInputError("source or sink outside the view universe")
+    if s not in view or t not in view:
+        raise QueryInputError("source or sink outside the view")
     if limit is not None and limit < 1:
         raise QueryInputError("flow limit must be >= 1")
     if cache is None:

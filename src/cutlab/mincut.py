@@ -161,14 +161,13 @@ def unbalanced_case(
     R = canon(R)
     if cache is None:
         cache = CutCache(view.base_view)
-    real = view.universe
     for i in range(1, len(R)):
         aug = AugmentedView(view, [(r, tau + 1) for r in R[:i]], [(R[i], tau + 1)])
         res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, limit=tau + 1)
         if res.value <= tau:
             # a flow below tau+1 saturates no terminal edge, so its min
             # cut cuts res.value real edges between R[:i] and Ri
-            return tuple(v for v in res.mincut_source_side if v in real), res.value
+            return tuple(v for v in res.mincut_source_side if v in view), res.value
     return None
 
 
@@ -196,7 +195,7 @@ def balanced_sparsify(
     if cache is None:
         cache = CutCache(view.base_view)
     parts = decompose(view, R, tau, params=params, cache=cache)
-    full = view.universe_size
+    full = view.mask.bit_count()
     for part in parts:
         if len(part.vertices) == full:
             continue
@@ -229,11 +228,14 @@ def threshold_mincut(
     Every cut of size <= tau splits R (a dominating set, or any set that
     such cuts split), so it suffices to find a cut of size <= tau between
     terminals of R: one `unbalanced_case` sweep over R finds one, and an
-    empty sweep answers "above"."""
+    empty sweep answers "above". Raises QueryInputError for a tau that is
+    not an int >= 0 before any charge, and for a tau >= delta."""
+    if not isinstance(tau, int) or tau < 0:
+        raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:
         cache = CutCache(view.base_view)
     _, delta, _ = degrees(view, cache)
-    if tau < 0 or tau >= delta:
+    if tau >= delta:
         raise QueryInputError(f"tau must satisfy 0 <= tau <= delta-1 = {delta - 1}")
     if R is None:
         R = dominating_set(view, cache)

@@ -3,11 +3,12 @@
 A GraphInstance holds the hidden capacitated simple graph. Algorithms only
 ever reach it through a view and the CutCache over it; the base view charges
 every base-graph query on a QueryLedger, which keeps a replayable
-transcript. A derived view (augmented, contracted, induced) is its vertex
-set plus one reduction: the capacity of one vertex towards a vertex set, as
-a LinearForm over base-graph capacities and explicitly known virtual
-structure, so only base-graph information ever costs anything. Cut and pair
-queries are asked of the base view alone.
+transcript. Every view holds its vertex set once, as a bitmask; a derived
+view (augmented, contracted, induced) is that bitmask plus one reduction:
+the capacity of one vertex towards a vertex set, as a LinearForm over
+base-graph capacities and explicitly known virtual structure, so only
+base-graph information ever costs anything. Cut and pair queries are asked
+of the base view alone.
 
 The CutCache charges through the base view and memoises: a deterministic
 algorithm never needs to issue the same base query twice, so the cache
@@ -490,13 +491,15 @@ class LinearForm(NamedTuple):
 
 
 class OracleView:
-    """A vertex universe over the hidden graph, with the one reduction the
-    CutCache charges through: linear_form, the capacity of one vertex
-    towards a set. `universe` is the set of its vertices and `mask` their
-    bitmask."""
+    """A vertex set over the hidden graph, held once as the bitmask `mask`
+    (bit v set for every vertex v), with the one reduction the CutCache
+    charges through: linear_form, the capacity of one vertex towards a set.
+    vertices() lists the mask in increasing id order on first use. A vertex
+    of the view is an int whose bit is set in mask (`u in view`); a float, a
+    bool, a numpy integer or any other object is not."""
 
-    universe: frozenset
     mask: int
+    _listed: Optional[tuple[int, ...]] = None
 
     def __init__(self, base: "BaseView"):
         self._base = base
@@ -511,11 +514,21 @@ class OracleView:
         return self._base
 
     def vertices(self) -> tuple[int, ...]:
-        raise NotImplementedError
+        if self._listed is None:
+            self._listed = tuple(ids_of(self.mask))
+        return self._listed
 
-    @property
-    def universe_size(self) -> int:
-        return len(self.vertices())
+    def __contains__(self, u) -> bool:
+        return type(u) is int and u >= 0 and self.mask >> u & 1 == 1
+
+    def _sub_mask(self, ids: Iterable[int]) -> int:
+        """Bitmask of the vertex ids `ids` of this view; a repeated id
+        counts once. Raises QueryInputError for an id outside it."""
+        mask = _checked_mask(ids, self.mask.bit_length())
+        outside = mask & ~self.mask
+        if outside:
+            raise QueryInputError(f"vertex {outside.bit_length() - 1} not in the parent view")
+        return mask
 
     def linear_form(self, u: int) -> LinearForm:
         """The capacity of u towards any vertex set, as a LinearForm, built
@@ -536,8 +549,6 @@ class BaseView(OracleView):
     def __init__(self, instance: GraphInstance, ledger: Optional[QueryLedger] = None):
         self._instance = instance
         self._ledger = ledger or QueryLedger()
-        self._verts = tuple(range(instance.n))
-        self.universe = frozenset(self._verts)
         self.n = instance.n
         self.mask = (1 << instance.n) - 1
         self.unit = instance.W == 1
@@ -548,9 +559,6 @@ class BaseView(OracleView):
         # a property, not an attribute, so a view is not its own referent and
         # dies (with its ledger and transcript) by reference counting alone
         return self
-
-    def vertices(self) -> tuple[int, ...]:
-        return self._verts
 
     def _build_form(self, u: int) -> LinearForm:
         return LinearForm((), 1, u, self.mask)
@@ -584,18 +592,18 @@ class AugmentedView(OracleView):
             raise QueryInputError("scale must be >= 1")
         self.parent = parent
         self.scale = scale
-        pverts = parent.vertices()
-        puni = parent.universe
-        seen: set[int] = set()
+        pmask = parent.mask
+        seen = 0
         for v, cap in sources + sinks:
-            if v not in puni:
-                raise QueryInputError(f"terminal {v} not in the parent view")
+            if not (type(v) is int and v >= 0 and pmask >> v & 1):
+                raise QueryInputError(f"terminal {v!r} not in the parent view")
             if not isinstance(cap, int) or cap < 1:
                 raise QueryInputError("terminal capacity must be an integer >= 1")
-            if v in seen:
+            if seen >> v & 1:
                 raise QueryInputError(f"terminal {v} listed twice")
-            seen.add(v)
-        self.s_source = max(pverts) + 1
+            seen |= 1 << v
+        # the virtual ids are the two above every vertex of the parent
+        self.s_source = pmask.bit_length()
         self.s_sink = self.s_source + 1
         self.virtual_edges = [(self.s_source, a, cap) for a, cap in sources] + [
             (b, self.s_sink, cap) for b, cap in sinks
@@ -611,14 +619,7 @@ class AugmentedView(OracleView):
                 groups[cap] = groups.get(cap, 0) | 1 << v
                 self._vterms[v] = ((cap, 1 << hub),)
             self._vterms[hub] = tuple(sorted(groups.items()))
-        self._parent_mask = mask_of(pverts)
-        self.virtual_ids = frozenset((self.s_source, self.s_sink))
-        self._verts = pverts + (self.s_source, self.s_sink)
-        self.universe = frozenset(self._verts)
-        self.mask = self._parent_mask | 1 << self.s_source | 1 << self.s_sink
-
-    def vertices(self) -> tuple[int, ...]:
-        return self._verts
+        self.mask = pmask | 1 << self.s_source | 1 << self.s_sink
 
     def bundle_flow(self, f: Flow, terminal: int) -> int:
         """Units the flow routes over a terminal's virtual edge."""
@@ -630,7 +631,7 @@ class AugmentedView(OracleView):
 
     def _build_form(self, u: int) -> LinearForm:
         terms = self._vterms.get(u, ())
-        if u in self.virtual_ids:
+        if u >= self.s_source:
             return LinearForm(terms, 1, None, 0)
         sub = self.parent.linear_form(u)
         s = self.scale
@@ -638,7 +639,7 @@ class AugmentedView(OracleView):
         # a virtual id may equal the id of a base vertex outside the parent
         # (an induced parent need not hold the highest ids), so the base
         # part keeps the parent's vertices only
-        return LinearForm(terms, s * sub.scale, sub.base_u, sub.keep & self._parent_mask)
+        return LinearForm(terms, s * sub.scale, sub.base_u, sub.keep & self.parent.mask)
 
 
 class ContractedView(OracleView):
@@ -651,30 +652,19 @@ class ContractedView(OracleView):
 
     def __init__(self, parent: OracleView, keep: Iterable[int], w_out: dict[int, int]):
         super().__init__(parent.base_view)
-        keep = canon(keep)
-        puni = parent.universe
-        if not keep:
+        keep_mask = parent._sub_mask(keep)
+        if not keep_mask:
             raise QueryInputError("keep must be nonempty")
-        for v in keep:
-            if v not in puni:
-                raise QueryInputError(f"vertex {v} not in the parent view")
-        if len(keep) == len(parent.vertices()):
+        if keep_mask == parent.mask:
             raise QueryInputError("keep must be a proper subset")
         self.parent = parent
-        self.keep = keep
-        self.s_r = max(parent.vertices()) + 1
+        self.s_r = parent.mask.bit_length()
         # capacity between each kept vertex and s_r
-        self._to_s = {v: int(w_out.get(v, 0)) for v in keep}
+        self._to_s = {v: int(w_out.get(v, 0)) for v in ids_of(keep_mask)}
         for v, w in self._to_s.items():
             if w < 0:
                 raise QueryInputError(f"vertex {v} would have capacity {w} < 0 to s_r")
-        self._keep_mask = mask_of(keep)
-        self._verts = tuple(sorted(keep + (self.s_r,)))
-        self.universe = frozenset(self._verts)
-        self.mask = self._keep_mask | 1 << self.s_r
-
-    def vertices(self) -> tuple[int, ...]:
-        return self._verts
+        self.mask = keep_mask | 1 << self.s_r
 
     def _build_form(self, u: int) -> LinearForm:
         if u == self.s_r:
@@ -690,7 +680,7 @@ class ContractedView(OracleView):
         # s_r may equal the id of a base vertex outside an induced parent
         # (as in AugmentedView._build_form), so the base part keeps the kept
         # vertices only
-        return LinearForm(terms, sub.scale, sub.base_u, sub.keep & self._keep_mask)
+        return LinearForm(terms, sub.scale, sub.base_u, sub.keep & self.mask & self.parent.mask)
 
 
 class InducedView(OracleView):
@@ -699,21 +689,10 @@ class InducedView(OracleView):
 
     def __init__(self, parent: OracleView, part: Iterable[int]):
         super().__init__(parent.base_view)
-        part = canon(part)
-        puni = parent.universe
-        for v in part:
-            if v not in puni:
-                raise QueryInputError(f"vertex {v} not in the parent view")
-        if not part:
+        self.mask = parent._sub_mask(part)
+        if not self.mask:
             raise QueryInputError("part must be nonempty")
         self.parent = parent
-        self.part = part
-        self._verts = part
-        self.universe = frozenset(part)
-        self.mask = mask_of(part)
-
-    def vertices(self) -> tuple[int, ...]:
-        return self._verts
 
     def linear_form(self, u: int) -> LinearForm:
         return self.parent.linear_form(u)
@@ -970,8 +949,8 @@ class CutCache:
         QueryInputError when u or a vertex of X is outside the view, and
         when X holds u, before any charge."""
         mask = view.mask
-        if u not in view.universe or X | mask != mask:
-            raise QueryInputError("vertex outside the view universe")
+        if not (type(u) is int and u >= 0 and mask >> u & 1) or X | mask != mask:
+            raise QueryInputError("vertex outside the view")
         if X >> u & 1:
             raise QueryInputError("a probe's target set must not hold its vertex")
         self.logical_bis += 1
@@ -1065,9 +1044,10 @@ class CutCache:
     def capacity(self, view: OracleView, u: int, v: int) -> int:
         """Capacity between the distinct view vertices u and v, read from the
         view's linear form of u."""
-        uni = view.universe
-        if u not in uni or v not in uni:
-            raise QueryInputError("vertex outside the view universe")
+        mask = view.mask
+        if not (type(u) is int and u >= 0 and mask >> u & 1
+                and type(v) is int and v >= 0 and mask >> v & 1):
+            raise QueryInputError("vertex outside the view")
         if u == v:
             raise QueryInputError("capacity needs two distinct vertices")
         return self._from_form(view, None, u, 1 << v)

@@ -1,11 +1,11 @@
-"""Residual-graph discovery using only BIS-style queries: find one neighbor
-by binary search, enumerate a whole neighborhood by group testing (one
-adaptive halving that probes low halves only and gets high halves by
-subtraction), and grow a layered BFS, optionally stopped at a sink. Vertex
-sets are bitmasks throughout: candidates, neighborhoods and BFS layers. A
-search whose candidates' capacities from the probing vertex are all learned
-reads its answer from the cache as one bitmask and probes nothing; the
-candidates are listed by id only when a search has to probe."""
+"""Residual-graph discovery using only BIS-style queries, by one adaptive
+halving that probes low halves only and gets high halves by subtraction:
+find one neighbor (its first leaf), enumerate a whole neighborhood, and
+grow a layered BFS, optionally stopped at a sink. Vertex sets are bitmasks
+throughout: candidates, neighborhoods and BFS layers. A search whose
+candidates' capacities from the probing vertex are all learned reads its
+answer from the cache as one bitmask and probes nothing; the candidates are
+listed by id only when a search has to probe."""
 
 from __future__ import annotations
 
@@ -32,13 +32,13 @@ def _check_mask(view: OracleView, B: int) -> None:
     """Refuse anything but the bitmask of a set of view vertices (a negative
     int has bits outside any view)."""
     if type(B) is not int or B | view.mask != view.mask:
-        raise QueryInputError("vertex outside the view universe")
+        raise QueryInputError("vertex outside the view")
 
 
 def _check_probe(view: OracleView, u: int, B: int, name: str) -> None:
-    if u not in view.universe:
-        raise QueryInputError("vertex outside the view universe")
-    _check_mask(view, B)
+    mask = view.mask
+    if not (type(u) is int and u >= 0 and mask >> u & 1) or type(B) is not int or B | mask != mask:
+        raise QueryInputError("vertex outside the view")
     if B >> u & 1:
         raise QueryInputError(f"{name} sets must be disjoint")
 
@@ -52,28 +52,16 @@ def find_neighbor(
     When the capacities from u to every base vertex of B are learned, the
     answer is read from the cache (CutCache.learned_neighbors) and costs no
     BIS. Otherwise it costs one BIS when there is no neighbor, and
-    1 + ceil(log2 |B|) BIS when there is one. The halving always splits at
-    the sorted-id midpoint. When the lower half has no residual capacity,
+    1 + ceil(log2 |B|) BIS when there is one: neighborhood's halving,
+    stopped at its first leaf. When the lower half has no residual capacity,
     the upper half holds all of the current total, which is positive, so
     descending into it costs nothing extra. Raises QueryInputError when u
     or a vertex of B is outside the view, or B holds u."""
     _check_probe(view, u, B, "find_neighbor")
-    learned = cache.learned_neighbors(view, f, u, B)
-    if learned is not None:
-        return (learned & -learned).bit_length() - 1 if learned else None
-    if cache.residual_between(view, f, u, B) <= 0:
-        return None
-    ids = ids_of(B)
-    # cur is the bitmask of ids[lo:hi]
-    cur, lo, hi = B, 0, len(ids)
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        low = cur & ((1 << ids[mid]) - 1)
-        if cache.residual_between(view, f, u, low) > 0:
-            cur, hi = low, mid
-        else:
-            cur, lo = cur ^ low, mid
-    return ids[lo]
+    found = cache.learned_neighbors(view, f, u, B)
+    if found is None:
+        found = _halve(cache, view, f, u, B, True)
+    return (found & -found).bit_length() - 1 if found else None
 
 
 def neighborhood(
@@ -85,10 +73,10 @@ def neighborhood(
     When the capacities from u to every base vertex of B are learned, the
     whole neighborhood is read from the cache (CutCache.learned_neighbors)
     at no BIS. Otherwise one BIS probes all of B. Every block with a
-    positive residual total then splits at the sorted-id midpoint, as in
-    find_neighbor: only the low half is probed, and the high half's total is
-    the block's minus the low half's, since residual capacity from u is
-    additive in the target set under a valid flow. This costs at most one
+    positive residual total then splits at the sorted-id midpoint (_halve):
+    only the low half is probed, and the high half's total is the block's
+    minus the low half's, since residual capacity from u is additive in the
+    target set under a valid flow. This costs at most one
     BIS when there is no neighbor (none when the block is learned) and at
     most 1 + d * ceil(log2 |B|) for d neighbors. The high halves need no
     call of their own: the cache keeps each probed block's base total, so
@@ -103,30 +91,45 @@ def neighborhood(
 def _expand(cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: int) -> int:
     """neighborhood after its checks: the learned read, else the halving."""
     found = cache.learned_neighbors(view, f, u, B)
-    if found is not None:
-        return found
+    if found is None:
+        found = _halve(cache, view, f, u, B, False)
+    return found
+
+
+def _halve(
+    cache: CutCache, view: OracleView, f: Optional[Flow], u: int, B: int, first: bool
+) -> int:
+    """Bitmask of the residual neighbors of u among the bitmask B, by one
+    probe of B and then the halving of each block with a positive total.
+    With `first`, returns the first leaf reached alone: the lowest-id
+    neighbor, since the low half of each block is split first."""
     total = cache.residual_between(view, f, u, B)
     if total <= 0:
         return 0
     ids = ids_of(B)
     found = 0
-    # blocks ids[lo:hi] with bitmask cur and positive total; the low half is
-    # pushed last, so it is split first
-    stack = [(0, len(ids), B, total)]
-    while stack:
+    # the block ids[lo:hi] (bitmask cur, positive total) descends through
+    # its low halves to its first leaf; the positive high halves passed on
+    # the way wait on the stack, the deepest on top, unless `first`
+    lo, hi, cur = 0, len(ids), B
+    stack = []
+    while True:
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            low = cur & ((1 << ids[mid]) - 1)
+            low_total = cache.residual_between(view, f, u, low)
+            if low_total > 0:
+                if total > low_total and not first:
+                    stack.append((mid, hi, cur ^ low, total - low_total))
+                hi, cur, total = mid, low, low_total
+            else:
+                lo, cur = mid, cur ^ low
+        if first:
+            return cur
+        found |= cur
+        if not stack:
+            return found
         lo, hi, cur, total = stack.pop()
-        if hi - lo == 1:
-            found |= cur
-            continue
-        mid = lo + (hi - lo + 1) // 2
-        low = cur & ((1 << ids[mid]) - 1)
-        low_total = cache.residual_between(view, f, u, low)
-        high_total = total - low_total
-        if high_total > 0:
-            stack.append((mid, hi, cur ^ low, high_total))
-        if low_total > 0:
-            stack.append((lo, mid, low, low_total))
-    return found
 
 
 def bfs_tree(
@@ -147,8 +150,8 @@ def bfs_tree(
     returns as soon as it discovers the sink: every layer below the sink's
     is then complete, and the sink's own layer holds only the vertices found
     so far."""
-    if root not in view.universe:
-        raise QueryInputError(f"root {root} outside the view universe")
+    if root not in view:
+        raise QueryInputError(f"root {root!r} outside the view")
     if within is None:
         within = view.mask
     else:

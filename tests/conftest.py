@@ -119,8 +119,8 @@ def contracted_edges(parent_edges, cv, drop=None):
     `drop` and s_r, if given, comes off."""
     cap = {}
     for (u, v), w in parent_edges.items():
-        uu = u if u in cv.keep else cv.s_r
-        vv = v if v in cv.keep else cv.s_r
+        uu = u if u in cv else cv.s_r
+        vv = v if v in cv else cv.s_r
         if uu != vv:
             key = (min(uu, vv), max(uu, vv))
             cap[key] = cap.get(key, 0) + w

@@ -1,7 +1,10 @@
 """CLI smoke tests for every subcommand."""
 
+from dataclasses import replace
+
 import pytest
 
+from cutlab import cli
 from cutlab.cli import main
 from cutlab.harness import InstanceSpec, generate
 from cutlab.oracle import QueryLedger
@@ -52,6 +55,23 @@ def test_cli_mincut(b6_file, tmp_path, capsys):
     assert "value 1" in out
     assert "certificate terminal_cut" in out
     assert csv.read_text().startswith("family,n,m,seed,algorithm")
+
+
+def test_cli_mincut_csv_reference_is_not_the_answer(b6_file, tmp_path, capsys, monkeypatch):
+    """The CSV row's reference answer comes from the query-free reference,
+    so a wrong answer shows as a mismatch in the row."""
+    real = cli.global_mincut
+
+    def wrong(view, cache=None):
+        ans = real(view, cache=cache)
+        return replace(ans, value=ans.value + 1)
+
+    monkeypatch.setattr(cli, "global_mincut", wrong)
+    csv = tmp_path / "row.csv"
+    assert main(["mincut", "--graph", b6_file, "--csv", str(csv)]) == 0
+    header, row = csv.read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["answer"], fields["reference_answer"]) == ("2", "1")
 
 
 def test_cli_isocuts(b6_file, capsys):
@@ -131,8 +151,8 @@ def test_cli_config_override(tc12_file, tmp_path, capsys):
     assert rc == 0
     assert "phi 0.25" in capsys.readouterr().out
     # removed knobs, an unknown key (a method name too), a non-numeric
-    # value and a profile (chosen by --profile only; a config line once
-    # relabelled the run) are refused in one line with status 2
+    # value and a profile (chosen by --profile only, not a config key) are
+    # refused in one line with status 2
     for text, needle in (
         ("reset_policy = full\n", "unknown config key"),
         ("zeta = 0.5\n", "unknown config key"),
@@ -143,8 +163,8 @@ def test_cli_config_override(tc12_file, tmp_path, capsys):
         ("bogus = 1\n", "unknown config key"),
         ("phi_for = 1\n", "unknown config key"),
         ("phi = abc\n", "needs a number"),
-        ("profile = paper\n", "--profile"),
-        ("profile = bogus\n", "--profile"),
+        ("profile = paper\n", "unknown config key"),
+        ("profile = bogus\n", "unknown config key"),
     ):
         cfg.write_text(text)
         rc = main(expdecomp)

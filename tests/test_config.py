@@ -13,7 +13,6 @@ BAD = {
     "beta": [-0.1, float("inf"), float("nan")],
     "bad_fraction": [None, -0.1, 1.5, float("inf")],
     "rounds_base": [-1, 1.0, None],
-    "profile": [None, 3],
 }
 
 GOOD = {
@@ -47,6 +46,10 @@ def test_config_overrides_are_checked(tmp_path):
         cfg.write_text(text)
         with pytest.raises(QueryInputError, match=text.split()[0]):
             load_config_overrides(cfg, DESK)
+    # a profile is chosen by name (get_profile), not a field to override
+    cfg.write_text("profile = paper\n")
+    with pytest.raises(QueryInputError, match="unknown config key"):
+        load_config_overrides(cfg, DESK)
     cfg.write_text("phi = 1\nbeta = 2\nrounds_base = 0\n")
     params = load_config_overrides(cfg, DESK)
     assert (params.phi, params.beta, params.rounds_base) == (1.0, 2.0, 0)

@@ -203,6 +203,17 @@ def test_threshold_examples(b6, k4):
         threshold_mincut(view, 3, cache=cache)  # tau >= delta
 
 
+def test_threshold_refuses_a_bad_tau_before_any_charge():
+    """A tau that is not an int >= 0 is refused before the degrees and the
+    dominating set are charged."""
+    g = generate(InstanceSpec("two_cliques_bridge", 8))
+    for tau in (1.5, -1, None, "1"):
+        view, ledger, cache = make_view(g)
+        with pytest.raises(QueryInputError):
+            threshold_mincut(view, tau, cache=cache)
+        assert ledger.cut_count == 0, tau
+
+
 def test_threshold_matches_reference_and_monotone():
     for seed in range(6):
         for n in (10, 16, 24):

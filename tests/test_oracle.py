@@ -27,12 +27,12 @@ from cutlab.oracle import (
     ids_of,
     mask_of,
 )
-from cutlab.expander import matching_player
+from cutlab.expander import decompose, matching_player
 from cutlab.harness import reference_maxflow
 from cutlab.isolating import partition_mincut
 from cutlab.maxflow import dinitz_maxflow
 from cutlab.mincut import global_mincut
-from cutlab.primitives import neighborhood
+from cutlab.primitives import bfs_tree, find_neighbor, neighborhood
 from conftest import (
     contracted_edges,
     contracted_view,
@@ -92,10 +92,12 @@ def test_cut_query_out_of_range(b6):
     assert ledger.cut_count == 0
 
 
-def test_repeated_ids_count_once():
+def test_repeated_ids_count_once(b6):
     """A repeated id counts once, as in GraphInstance.cut_of, also when the
-    padded set has the universe's size (which would read as the free full
-    set) or the pair's sets repeat ids."""
+    padded set has the graph's size (which would read as the free full set)
+    or the pair's sets repeat ids, and in the vertex lists of induced and
+    contracted views: a keep list that repeats an id is a proper subset
+    exactly when its distinct ids are."""
     path3 = GraphInstance(3, {(0, 1): 1, (1, 2): 1})
     view, _, cache = make_view(path3)
     assert cache.cut(view, [0, 0, 1]) == path3.cut_of([0, 0, 1]) == 1
@@ -105,6 +107,52 @@ def test_repeated_ids_count_once():
     assert cache.pair_capacity(view, [0, 0], [1, 1]) == 1
     with pytest.raises(QueryInputError):
         cache.pair_capacity(view, [0, 1, 1], [1])
+    view, ledger, _ = make_view(b6)
+    assert InducedView(view, (0, 0, 1)).vertices() == (0, 1)
+    with pytest.raises(QueryInputError):
+        ContractedView(view, (0, 1, 2, 3, 4, 5, 5), {})
+    cv = ContractedView(view, (0, 0, 1, 2, 3, 4), {})
+    assert cv.vertices() == (0, 1, 2, 3, 4, 6) and cv.s_r == 6
+    assert ledger.cut_count == 0
+
+
+# every entry point that takes a view vertex, or a list of them, called on
+# b6 with x in the place of vertex 1
+VERTEX_ENTRY_POINTS = {
+    "residual_between": lambda view, cache, x: cache.residual_between(view, None, x, mask_of([3])),
+    "capacity": lambda view, cache, x: cache.capacity(view, 0, x),
+    "find_neighbor": lambda view, cache, x: find_neighbor(cache, view, None, x, mask_of([0, 2])),
+    "neighborhood": lambda view, cache, x: neighborhood(cache, view, None, x, mask_of([0, 2])),
+    "bfs_tree": lambda view, cache, x: bfs_tree(cache, view, None, x).layers,
+    "dinitz_source": lambda view, cache, x: dinitz_maxflow(view, x, 5, cache=cache).value,
+    "dinitz_sink": lambda view, cache, x: dinitz_maxflow(view, 5, x, cache=cache).value,
+    "decompose": lambda view, cache, x: [p.vertices for p in decompose(view, [0, x], 1, cache=cache)],
+    "augmented": lambda view, cache, x: AugmentedView(view, [(0, 1)], [(x, 1)]).mask,
+    "contracted": lambda view, cache, x: ContractedView(view, [0, x], {}).mask,
+    "induced": lambda view, cache, x: InducedView(view, [0, x]).mask,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRY_POINTS))
+def test_view_vertices_are_ints_of_the_view(b6, entry):
+    """A vertex is an int whose bit is set in the view's mask: a float, a
+    string or None is refused with QueryInputError before any charge, and a
+    numpy integer is either read as the same vertex or refused the same
+    way, never with a TypeError."""
+    call = VERTEX_ENTRY_POINTS[entry]
+    for bad in (1.0, "1", None):
+        view, ledger, cache = make_view(b6)
+        with pytest.raises(QueryInputError):
+            call(view, cache, bad)
+        assert ledger.cut_count == 0 and cache.logical_bis == 0, bad
+    view, ledger, cache = make_view(b6)
+    try:
+        got = call(view, cache, np.int64(1))
+    except QueryInputError:
+        assert ledger.cut_count == 0 and cache.logical_bis == 0
+    else:
+        view, _, cache = make_view(b6)
+        assert got == call(view, cache, 1)
 
 
 def test_ids_outside_the_graph_are_refused(p4):
@@ -276,7 +324,7 @@ def test_augmented_indexed_paths_match_materialized(parent_kind, scale):
         aug = AugmentedView(parent, [(pv[0], 2), (pv[1], 1)], [(pv[-1], 3)], scale=scale)
         cap = materialize_augmented(parent_edges, aug)
         verts = aug.vertices()
-        assert pv[2] in verts and pv[2] not in aug.virtual_ids  # a plain vertex
+        assert pv[2] in verts and pv[2] not in {aug.s_source, aug.s_sink}  # a plain vertex
         flow = random_valid_flow(GraphInstance(verts[-1] + 1, cap), aug.s_source, aug.s_sink, seed)
         assert flow.value > 0
         cuts = CutCache(view)
@@ -544,15 +592,15 @@ def test_reads_with_a_virtual_end_are_free():
         cases = []
         for scale in (1, 3):
             aug = AugmentedView(view, [(0, 1), (4, 2)], [(8, 2)], scale=scale)
-            cases.append((aug, materialize_augmented(g.edges, aug), aug.virtual_ids))
+            cases.append((aug, materialize_augmented(g.edges, aug), {aug.s_source, aug.s_sink}))
         inner, inner_cap, inner_virtual = cases[-1]
         aug = AugmentedView(inner, [(inner.s_source, 2), (1, 1)], [(5, 3)])
-        cases.append((aug, materialize_augmented(inner_cap, aug), aug.virtual_ids | inner_virtual))
+        cases.append((aug, materialize_augmented(inner_cap, aug), {aug.s_source, aug.s_sink} | inner_virtual))
         cv = contracted_view(view, g.edges, (0, 2, 3, 5, 6))
         cv_cap = contracted_edges(g.edges, cv)
         cases.append((cv, cv_cap, {cv.s_r}))
         aug = AugmentedView(cv, [(0, 2)], [(cv.s_r, 1)], scale=3)
-        cases.append((aug, materialize_augmented(cv_cap, aug), aug.virtual_ids | {cv.s_r}))
+        cases.append((aug, materialize_augmented(cv_cap, aug), {aug.s_source, aug.s_sink, cv.s_r}))
         iv, iv_edges = induced_view(view, g, (0, 1, 3, 4, 6))
         cv = contracted_view(iv, iv_edges, (0, 1, 3))
         assert cv.s_r == 7
