@@ -102,16 +102,16 @@ def cmd_mincut(args) -> int:
     print(f"value {ans.value}")
     print(f"side {' '.join(map(str, ans.side))}")
     print(f"certificate {ans.certificate}")
-    print(f"cut_queries {ans.cut_queries}")
-    print(f"bis_queries {ans.bis_queries}")
+    print(f"cut_queries {ledger.cut_count}")
+    print(f"bis_queries {cache.logical_bis}")
     if args.transcript:
         ledger.write_transcript(args.transcript)
     if args.csv:
         row = harness.ExperimentRow(
             family="file", n=instance.n, m=instance.m, seed=0, algorithm="mincut",
             answer=ans.value, reference_answer=harness.reference_mincut(instance)[0],
-            cut_queries=ans.cut_queries, bis_queries=ans.bis_queries,
-            rounds=ans.probes, wall_ms=0,
+            cut_queries=ledger.cut_count, bis_queries=cache.logical_bis,
+            rounds=0, wall_ms=0,
         )
         harness.write_csv([row], args.csv)
     return 0

@@ -317,7 +317,7 @@ class ExperimentRow:
     reference_answer: int
     cut_queries: int  # charged base-graph queries (= transcript length)
     bis_queries: int  # residual probes issued (CutCache.logical_bis); learned reads issue none
-    rounds: int
+    rounds: int  # maxflow's blocking-flow rounds; 0 for mincut and domset
     wall_ms: int
 
     CSV_HEADER = (
@@ -356,10 +356,8 @@ def run_one(instance: GraphInstance, algorithm: str) -> tuple[ExperimentRow, Que
     start = time.perf_counter()
     rounds = 0
     if algorithm == "mincut":
-        answer_obj = mincut_mod.global_mincut(view, cache=cache)
-        answer = answer_obj.value
+        answer = mincut_mod.global_mincut(view, cache=cache).value
         reference = reference_mincut(instance)[0]
-        rounds = answer_obj.probes
     elif algorithm == "maxflow":
         s, t = 0, instance.n - 1
         res = dinitz_maxflow(view, s, t, cache=cache)

@@ -1,8 +1,7 @@
-"""Global minimum cut through the oracle: dominating-set terminals, the
-grown-source threshold sweep, and the binary-search driver. The paper's
-balanced-case primitive, terminal sparsification via the expander
-decomposition, stays here as `balanced_sparsify`; the min-cut path does not
-call it.
+"""Global minimum cut through the oracle: dominating-set terminals and one
+grown-source threshold sweep. The paper's balanced-case primitive, terminal
+sparsification via the expander decomposition, stays here as
+`balanced_sparsify`; the min-cut path does not call it.
 
 Key structural fact exploited throughout: in a simple graph a dominating set
 is separated by every cut of size at most delta-1, so it can serve as the
@@ -10,12 +9,13 @@ terminal set for Steiner-style machinery while keeping every flow instance
 at bounded value.
 
 The threshold step is one sweep that grows its source (Hao–Orlin 1994): the
-i-th flow runs from all of R[:i] to Ri. Take any cut of size <= tau that
-splits R and its first terminal Ri on the far side from R0. Every earlier
-terminal lies on R0's side, so the flow from R[:i] to Ri is at most the cut,
-and the sweep finds a cut of size <= tau at step i or before; an empty sweep
-certifies that none exists. Each flow stops as soon as it reaches tau+1,
-which certifies its step without a last, whole-graph BFS.
+i-th flow runs from all of R[:i] to Ri. Take any cut that splits R and its
+first terminal Ri on the far side from R0. Every earlier terminal lies on
+R0's side, so the flow from R[:i] to Ri is at most the cut: the least flow
+of the sweep is the minimum cut that splits R. Each flow stops as soon as it
+reaches the least cut found so far (tau+1 before the first), which certifies
+its step without a last, whole-graph BFS. At tau = delta-1 the one sweep
+therefore finds the global minimum cut, or certifies the degree cut.
 """
 
 from __future__ import annotations
@@ -147,28 +147,36 @@ def unbalanced_case(
     tau: int,
     cache: Optional[CutCache] = None,
 ) -> Optional[tuple[tuple[int, ...], int]]:
-    """A cut of size <= tau that separates two terminals of R, as (side,
-    value), or None when no such cut exists.
+    """The minimum cut that separates two terminals of R, as (side, value),
+    when it is at most tau; None when every such cut exceeds tau.
 
     The sweep grows its source, the source-growing step of Hao–Orlin
-    (1994): for i = 1 .. |R|-1 it runs one flow from all of R[:i] to Ri,
-    each terminal edge of capacity tau+1, stopped once the flow reaches
-    tau+1, and returns the first flow of value <= tau with its min-cut
-    source side. Any cut of size <= tau that splits R has a first terminal
-    Ri on the far side from R0; all of R[:i] lies on R0's side, so the flow
-    from R[:i] to Ri is at most that cut and the sweep stops at step i or
-    earlier. The cut it returns need not isolate a terminal."""
+    (1994): for i = 1 .. |R|-1 it runs one flow from all of R[:i] to Ri.
+    Each terminal edge has capacity `bound`, the least cut found so far
+    (tau+1 before the first), and the flow stops once it reaches `bound`.
+    A flow below `bound` is a new least cut, with its min-cut source side,
+    and lowers `bound` to its value. The minimum cut that splits R has a
+    first terminal Ri on the far side from R0; all of R[:i] lies on R0's
+    side, so the flow from R[:i] to Ri is at most that cut, and the sweep
+    has found it once step i is done. The cut it returns need not isolate
+    a terminal."""
     R = canon(R)
     if cache is None:
         cache = CutCache(view.base_view)
+    found = None
+    bound = tau + 1
     for i in range(1, len(R)):
-        aug = AugmentedView(view, [(r, tau + 1) for r in R[:i]], [(R[i], tau + 1)])
-        res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, limit=tau + 1)
-        if res.value <= tau:
-            # a flow below tau+1 saturates no terminal edge, so its min
-            # cut cuts res.value real edges between R[:i] and Ri
-            return tuple(v for v in res.mincut_source_side if v in view), res.value
-    return None
+        aug = AugmentedView(view, [(r, bound) for r in R[:i]], [(R[i], bound)])
+        res = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache=cache, limit=bound)
+        if res.value < bound:
+            # a flow below bound saturates no terminal edge, so its min cut
+            # cuts res.value real edges between R[:i] and Ri
+            found = tuple(v for v in res.mincut_source_side if v in view), res.value
+            bound = res.value
+            if not bound:
+                # no cut is below 0, and a terminal edge needs capacity >= 1
+                break
+    return found
 
 
 @dataclass
@@ -222,14 +230,15 @@ def threshold_mincut(
     cache: Optional[CutCache] = None,
     R: Optional[tuple[int, ...]] = None,
 ) -> ThresholdResult:
-    """Either a cut of size <= tau or the certificate that the global min
-    cut exceeds tau. Requires tau <= delta - 1.
+    """The minimum cut splitting R when it is at most tau, else the
+    certificate that the global min cut exceeds tau. Requires
+    tau <= delta - 1.
 
-    Every cut of size <= tau splits R (a dominating set, or any set that
-    such cuts split), so it suffices to find a cut of size <= tau between
-    terminals of R: one `unbalanced_case` sweep over R finds one, and an
-    empty sweep answers "above". Raises QueryInputError for a tau that is
-    not an int >= 0 before any charge, and for a tau >= delta."""
+    R is the dominating set (computed when not given) or any set that every
+    cut of size <= tau splits, so such a cut is also the global minimum
+    cut: one `unbalanced_case` sweep over R finds it, and an empty sweep
+    answers "above". Raises QueryInputError for a tau that is not an int
+    >= 0 before any charge, and for a tau >= delta."""
     if not isinstance(tau, int) or tau < 0:
         raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:
@@ -255,19 +264,14 @@ class MinCutAnswer:
     value: int
     side: tuple[int, ...]
     certificate: str  # degree_cut | terminal_cut | disconnected
-    cut_queries: int = 0  # charged base-graph queries
-    bis_queries: int = 0  # residual probes issued (CutCache.logical_bis); learned reads issue none
-    probes: int = 0
 
 
 def global_mincut(view: BaseView, cache: Optional[CutCache] = None) -> MinCutAnswer:
-    """Binary search over the threshold algorithm. The top threshold
-    delta-1 is probed first: failure there certifies the degree cut
-    immediately. Each cut found, at the top or at a midpoint, bounds lambda
-    from above, so it lowers the top of the search interval to its own
-    value; the search ends at a found cut of value lambda. Refuses, before
-    any charge, a view other than the base view, fewer than two vertices
-    and a graph that is not a unit graph."""
+    """The threshold algorithm at tau = delta-1, run once: its sweep finds
+    the minimum cut that splits the dominating set when that cut is below
+    delta, which is then the global minimum cut, and "above" certifies the
+    degree cut. Refuses, before any charge, a view other than the base
+    view, fewer than two vertices and a graph that is not a unit graph."""
     if view is not view.base_view:
         raise QueryInputError("global min cut runs on the base view only")
     if view.n < 2:
@@ -277,38 +281,15 @@ def global_mincut(view: BaseView, cache: Optional[CutCache] = None) -> MinCutAns
         raise QueryInputError("global min cut needs unit edge capacities")
     if cache is None:
         cache = CutCache(view.base_view)
-    ledger = view.ledger
 
     reached = bfs_tree(cache, view, None, view.vertices()[0]).reached()
     if reached != view.mask:
-        return MinCutAnswer(
-            0, tuple(ids_of(reached)), "disconnected", ledger.cut_count, cache.logical_bis, 0
-        )
+        return MinCutAnswer(0, tuple(ids_of(reached)), "disconnected")
 
     _, delta, v_min = degrees(view, cache)
-    probes = 0
-    best: Optional[ThresholdResult] = None
     if delta >= 2:
         R = dominating_set(view, cache)
-        top = delta - 1
-        res = threshold_mincut(view, top, cache=cache, R=R)
-        probes += 1
+        res = threshold_mincut(view, delta - 1, cache=cache, R=R)
         if res.kind == "cut":
-            best = res
-            lo, hi = 1, res.value
-            while lo < hi:
-                mid = (lo + hi) // 2
-                probe = threshold_mincut(view, mid, cache=cache, R=R)
-                probes += 1
-                if probe.kind == "cut":
-                    hi = probe.value
-                    best = probe
-                else:
-                    lo = mid + 1
-    if best is None:
-        return MinCutAnswer(
-            delta, (v_min,), "degree_cut", ledger.cut_count, cache.logical_bis, probes
-        )
-    return MinCutAnswer(
-        best.value, best.side, "terminal_cut", ledger.cut_count, cache.logical_bis, probes
-    )
+            return MinCutAnswer(res.value, res.side, "terminal_cut")
+    return MinCutAnswer(delta, (v_min,), "degree_cut")

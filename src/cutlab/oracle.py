@@ -597,7 +597,7 @@ class AugmentedView(OracleView):
         for v, cap in sources + sinks:
             if not (type(v) is int and v >= 0 and pmask >> v & 1):
                 raise QueryInputError(f"terminal {v!r} not in the parent view")
-            if not isinstance(cap, int) or cap < 1:
+            if type(cap) is not int or cap < 1:
                 raise QueryInputError("terminal capacity must be an integer >= 1")
             if seen >> v & 1:
                 raise QueryInputError(f"terminal {v} listed twice")
@@ -623,6 +623,8 @@ class AugmentedView(OracleView):
 
     def bundle_flow(self, f: Flow, terminal: int) -> int:
         """Units the flow routes over a terminal's virtual edge."""
+        if type(terminal) is not int:
+            raise QueryInputError(f"{terminal!r} is not an augmented terminal")
         if terminal in self._source_cap:
             return f.get(self.s_source, terminal)
         if terminal in self._sink_cap:
@@ -648,7 +650,8 @@ class ContractedView(OracleView):
     capacity to s_r (0 when missing), learned once by the caller; the
     linear forms read it at zero query cost. A caller may give a vertex
     less than its parent capacity to the outside, to drop edges whose value
-    it already knows. A negative capacity to s_r is refused."""
+    it already knows. A capacity to s_r that is not an int >= 0 (a float,
+    a bool, a negative int) is refused."""
 
     def __init__(self, parent: OracleView, keep: Iterable[int], w_out: dict[int, int]):
         super().__init__(parent.base_view)
@@ -660,10 +663,10 @@ class ContractedView(OracleView):
         self.parent = parent
         self.s_r = parent.mask.bit_length()
         # capacity between each kept vertex and s_r
-        self._to_s = {v: int(w_out.get(v, 0)) for v in ids_of(keep_mask)}
+        self._to_s = {v: w_out.get(v, 0) for v in ids_of(keep_mask)}
         for v, w in self._to_s.items():
-            if w < 0:
-                raise QueryInputError(f"vertex {v} would have capacity {w} < 0 to s_r")
+            if type(w) is not int or w < 0:
+                raise QueryInputError(f"capacity {w!r} of vertex {v} to s_r is not an int >= 0")
         self.mask = keep_mask | 1 << self.s_r
 
     def _build_form(self, u: int) -> LinearForm:

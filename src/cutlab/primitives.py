@@ -149,9 +149,12 @@ def bfs_tree(
     is listed by id once, as the next frontier. With a `sink`, the search
     returns as soon as it discovers the sink: every layer below the sink's
     is then complete, and the sink's own layer holds only the vertices found
-    so far."""
+    so far. Raises QueryInputError, before any charge, for a root or a sink
+    outside the view."""
     if root not in view:
         raise QueryInputError(f"root {root!r} outside the view")
+    if sink is not None and sink not in view:
+        raise QueryInputError(f"sink {sink!r} outside the view")
     if within is None:
         within = view.mask
     else:

@@ -220,17 +220,17 @@ def test_criterion_4_scaling():
         pts = []
         for n in (32, 64, 128, 256):
             g = generate(InstanceSpec(fam, n, 0, ps))
-            view, _, cache = make_view(g)
+            view, ledger, cache = make_view(g)
             ans = global_mincut(view, cache=cache)
             ref_val, _ = reference_mincut(g)
             assert ans.value == ref_val, (fam, n)
-            pts.append((n, ans.cut_queries))
-            if n >= 64 and ans.cut_queries >= n * (n - 1) // 2:
+            pts.append((n, ledger.cut_count))
+            if n >= 64 and ledger.cut_count >= n * (n - 1) // 2:
                 ok = False
             budget = (
                 PINNED["C_GLOBAL"] * n ** (5 / 3) * math.log2(n) ** PINNED["K_GLOBAL"]
             )
-            if ans.cut_queries > budget:
+            if ledger.cut_count > budget:
                 ok = False
         slope = float(
             np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)[0]

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from cutlab import _kernels, mincut
+from cutlab import _kernels
 from cutlab.config import DESK, PINNED
 from cutlab.harness import (
     InstanceSpec,
@@ -251,7 +251,7 @@ def _threshold_corpus():
 @pytest.mark.parametrize("spec", list(_threshold_corpus()), ids=InstanceSpec.label)
 def test_threshold_with_every_vertex_terminal_matches_reference(spec):
     # R = every vertex: each cut of size <= tau splits it, so the sweep over
-    # R answers "cut" exactly when the minimum cut is at most tau
+    # R finds the minimum cut exactly when it is at most tau
     g = generate(spec)
     lam, _ = reference_mincut(g)
     view, _, cache = make_view(g)
@@ -260,7 +260,7 @@ def test_threshold_with_every_vertex_terminal_matches_reference(spec):
         res = threshold_mincut(view, tau, cache=cache, R=tuple(range(g.n)))
         if lam <= tau:
             assert res.kind == "cut", (g, tau)
-            assert res.value <= tau and g.cut_of(res.side) == res.value, (g, tau)
+            assert res.value == lam and g.cut_of(res.side) == res.value, (g, tau)
         else:
             assert res.kind == "above", (g, tau)
 
@@ -311,34 +311,23 @@ def test_grown_sweep_threshold_is_exact_at_every_tau(spec):
             assert g.cut_of(res.side) == res.value <= tau
 
 
-def test_binary_search_probes_below_every_cut_found(monkeypatch):
-    # each cut found lowers the top of the search to its own value, so no
-    # later threshold is at or above the value of a cut already in hand
-    calls = []
-    real = mincut.threshold_mincut
-
-    def recording(view, tau, **kwargs):
-        res = real(view, tau, **kwargs)
-        calls.append((tau, res))
-        return res
-
-    monkeypatch.setattr(mincut, "threshold_mincut", recording)
-    specs = [
-        InstanceSpec("planted_cut", 48, seed).with_params(k=k) for seed in range(3) for k in (1, 2, 3)
-    ]
-    specs += [InstanceSpec("two_cliques_bridge", 24), InstanceSpec("barbell", 24)]
-    # the top probe finds a cut of value 9 and the probe at 5 one of value 1
-    specs.append(InstanceSpec("planted_cut", 32, 3).with_params(k=1))
-    for spec in specs:
-        calls.clear()
-        g = generate(spec)
+def test_threshold_at_delta_minus_one_finds_the_minimum_cut():
+    """At tau = delta-1 the sweep returns the minimum cut itself, not the
+    first cut below tau it meets: on planted_cut n=16 seed 12 k=1 the first
+    such cut has value 4, where lambda = 1."""
+    checked = 0
+    for k, seed in itertools.product((1, 2, 3), range(30)):
+        g = generate(InstanceSpec("planted_cut", 16, seed).with_params(k=k))
+        lam = reference_mincut(g)[0]
         view, _, cache = make_view(g)
-        ans = global_mincut(view, cache=cache)
-        assert ans.value == reference_mincut(g)[0], spec
-        assert ans.probes == len(calls)
-        for j, (tau, _) in enumerate(calls[1:], 1):
-            found = [r.value for _, r in calls[:j] if r.kind == "cut"]
-            assert tau < min(found), (spec, calls)
+        _, delta, _ = degrees(view, cache)
+        if lam >= delta:
+            continue
+        res = threshold_mincut(view, delta - 1, cache=cache)
+        assert res.kind == "cut" and res.value == lam, (k, seed, res)
+        assert g.cut_of(res.side) == lam
+        checked += 1
+    assert checked > 0
 
 
 def test_global_mincut_examples(b6, k4):

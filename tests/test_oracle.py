@@ -466,11 +466,23 @@ def test_augmented_terminal_capacity_must_be_a_positive_integer(b6):
     # a capacity is a weight on one virtual edge, so a fraction would be
     # carried into every flow over that edge
     view, _, _ = make_view(b6)
-    for cap in (0, -1, 1.5, 2.0):
+    for cap in (0, -1, 1.5, 2.0, True):
         with pytest.raises(QueryInputError):
             AugmentedView(view, [(0, cap)], [(5, 1)])
         with pytest.raises(QueryInputError):
             AugmentedView(view, [(0, 1)], [(5, cap)])
+
+
+def test_bundle_flow_refuses_a_terminal_that_is_not_an_int(b6):
+    """0.0 and False hash as the terminal 0, so a dict lookup alone took
+    them for it and the flow read failed on a shift."""
+    view, _, cache = make_view(b6)
+    aug = AugmentedView(view, [(0, 2)], [(5, 2)])
+    f = dinitz_maxflow(aug, aug.s_source, aug.s_sink, cache).flow
+    assert aug.bundle_flow(f, 0) == aug.bundle_flow(f, 5) == 1
+    for terminal in (0.0, False, 5.0, 3):
+        with pytest.raises(QueryInputError):
+            aug.bundle_flow(f, terminal)
 
 
 def test_contracted_view_examples(b6, k4):
@@ -509,6 +521,18 @@ def test_contracted_view_refuses_negative_capacity_to_s_r(b6):
     # the same answer again, now read from the learned pairs
     assert neighborhood(cache, cv, None, 2, mask_of([0, 1, cv.s_r])) == mask_of([0, 1])
     assert cache.logical_bis == bis
+
+
+def test_contracted_view_refuses_a_capacity_to_s_r_that_is_not_an_int(b6):
+    """int() once truncated {0: 1.5, 1: 0.4, 2: True} to {0: 1, 1: 0,
+    2: 1}, and every form and flow on the view then answered for another
+    graph; floats and bools are refused as AugmentedView refuses them."""
+    view, _, _ = make_view(b6)
+    for w_out in ({0: 1.5, 1: 0.4, 2: True}, {0: 1.5}, {1: 0.4}, {2: True}, {2: 1.0}):
+        with pytest.raises(QueryInputError):
+            ContractedView(view, (0, 1, 2), w_out)
+    cv = ContractedView(view, (0, 1, 2), {0: 0, 2: 1})
+    assert cv.linear_form(cv.s_r).terms == ((1, 1 << 2),)
 
 
 def test_contracted_view_full_enumeration():

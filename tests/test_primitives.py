@@ -207,6 +207,17 @@ def test_vertices_outside_the_view_are_refused(b6):
     assert ledger.cut_count == 0 and cache.logical_bis == 0
 
 
+def test_bfs_tree_refuses_a_sink_outside_the_view(b6):
+    """A sink of 1.0 or -1 would fail on a shift, and 99, outside the view,
+    or True, which is not a vertex id, would be passed over while the search
+    ran through the whole view; each is refused before any charge."""
+    view, ledger, cache = make_view(b6)
+    for sink in (1.0, -1, 99, True):
+        with pytest.raises(QueryInputError):
+            bfs_tree(cache, view, None, 0, sink=sink)
+    assert ledger.cut_count == 0 and cache.logical_bis == 0
+
+
 def test_bfs_tree_examples(p4, k4, b6):
     view, _, cache = make_view(p4)
     tree = bfs_tree(cache, view, None, 0)

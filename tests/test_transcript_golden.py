@@ -15,6 +15,7 @@ import pytest
 
 from cutlab.expander import decompose
 from cutlab.harness import InstanceSpec, generate
+from cutlab.isolating import isolating_cuts
 from cutlab.maxflow import dinitz_maxflow
 from cutlab.mincut import global_mincut
 from conftest import make_view
@@ -39,6 +40,11 @@ def _maxflow_pairs(spec, pairs):
     # capacities the earlier ones learned
     view, ledger, cache = make_view(generate(spec))
     return tuple(dinitz_maxflow(view, s, t, cache).value for s, t in pairs), ledger, cache
+
+
+def _isolating(spec, R, tau):
+    view, ledger, cache = make_view(generate(spec))
+    return isolating_cuts(view, R, tau, cache).cut_value, ledger, cache
 
 
 def _decompose(spec):
@@ -101,7 +107,7 @@ GOLDEN = [
         "27f74c8b3569e8c1d9a9f768ca33628d5e3e115fce63f656f2f1f43d1e630c66",
     ),
     (
-        # builds contracted views, whose probes read their linear forms
+        # a cut below delta, found by the grown-source sweep
         "mincut_planted_cut_n32",
         lambda: _mincut(InstanceSpec("planted_cut", 32, 5).with_params(k=2)),
         2,
@@ -118,6 +124,26 @@ GOLDEN = [
         466,
         453,
         "bb0093ea13f21ad720d898d60dbf233287db8f23b529837226fe123caac8f629",
+    ),
+    (
+        # the sweep's first cut is the planted one, of value 3; each later
+        # flow stops once it reaches 3, not delta = 45
+        "mincut_planted_cut_n128",
+        lambda: _mincut(InstanceSpec("planted_cut", 128, 1).with_params(k=3)),
+        3,
+        712,
+        832,
+        "daca2181773bee0f8083d61446e1957238b56fb05abd6b652cca2389f55c2434",
+    ),
+    (
+        # terminal 3 alone on its side of the planted cut: its region is
+        # contracted, and the local flow runs on the ContractedView
+        "isolating_planted_cut_n32",
+        lambda: _isolating(InstanceSpec("planted_cut", 32, 5).with_params(k=2), (3, 17, 22, 28), 2),
+        2,
+        157,
+        226,
+        "6c85cf4c09edb9259c74d57dc6132e52d46c45583e675c077c4e68ecefc342af",
     ),
     (
         "decompose_two_cliques_n16",
