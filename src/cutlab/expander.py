@@ -480,7 +480,7 @@ def decompose(
         if r not in view:
             raise QueryInputError(f"terminal {r!r} not in the view")
     R = canon(R)
-    if not isinstance(tau, int) or tau < 0:
+    if type(tau) is not int or tau < 0:
         raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:
         cache = CutCache(view.base_view)

@@ -239,7 +239,7 @@ def threshold_mincut(
     cut: one `unbalanced_case` sweep over R finds it, and an empty sweep
     answers "above". Raises QueryInputError for a tau that is not an int
     >= 0 before any charge, and for a tau >= delta."""
-    if not isinstance(tau, int) or tau < 0:
+    if type(tau) is not int or tau < 0:
         raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
     if cache is None:
         cache = CutCache(view.base_view)

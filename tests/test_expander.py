@@ -356,7 +356,8 @@ def test_decompose_two_cliques():
 def test_decompose_refuses_terminals_outside_the_view_and_negative_tau():
     """Fewer than two terminals once skipped every check, so terminal 999
     or tau -5 came back as a core; each case is refused before any charge,
-    as are two terminals with one outside an induced view."""
+    as are two terminals with one outside an induced view and a tau that
+    is not an int (True is not taken as 1)."""
     g = generate(InstanceSpec("two_cliques_bridge", 12))
     view, ledger, cache = make_view(g)
     left = InducedView(view, range(6))
@@ -365,6 +366,8 @@ def test_decompose_refuses_terminals_outside_the_view_and_negative_tau():
         (view, (-3,), -5),
         (view, (0,), -5),
         (view, (0,), 1.5),
+        (view, (0,), True),
+        (view, (0,), "1"),
         (view, (), -1),
         (view, (0, 999), 1),
         (view, (0, 5), -1),

@@ -161,9 +161,10 @@ def test_blocking_property_explicit_small():
             assert any(e in saturated for e in path), path
 
 
-def reset_blocking_round(cache, view, f, layers):
-    """Reference blocking-flow search that restarts from s after every
-    augmentation."""
+def stepwise_blocking_round(cache, view, f, layers, restart=False):
+    """Reference blocking-flow search that calls find_neighbor at every
+    step. After each augmentation it restarts from s (restart) or retreats
+    to the tail of the path's first saturated edge."""
     s, d = ids_of(layers[0])[0], len(layers) - 1
     alive = list(layers)
     pushed = 0
@@ -178,12 +179,16 @@ def reset_blocking_round(cache, view, f, layers):
         stack.append(v)
         if len(stack) == d + 1:
             path = list(zip(stack, stack[1:]))
-            bottleneck = min(cache.capacity(view, a, b) - f.get(a, b) for a, b in path)
+            caps = [cache.capacity(view, a, b) - f.get(a, b) for a, b in path]
+            bottleneck = min(caps)
             for a, b in path:
                 f.push(a, b, bottleneck)
             f.value += bottleneck
             pushed += bottleneck
-            stack = [s]
+            if restart:
+                stack = [s]
+            else:
+                del stack[caps.index(bottleneck) + 1 :]
     return pushed
 
 
@@ -225,12 +230,116 @@ def test_retreating_blocking_round_matches_the_reset_search(n, W, p, seed):
         if layered is None:
             continue
         want = copy_flow(f)
-        value = reset_blocking_round(CutCache(view.base_view), view, want, layered)
+        value = stepwise_blocking_round(CutCache(view.base_view), view, want, layered, restart=True)
         for cache in (CutCache(view.base_view), learned):
             got = copy_flow(f)
             assert blocking_flow_round(cache, view, got, layered) == value, name
             assert got.value == want.value and got.support() == want.support(), name
             assert not layered_path_left(explicit, got, layered), name
+
+
+def test_kept_rows_match_find_neighbor_at_every_step():
+    """On base, augmented and contracted views of seeded graphs (W = 1 and
+    3), with a random share of base pairs learned beforehand, each round of
+    blocking_flow_round, which keeps each vertex's next-layer row, gives
+    what the search calling find_neighbor at every step gives: the pushed
+    value, the flow's support, the transcript, logical_bis and the learned
+    pairs. The rounds run until the sink is unreachable, and over the test
+    they meet both vertices whose learned row covers the next layer and
+    vertices whose row does not."""
+    covered = uncovered = 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        n, W = rng.randint(8, 14), (1, 3)[seed % 2]
+        g = random_graph(n, rng.uniform(0.3, 0.7), seed, W=W)
+        share = rng.uniform(0.0, 0.6)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < share]
+        for (name, view, cap, s, t, _), (_, ref_view, _, _, _, _) in zip(flow_views(g), flow_views(g)):
+            caches = []
+            for v in (view, ref_view):
+                cache = CutCache(v.base_view)
+                for a, b in pairs:
+                    cache.base_pair_sum(a, 1 << b)
+                caches.append(cache)
+            cache, ref_cache = caches
+            f = random_valid_flow(explicit_graph(view, cap), s, t, seed, tries=rng.randint(0, 2))
+            ref_f = copy_flow(f)
+            f = copy_flow(f)
+            while True:
+                layers = layered_graph(cache, view, f, s, t)
+                assert layers == layered_graph(ref_cache, ref_view, ref_f, s, t), name
+                if layers is None:
+                    break
+                for depth, layer in enumerate(layers[:-1]):
+                    for u in ids_of(layer):
+                        if ref_cache.learned_neighbors(ref_view, ref_f, u, layers[depth + 1]) is None:
+                            uncovered += 1
+                        else:
+                            covered += 1
+                got = blocking_flow_round(cache, view, f, layers)
+                assert got == stepwise_blocking_round(ref_cache, ref_view, ref_f, layers), name
+                assert f.value == ref_f.value and f.support() == ref_f.support(), name
+                assert view.ledger.transcript_text() == ref_view.ledger.transcript_text(), name
+                assert cache.logical_bis == ref_cache.logical_bis, name
+                assert cache._known == ref_cache._known, name
+    assert covered > 100 and uncovered > 100, (covered, uncovered)
+
+
+def test_round_on_learned_graph_reads_each_row_once(monkeypatch):
+    """On a cache that holds every base pair, each blocking round reads each
+    layered vertex's learned row at most once and never calls
+    find_neighbor: on unit and W=3 graphs, on base, augmented and
+    contracted views."""
+    import cutlab.maxflow as mf
+
+    rounds: list[tuple[int, list[int]]] = []  # (layered vertices, rows read)
+    in_round = [False]
+    read = CutCache.learned_neighbors
+    real_round = mf.blocking_flow_round
+    real_find = mf.find_neighbor
+    finds = []
+
+    def learned_neighbors(self, view, f, u, X):
+        if in_round[0]:
+            rounds[-1][1].append(u)
+        return read(self, view, f, u, X)
+
+    def blocking(cache, view, f, layers):
+        layered = 0
+        for layer in layers[:-1]:
+            layered |= layer
+        rounds.append((layered, []))
+        in_round[0] = True
+        try:
+            return real_round(cache, view, f, layers)
+        finally:
+            in_round[0] = False
+
+    def find(*args):
+        finds.append(args)
+        return real_find(*args)
+
+    monkeypatch.setattr(CutCache, "learned_neighbors", learned_neighbors)
+    monkeypatch.setattr(mf, "blocking_flow_round", blocking)
+    monkeypatch.setattr(mf, "find_neighbor", find)
+    for W in (1, 3):
+        for n in (16, 40):
+            g = random_graph(n, 0.3, n + W, W=W)
+            for name, view, _cap, s, t, _real in flow_views(g):
+                cache = CutCache(view.base_view)
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        cache.base_pair_sum(a, 1 << b)
+                before = view.ledger.cut_count
+                res = dinitz_maxflow(view, s, t, cache=cache)
+                assert view.ledger.cut_count == before, name
+                if name == "base":
+                    assert res.value == reference_maxflow(g, s, t)
+    assert len(rounds) > 20 and sum(len(reads) for _, reads in rounds) > 200
+    for layered, reads in rounds:
+        assert len(reads) == len(set(reads)), reads
+        assert mask_of(reads) | layered == layered, reads
+    assert not finds
 
 
 def test_monotone_distance_asserted():
@@ -361,6 +470,18 @@ def test_dinitz_limit_stops_before_the_next_bfs(monkeypatch):
                 assert text == full_text
         with pytest.raises(QueryInputError):
             dinitz_maxflow(view, 0, 19, cache=cache, limit=0)
+
+
+def test_dinitz_refuses_a_limit_that_is_not_an_int():
+    """A limit that is not an int >= 1 is refused before any charge: True
+    is not taken as 1, and a string or a float is not compared with the
+    flow's value."""
+    g = generate(InstanceSpec("two_cliques_bridge", 8))
+    for limit in (True, False, "3", 1.0, 2.5, 0, -1):
+        view, ledger, cache = make_view(g)
+        with pytest.raises(QueryInputError):
+            dinitz_maxflow(view, 0, 7, cache=cache, limit=limit)
+        assert ledger.cut_count == 0, limit
 
 
 def test_dinitz_on_augmented_view(b6):

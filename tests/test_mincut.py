@@ -205,9 +205,9 @@ def test_threshold_examples(b6, k4):
 
 def test_threshold_refuses_a_bad_tau_before_any_charge():
     """A tau that is not an int >= 0 is refused before the degrees and the
-    dominating set are charged."""
+    dominating set are charged; True is not taken as 1."""
     g = generate(InstanceSpec("two_cliques_bridge", 8))
-    for tau in (1.5, -1, None, "1"):
+    for tau in (1.5, -1, None, "1", True, False, 1.0):
         view, ledger, cache = make_view(g)
         with pytest.raises(QueryInputError):
             threshold_mincut(view, tau, cache=cache)
