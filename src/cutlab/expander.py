@@ -32,6 +32,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    check_tau,
 )
 
 # Slot counts up to which the witness graph is searched exhaustively: the
@@ -181,7 +182,6 @@ def cut_player(X: WitnessGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class MatchOutcome:
     kind: str  # "matching" | "sparse_cut"
     matching: Counter = field(default_factory=Counter)
-    embedding: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
     cut: tuple[int, ...] = ()
     flow_value: int = 0
     demand: int = 0
@@ -200,10 +200,11 @@ def matching_player(
     of capacity ceil(1/phi), on an augmented view with one virtual edge of
     capacity tau+1 from its source to each A-terminal and from each
     B-terminal to its sink. A large enough flow yields an almost-perfect
-    matching read off the path decomposition, each path's real part (all
-    but its virtual end points) being its embedding; otherwise the
-    residual-reachable set is a sparse cut with unsaturated terminals on
-    both sides."""
+    matching read off the path decomposition, each path matching the first
+    and last real vertex; otherwise the residual-reachable set is a sparse
+    cut with unsaturated terminals on both sides. Raises QueryInputError
+    for a tau that is not an int >= 0 before any charge."""
+    check_tau(tau)
     A, B = canon(A), canon(B)
     if not A or not B:
         raise QueryInputError("matching player needs nonempty sides")
@@ -221,15 +222,9 @@ def matching_player(
     threshold = (min(len(A), len(B)) - beta) * (tau + 1)
     if res.value >= threshold:
         matching: Counter = Counter()
-        embedding = []
         for path, units in path_decomposition(res.flow):
-            real = path[1:-1]
-            matching[_pair(real[0], real[-1])] += units
-            embedding.append((real, units))
-        return MatchOutcome(
-            "matching", matching=matching, embedding=embedding,
-            flow_value=res.value, demand=demand,
-        )
+            matching[_pair(path[1], path[-2])] += units
+        return MatchOutcome("matching", matching=matching, flow_value=res.value, demand=demand)
     side = tuple(v for v in res.mincut_source_side if v in view)
     return MatchOutcome("sparse_cut", cut=side, flow_value=res.value, demand=demand)
 
@@ -375,7 +370,10 @@ def one_step(
     cache: Optional[CutCache] = None,
 ) -> OneStepResult:
     """One round of the decomposition: either a balanced sparse cut, or a
-    core R' of terminals certified by the witness graph after pruning."""
+    core R' of terminals certified by the witness graph after pruning.
+    Raises QueryInputError for a tau that is not an int >= 0 before any
+    charge."""
+    check_tau(tau)
     R = canon(R)
     if len(R) < 2:
         raise QueryInputError("one_step needs at least two terminals")
@@ -480,8 +478,7 @@ def decompose(
         if r not in view:
             raise QueryInputError(f"terminal {r!r} not in the view")
     R = canon(R)
-    if type(tau) is not int or tau < 0:
-        raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
+    check_tau(tau)
     if cache is None:
         cache = CutCache(view.base_view)
     phi = params.phi_for(view.base_view.n)

@@ -23,6 +23,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    check_tau,
     ids_of,
     mask_of,
 )
@@ -59,7 +60,9 @@ def partition_mincut(
     cache: Optional[CutCache] = None,
 ) -> PartitionCut:
     """Closest min-cut of the (A,B) flow instance with terminal capacity
-    tau+1, plus the set of saturated terminals."""
+    tau+1, plus the set of saturated terminals. Raises QueryInputError for
+    a tau that is not an int >= 0 before any charge."""
+    check_tau(tau)
     A, B = canon(A), canon(B)
     if cache is None:
         cache = CutCache(view.base_view)
@@ -106,7 +109,9 @@ def isolating_cuts(
 ) -> IsolatingResult:
     """Minimum isolating cut of R when it has size at most tau, else the
     verdict that every isolating cut exceeds tau. Per-terminal records reuse
-    the same computations at no extra query cost."""
+    the same computations at no extra query cost. Raises QueryInputError
+    for a tau that is not an int >= 0 before any charge."""
+    check_tau(tau)
     R = canon(R)
     if len(R) < 2:
         raise QueryInputError("isolating_cuts needs at least two terminals")

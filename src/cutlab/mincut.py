@@ -36,6 +36,7 @@ from .oracle import (
     OracleView,
     QueryInputError,
     canon,
+    check_tau,
     ids_of,
 )
 from .primitives import bfs_tree, neighborhood
@@ -159,7 +160,9 @@ def unbalanced_case(
     first terminal Ri on the far side from R0; all of R[:i] lies on R0's
     side, so the flow from R[:i] to Ri is at most that cut, and the sweep
     has found it once step i is done. The cut it returns need not isolate
-    a terminal."""
+    a terminal. Raises QueryInputError for a tau that is not an int >= 0
+    before any charge."""
+    check_tau(tau)
     R = canon(R)
     if cache is None:
         cache = CutCache(view.base_view)
@@ -239,8 +242,7 @@ def threshold_mincut(
     cut: one `unbalanced_case` sweep over R finds it, and an empty sweep
     answers "above". Raises QueryInputError for a tau that is not an int
     >= 0 before any charge, and for a tau >= delta."""
-    if type(tau) is not int or tau < 0:
-        raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
+    check_tau(tau)
     if cache is None:
         cache = CutCache(view.base_view)
     _, delta, _ = degrees(view, cache)

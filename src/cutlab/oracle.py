@@ -88,6 +88,12 @@ def _checked_mask(ids: Iterable[int], n: int) -> int:
     return mask
 
 
+def check_tau(tau) -> None:
+    """Raise QueryInputError for a cut-size threshold that is not an int >= 0."""
+    if type(tau) is not int or tau < 0:
+        raise QueryInputError(f"tau must be an int >= 0, got {tau!r}")
+
+
 # ---------------------------------------------------------------------------
 # hidden graph
 
@@ -97,16 +103,18 @@ class GraphInstance:
     only the oracle and the harness-side reference checkers may."""
 
     def __init__(self, n: int, edges: dict[tuple[int, int], int]):
-        if n < 1:
-            raise GraphFormatError("need at least one vertex")
+        if type(n) is not int or n < 1:
+            raise GraphFormatError(f"n must be an int >= 1, got {n!r}")
         norm: dict[tuple[int, int], int] = {}
         total = 0
         for (u, v), w in edges.items():
+            if type(u) is not int or type(v) is not int:
+                raise GraphFormatError(f"vertex ids of edge ({u!r},{v!r}) must be ints")
             if u == v:
                 raise GraphFormatError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"vertex out of range in edge ({u},{v})")
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise GraphFormatError(f"capacity of ({u},{v}) must be an integer >= 1")
             key = (u, v) if u < v else (v, u)
             if key in norm:
@@ -450,11 +458,6 @@ class Flow:
             neg |= m
         return pos, neg
 
-    def pos_planes(self, u: int) -> list[int]:
-        """u's positive flow, bit-sliced: bit v of the k-th mask says
-        f(u, v) > 0 and has bit k set."""
-        return self._pos.get(u, [])
-
     def support(self) -> list[tuple[int, int, int]]:
         """Positive-direction entries, sorted."""
         out = []
@@ -705,38 +708,6 @@ class InducedView(OracleView):
 # algorithm-side memoisation
 
 
-def _add_scaled(acc: list[int], planes: list[int], w: int) -> None:
-    """acc += w * planes for nonnegative w, where both sides are
-    bit-sliced numbers (bit v of planes[k] is bit k of v's number): one
-    ripple-carry addition of the planes, shifted up by j, per set bit j of
-    w; planes that land wholly above acc's top are appended."""
-    j = 0
-    while w:
-        if w & 1:
-            if len(acc) <= j:
-                acc.extend([0] * (j - len(acc)))
-                acc.extend(planes)
-            else:
-                carry = 0
-                k = j
-                for p in planes:
-                    if k == len(acc):
-                        acc.append(0)
-                    a = acc[k]
-                    acc[k] = a ^ p ^ carry
-                    carry = a & p | carry & (a ^ p)
-                    k += 1
-                while carry:
-                    if k == len(acc):
-                        acc.append(0)
-                    a = acc[k]
-                    acc[k] = a ^ carry
-                    carry &= a
-                    k += 1
-        w >>= 1
-        j += 1
-
-
 class CutCache:
     """Shared memo over base-graph cut sets.
 
@@ -969,10 +940,10 @@ class CutCache:
 
         The answer is read from u's learned residual row (_learned_row).
         Under a flow, f memoises the row (Flow._rows) until a push touches
-        u or a pair of base_u is learned. Either way a fixed number of
-        bitmask operations for any X; charges nothing and counts no logical
-        BIS, and a probe of any part of X could not charge either, as its
-        base part has no unlearned remainder."""
+        u or a pair of base_u is learned, and a held row answers any X in a
+        fixed number of bitmask operations. Charges nothing and counts no
+        logical BIS, and a probe of any part of X could not charge either,
+        as its base part has no unlearned remainder."""
         if f is None:
             row = self._learned_row(view, None, u)
         else:
@@ -989,11 +960,10 @@ class CutCache:
         unlearned, and the residual neighbours among the other vertices of
         the view. Under the zero flow these are the capacity support: the
         form's virtual terms plus u's learned support mask. A vertex that
-        sends flow into u is a neighbour; the vertices u sends flow into are
-        compared with their capacities all at once (_unsaturated), which
-        refuses an invalid flow."""
-        form = view.linear_form(u)
-        terms, _scale, base_u, keep = form
+        sends flow into u is a neighbour; one that u sends flow into is
+        settled by the residual formula (_from_form), which charges nothing
+        on a learned pair and refuses an invalid flow."""
+        terms, _scale, base_u, keep = view.linear_form(u)
         others = view.mask & ~(1 << u)
         real = others & keep
         snapshot = unknown = support = 0
@@ -1004,45 +974,15 @@ class CutCache:
         for _w, m in terms:
             support |= m
         learned = others & ~unknown
-        if f is None:
-            return view, base_u, snapshot, support & learned, unknown
-        pos, neg = f.signs(u)
-        pos &= learned
-        res = (support | neg) & learned & ~pos
-        if pos:
-            res |= self._unsaturated(form, f, u, pos)
+        res = support & learned
+        if f is not None:
+            pos, neg = f.signs(u)
+            pos &= learned
+            res = (res | neg & learned) & ~pos
+            for v in ids_of(pos):
+                if self._from_form(view, f, u, 1 << v) > 0:
+                    res |= 1 << v
         return view, base_u, snapshot, res, unknown
-
-    def _unsaturated(self, form: LinearForm, f: Flow, u: int, P: int) -> int:
-        """Bitmask of the vertices v of the bitmask P with c(u, v) > f(u, v),
-        where every capacity from u into P is learned. The capacities are
-        summed bit-sliced (bit v of cap[k] is bit k of c(u, v)): the learned
-        planes times the form's scale, plus each term's weight on its mask,
-        by shift-and-add, so the term weights must be nonnegative. They are
-        then compared with f's positive planes from the top bit down. Raises
-        ContractViolation when some f(u, v) exceeds c(u, v), as
-        residual_between does."""
-        terms, scale, base_u, keep = form
-        cap: list[int] = []
-        real = P & keep
-        if real:
-            _add_scaled(cap, [rows[base_u] & real for rows in self._planes], scale)
-        for w, m in terms:
-            if m & P:
-                _add_scaled(cap, [m & P], w)
-        flow = f.pos_planes(u)
-        more = less = 0
-        tied = P
-        for k in range(max(len(cap), len(flow)) - 1, -1, -1):
-            c = cap[k] if k < len(cap) else 0
-            fl = flow[k] & P if k < len(flow) else 0
-            diff = tied & (c ^ fl)
-            more |= diff & c
-            less |= diff & fl
-            tied ^= diff
-        if less:
-            raise ContractViolation("negative residual capacity: invalid flow")
-        return more
 
     def capacity(self, view: OracleView, u: int, v: int) -> int:
         """Capacity between the distinct view vertices u and v, read from the

@@ -128,11 +128,6 @@ def test_matching_player_k4_perfect(k4):
         deg[u] += c
         deg[v] += c
     assert all(deg[t] == 2 for t in (0, 1, 2, 3))
-    # the embedding is a real-path certificate for every matched unit
-    for path, units in out.embedding:
-        assert units >= 1
-        for a, b in zip(path, path[1:]):
-            assert (min(a, b), max(a, b)) in k4.edges
 
 
 def test_matching_player_zero_edge_graph_sparse_cut():

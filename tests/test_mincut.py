@@ -9,6 +9,7 @@ import pytest
 
 from cutlab import _kernels
 from cutlab.config import DESK, PINNED
+from cutlab.expander import decompose, matching_player, one_step
 from cutlab.harness import (
     InstanceSpec,
     generate,
@@ -24,6 +25,7 @@ from cutlab.mincut import (
     threshold_mincut,
     unbalanced_case,
 )
+from cutlab.isolating import isolating_cuts, partition_mincut
 from cutlab.oracle import GraphInstance, InducedView, QueryInputError
 from conftest import make_view, random_graph, small_corpus
 
@@ -212,6 +214,35 @@ def test_threshold_refuses_a_bad_tau_before_any_charge():
         with pytest.raises(QueryInputError):
             threshold_mincut(view, tau, cache=cache)
         assert ledger.cut_count == 0, tau
+
+
+TAU_TAKERS = {
+    "unbalanced_case": lambda view, tau, cache: unbalanced_case(view, (0, 3, 5), tau, cache=cache),
+    "threshold_mincut": lambda view, tau, cache: threshold_mincut(view, tau, cache=cache),
+    "balanced_sparsify": lambda view, tau, cache: balanced_sparsify(view, (0, 5), tau, cache=cache),
+    "isolating_cuts": lambda view, tau, cache: isolating_cuts(view, (0, 3, 5), tau, cache=cache),
+    "partition_mincut": lambda view, tau, cache: partition_mincut(view, (0,), (5,), tau, cache=cache),
+    "one_step": lambda view, tau, cache: one_step(view, (0, 3, 5, 6), tau, cache=cache),
+    "matching_player": lambda view, tau, cache: matching_player(
+        view, (0,), (5,), tau, 1.0, 1.0, cache=cache
+    ),
+    "decompose": lambda view, tau, cache: decompose(view, (0, 3, 5, 6), tau, cache=cache),
+}
+
+
+@pytest.mark.parametrize("tau", [True, 1.5, -1, "1"])
+@pytest.mark.parametrize("name", sorted(TAU_TAKERS))
+def test_every_public_tau_is_refused_before_any_charge(name, tau):
+    """Every function that takes a threshold tau refuses one that is not an
+    int >= 0 with QueryInputError before any charge. True once ran as 1
+    (19, 26 and 23 queries in unbalanced_case, isolating_cuts and one_step
+    with the terminals below), "1" raised a raw TypeError, and -1 was
+    refused only by the augmented view's terminal-capacity check."""
+    g = generate(InstanceSpec("two_cliques_bridge", 8))
+    view, ledger, cache = make_view(g)
+    with pytest.raises(QueryInputError, match="tau must be an int >= 0"):
+        TAU_TAKERS[name](view, tau, cache)
+    assert ledger.cut_count == 0
 
 
 def test_threshold_matches_reference_and_monotone():

@@ -438,8 +438,8 @@ def test_terminal_edges_match_the_unit_subdivided_graph(W):
             if out.kind == "sparse_cut":
                 assert side_cut(out.cut) == want
             else:
-                assert sum(units for _path, units in out.embedding) == want
-                assert all(p[0] in A and p[-1] in B for p, _units in out.embedding)
+                assert sum(out.matching.values()) == want
+                assert all({a, b} & set(A) and {a, b} & set(B) for a, b in out.matching)
             if scale > 1:
                 continue
             pc = partition_mincut(view, A, B, tau, cache=cache)
@@ -1040,6 +1040,8 @@ def _cache_state(cache):
         list(cache._known),
         [list(rows) for rows in cache._planes],
         list(cache._support),
+        [dict(blocks) for blocks in cache._blocks],
+        list(cache._keyed),
         dict(cache._memo),
         cache.base.ledger.cut_count,
         cache.logical_bis,
@@ -1150,18 +1152,18 @@ def test_learned_neighbors_under_flow_and_invalid_flows():
 @pytest.mark.parametrize("W", [1, 3])
 def test_learned_reads_issue_no_probe(W, monkeypatch):
     """Once every base pair is learned, a read under a flow that enters
-    vertices of X from u calls neither _from_form nor residual_between, on
-    every view kind, and still lists the explicit view graph's residual
-    neighbours."""
+    vertices of X from u issues no probe, on every view kind: it never
+    calls residual_between, leaves the cache state (ledger, logical BIS,
+    memo, learned planes, block tables) as it was, and still lists the
+    explicit view graph's residual neighbours."""
     calls = []
-    for name in ("_from_form", "residual_between"):
-        real = getattr(CutCache, name)
+    real = CutCache.residual_between
 
-        def counted(self, *args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(self, *args)
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
 
-        monkeypatch.setattr(CutCache, name, counted)
+    monkeypatch.setattr(CutCache, "residual_between", counted)
     g = random_graph(12, 0.45, 1, W=W)
     entered = 0
     for name, view, cap, _real in _learned_views(g):
@@ -1174,10 +1176,65 @@ def test_learned_reads_issue_no_probe(W, monkeypatch):
             B = [v for v in view.vertices() if v != u]
             X = mask_of(B)
             entered += bool(f.signs(u)[0] & X)
+            before = _cache_state(cache)
             got = cache.learned_neighbors(view, f, u, X)
+            assert _cache_state(cache) == before, (name, u)
             assert got is not None and ids_of(got) == view_residual_neighbors(cap, f, u, B)
-        assert calls == [], (name, calls)
+        assert calls == [], name
     assert entered > 20
+
+
+def _hub_case(extra=0):
+    """A W=3 graph on 12 vertices and an augmented view of scale 3 whose
+    source hub has the nine terminals 0..8, of capacities 1, 2, 3 in turn,
+    and whose sinks are 9, 10, 11; plus a flow from s_source that sends
+    each terminal v its amount over s_source -> v -> 9 + v % 3 -> s_sink.
+    The amounts saturate the virtual edges of 0, 2, 4 and 6, leave those of
+    1, 5 and 8 partly used and those of 3 and 7 unused, fill the sink
+    edges of 10 and 11 and leave 9's partly used; `extra` more units go to
+    terminal 0, above its capacity 1."""
+    edges = {(v, 9 + v % 3): 1 + v // 3 for v in range(9)}
+    for u, v in itertools.combinations(range(9), 2):
+        if (u * 7 + v * 5) % 4 == 0:
+            edges[(u, v)] = 1 + (u + v) % 3
+    g = GraphInstance(12, edges)
+    assert g.W == 3
+    view, _, cache = make_view(g)
+    for a, b in itertools.combinations(range(g.n), 2):
+        cache.base_pair_sum(a, 1 << b)
+    aug = AugmentedView(view, [(v, 1 + v % 3) for v in range(9)], [(9, 3), (10, 3), (11, 6)], scale=3)
+    s, t = aug.s_source, aug.s_sink
+    f = Flow(s, t)
+    for v, units in enumerate((1 + extra, 1, 3, 0, 2, 1, 1, 0, 2)):
+        for a, b in ((s, v), (v, 9 + v % 3), (9 + v % 3, t)):
+            f.push(a, b, units)
+        f.value += units
+    return aug, materialize_augmented(g.edges, aug), cache, f
+
+
+def test_learned_neighbors_on_a_many_terminal_hub():
+    """On a hub with nine terminals of capacities 1 to 3, under a valid
+    flow that saturates some virtual edges and leaves others partly used or
+    unused, every vertex's learned read, the hub's included, lists the
+    explicit view graph's residual neighbours and leaves the cache as it
+    was. A flow above a virtual edge's capacity is refused from the hub."""
+    aug, cap, cache, f = _hub_case()
+    s = aug.s_source
+    for u, v, val in f.support():
+        assert val <= cap.get((min(u, v), max(u, v)), 0), (u, v)
+    saturated = [v for v in range(9) if f.get(s, v) == 1 + v % 3]
+    partial = [v for v in range(9) if 0 < f.get(s, v) < 1 + v % 3]
+    assert saturated == [0, 2, 4, 6] and partial == [1, 5, 8]
+    for u in aug.vertices():
+        B = [v for v in aug.vertices() if v != u]
+        before = _cache_state(cache)
+        got = cache.learned_neighbors(aug, f, u, mask_of(B))
+        assert _cache_state(cache) == before, u
+        assert got is not None and ids_of(got) == view_residual_neighbors(cap, f, u, B), u
+    assert ids_of(cache.learned_neighbors(aug, f, s, mask_of(range(9)))) == [1, 3, 5, 7, 8]
+    aug, _cap, cache, f = _hub_case(extra=1)
+    with pytest.raises(ContractViolation):
+        cache.learned_neighbors(aug, f, aug.s_source, mask_of(range(9)))
 
 
 # ---------------------------------------------------------------------------
@@ -1193,6 +1250,35 @@ def test_graph_validation_errors():
         GraphInstance(3, {(0, 1): 0})
     with pytest.raises(GraphFormatError):
         GraphInstance(3, {(0, 1): 2**63})
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, {(0, 1): True}),
+        (2, {(0, 1): 1.0}),
+        (2, {(0, 1): np.int64(2)}),
+        (2, {(0.0, 1): 1}),
+        (3, {(0, 2.0): 1}),
+        (3, {(True, 2): 1}),
+        (64, {(np.int64(0), np.int64(63)): 1}),
+        (4, {(np.int64(0), 1): 1}),
+        (True, {}),
+        (2.0, {(0, 1): 1}),
+        (np.int64(2), {(0, 1): 1}),
+    ],
+)
+def test_graph_instance_refuses_what_is_not_an_int(n, edges):
+    """n, vertex ids and capacities must be ints: a bool capacity once
+    dumped as "True", which loads refuses, a float id raised a raw
+    TypeError and a numpy id an OverflowError at n=64 (a numpy key below
+    it). The same graph given in ints is taken and round-trips through
+    dumps and loads."""
+    with pytest.raises(GraphFormatError):
+        GraphInstance(n, edges)
+    g = GraphInstance(int(n), {(int(u), int(v)): int(w) for (u, v), w in edges.items()})
+    assert all(type(x) is int for e, w in g.edges.items() for x in (*e, w))
+    assert GraphInstance.loads(g.dumps()) == g
 
 
 def test_graph_file_roundtrip(tmp_path, b6):
