@@ -1,9 +1,10 @@
 """Kernels: the oracle's cut evaluation on per-vertex neighbour bitsets
 (`cut_value`, which takes the vertex set as a bitmask; `ids_of` lists a
 bitmask's vertices) and the exhaustive cut scans behind the reference
-checkers and the witness graph, all read from one table of the cuts of every
-subset of a vertex list, built by doubling (`subset_cuts`; ties go to the
-lowest mask)."""
+checkers and the witness graph. Each scan takes the graph as one symmetric
+int64 weight matrix (`weight_matrix`) and reads one table of the cuts of
+every subset of a vertex list, built by doubling (`subset_cuts`; ties go to
+the lowest mask)."""
 
 from __future__ import annotations
 
@@ -78,11 +79,15 @@ def _bits(mask, n):
     return np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int64)
 
 
-def weight_matrix(n, eu, ev, ew):
-    """The n x n int64 weight matrix of an edge list, both directions."""
+def weight_matrix(n, edges):
+    """The symmetric n x n int64 weight matrix of an {(i, j): w} mapping
+    over vertices 0 .. n-1."""
     W = np.zeros((n, n), dtype=np.int64)
-    np.add.at(W, (eu, ev), ew)
-    np.add.at(W, (ev, eu), ew)
+    if edges:
+        i, j = np.array(list(edges), dtype=np.intp).T
+        w = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+        np.add.at(W, (i, j), w)
+        np.add.at(W, (j, i), w)
     return W
 
 
@@ -97,19 +102,18 @@ def _subset_sums(first, steps, out):
     return out[:h]
 
 
-def subset_cuts(n, eu, ev, ew, order, base=0):
-    """cuts[m] = the cut of base | {order[j] : bit j of m} for every
-    m < 2^len(order), in binary-counting order; `base` is a bitmask of
-    vertices outside `order`.
+def subset_cuts(W, order, base=0):
+    """cuts[m] = the cut of base | {order[j] : bit j of m} in the graph of
+    the weight matrix W, for every m < 2^len(order), in binary-counting
+    order; `base` is a bitmask of vertices outside `order`.
 
     Built by doubling: adding order[j] to a set of base | order[:j] adds
     deg_j - 2 w_j[m] to its cut, where w_j[m], the weight from order[j] into
     that set, is itself a doubling sum. O(2^len(order)) element work; every
     value is exact in int64 while the total capacity is below 2^62."""
     order = np.asarray(order, dtype=np.intp)
-    W = weight_matrix(n, eu, ev, ew)
     deg = W.sum(axis=1)
-    in_base = _bits(base, n)
+    in_base = _bits(base, W.shape[0])
     into_base = W @ in_base
     cuts = np.empty(1 << order.size, dtype=np.int64)
     cuts[0] = deg @ in_base - in_base @ into_base
@@ -123,12 +127,37 @@ def subset_cuts(n, eu, ev, ew, order, base=0):
     return cuts
 
 
-# The scans below read every mask 1 .. 2^(n-1) - 1 (vertex n-1 on the
-# outside), in increasing order: entry i is the mask i + 1.
+def first_min_ratio(cuts, small):
+    """The index of the first exact minimum of cuts/small over the entries
+    with small > 0, or -1 when there is none; cuts * small must fit in
+    int64."""
+    ratio = np.full(cuts.shape, np.inf)
+    np.divide(cuts, small, out=ratio, where=small > 0)
+    least = ratio.min(initial=np.inf)
+    if least == np.inf:
+        return -1
+    # Every exact minimum of cuts/small has a float ratio within rounding of
+    # the least one, so the exact search runs on those entries alone: jump
+    # to the first strictly better entry until none is, then take the first
+    # exact tie.
+    near = np.flatnonzero(ratio <= least * (1 + 1e-9))
+    c, s = cuts[near], small[near]
+    cand = 0
+    while True:
+        better = np.flatnonzero(c * s[cand] < c[cand] * s)
+        if better.size == 0:
+            break
+        cand = better[0]
+    return int(near[np.flatnonzero(c * s[cand] == c[cand] * s)[0]])
 
 
-def _all_mask_cuts(n, eu, ev, ew):
-    return subset_cuts(n, eu, ev, ew, range(n - 1))[1:]
+# The scans below take a weight matrix W over vertices 0 .. n-1 and read
+# every mask 1 .. 2^(n-1) - 1 (vertex n-1 on the outside), in increasing
+# order: entry i is the mask i + 1.
+
+
+def _all_mask_cuts(W):
+    return subset_cuts(W, range(W.shape[0] - 1))[1:]
 
 
 def _all_mask_sums(values):
@@ -142,21 +171,21 @@ def _first_mask(bad):
     return int(idx[0]) + 1 if idx.size else -1
 
 
-def min_cut_scan(n, eu, ev, ew):
-    cuts = _all_mask_cuts(n, eu, ev, ew)
+def min_cut_scan(W):
+    cuts = _all_mask_cuts(W)
     i = int(np.argmin(cuts))
     return int(cuts[i]), i + 1
 
 
-def separation_violation(n, eu, ev, ew, r_mask, c):
-    cuts = _all_mask_cuts(n, eu, ev, ew)
-    inter = _all_mask_sums(_bits(r_mask, n))
+def separation_violation(W, r_mask, c):
+    cuts = _all_mask_cuts(W)
+    inter = _all_mask_sums(_bits(r_mask, W.shape[0]))
     return _first_mask((cuts <= c) & ((inter == 0) | (inter == r_mask.bit_count())))
 
 
-def min_isolating(n, eu, ev, ew, r, forbidden_mask):
-    free = [v for v in range(n) if v != r and not ((forbidden_mask >> v) & 1)]
-    cuts = subset_cuts(n, eu, ev, ew, free, base=1 << r)
+def min_isolating(W, r, forbidden_mask):
+    free = [v for v in range(W.shape[0]) if v != r and not ((forbidden_mask >> v) & 1)]
+    cuts = subset_cuts(W, free, base=1 << r)
     i = int(np.argmin(cuts))
     mask = 1 << r
     for b, v in enumerate(free):
@@ -164,36 +193,22 @@ def min_isolating(n, eu, ev, ew, r, forbidden_mask):
     return int(cuts[i]), mask
 
 
-def expansion_violation(n, eu, ev, ew, core_mask, num, den):
-    cuts = _all_mask_cuts(n, eu, ev, ew)
-    core = _bits(core_mask, n)
+def expansion_violation(W, core_mask, num, den):
+    cuts = _all_mask_cuts(W)
+    core = _bits(core_mask, W.shape[0])
     inside = _all_mask_sums(core)
     small = np.minimum(inside, int(core.sum()) - inside)
     return _first_mask((small > 0) & (den * cuts < num * small))
 
 
-def best_conductance_cut(n, eu, ev, ew):
-    deg = weight_matrix(n, eu, ev, ew).sum(axis=1)
+def best_conductance_cut(W):
+    """(cut, smaller volume, mask) of the first mask of least conductance,
+    or (-1, -1, 0) when no mask has volume on both sides."""
+    deg = W.sum(axis=1)
     vol_in = _all_mask_sums(deg)
     small = np.minimum(vol_in, int(deg.sum()) - vol_in)
-    valid = np.nonzero(small > 0)[0]
-    if valid.size == 0:
+    cuts = _all_mask_cuts(W)
+    i = first_min_ratio(cuts, small)
+    if i < 0:
         return -1, -1, 0
-    cuts = _all_mask_cuts(n, eu, ev, ew)[valid]
-    small = small[valid]
-    # Every exact minimum of cuts/small has a float ratio within rounding of
-    # the least one, so the exact search below runs on those masks alone.
-    ratio = cuts / small
-    near = np.nonzero(ratio <= ratio.min() * (1 + 1e-9))[0]
-    # Exact rational minimisation of cuts/small: repeatedly jump to the first
-    # strictly-better mask, then take the first exact tie, which is the
-    # lowest-mask tie-break.
-    cand = near[0]
-    while True:
-        better = near[cuts[near] * small[cand] < cuts[cand] * small[near]]
-        if better.size == 0:
-            break
-        cand = better[0]
-    ties = near[cuts[near] * small[cand] == cuts[cand] * small[near]]
-    cand = ties[0]
-    return int(cuts[cand]), int(small[cand]), int(valid[cand]) + 1
+    return int(cuts[i]), int(small[i]), i + 1

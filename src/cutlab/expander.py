@@ -52,20 +52,6 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_arrays(edges: Counter, index: dict[int, int]):
-    eu, ev, ew = [], [], []
-    for (u, v), c in sorted(edges.items()):
-        if u in index and v in index:
-            eu.append(index[u])
-            ev.append(index[v])
-            ew.append(c)
-    return (
-        np.array(eu, dtype=np.int64),
-        np.array(ev, dtype=np.int64),
-        np.array(ew, dtype=np.int64),
-    )
-
-
 @dataclass
 class WitnessGraph:
     """Union of the per-round matchings, with fake edges tracked separately.
@@ -78,10 +64,16 @@ class WitnessGraph:
     rounds: int = 0
 
     def add_round(self, matching: Counter, fakes: Counter) -> None:
+        """Add one round's matching and fake edges. Raises QueryInputError
+        for an edge with an end outside the slots and for a slot whose
+        degree in the round is not b."""
         deg: Counter = Counter()
         for (u, v), c in itertools.chain(matching.items(), fakes.items()):
             deg[u] += c
             deg[v] += c
+        outside = deg.keys() - set(self.slots)
+        if outside:
+            raise QueryInputError(f"round edges leave the slots at {sorted(outside)}")
         for s in self.slots:
             if deg[s] != self.b:
                 raise QueryInputError(
@@ -96,19 +88,22 @@ class WitnessGraph:
         out.update(self.fake)
         return out
 
+    def matrix(self, edges: Counter) -> np.ndarray:
+        """The weight matrix of `edges`, pairs of slots, over the slots'
+        positions in `slots`."""
+        pos = {s: i for i, s in enumerate(self.slots)}
+        return _kernels.weight_matrix(
+            len(self.slots), {(pos[u], pos[v]): c for (u, v), c in edges.items()}
+        )
+
     def sparsity_at_least(self, threshold: int) -> bool:
         """Exhaustive check that every cut of X (fakes included) has at least
         threshold * min(|S|, |S̄|) crossing edges. Only for small X."""
         k = len(self.slots)
         if k < 2:
             return True
-        index = {s: i for i, s in enumerate(self.slots)}
-        eu, ev, ew = _edge_arrays(self.combined(), index)
-        core_mask = (1 << k) - 1
-        violation = _kernels.expansion_violation(
-            k, eu, ev, ew, core_mask, threshold, 1
-        )
-        return violation == -1
+        W = self.matrix(self.combined())
+        return _kernels.expansion_violation(W, (1 << k) - 1, threshold, 1) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +150,12 @@ def cut_player(X: WitnessGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     k = len(slots)
     if k < 2 or k % 2:
         raise QueryInputError("cut player needs an even number of slots")
-    index = {s: i for i, s in enumerate(slots)}
+    W = X.matrix(X.combined())
     if k <= CUT_PLAYER_EXACT_LIMIT:
-        eu, ev, ew = _edge_arrays(X.combined(), index)
-        cuts = _kernels.subset_cuts(k, eu, ev, ew, range(k - 1))
+        cuts = _kernels.subset_cuts(W, range(k - 1))
         # argmin keeps the first minimum in the table's order
         pick = bisection_table(k)[int(np.argmin(cuts[_bisection_masks(k)]))]
     else:
-        W = _kernels.weight_matrix(k, *_edge_arrays(X.combined(), index))
         x = _power_direction(W, np.ones(k))
         # smallest k/2 by (value, slot id); complement of the dominant
         # mixing direction approximates the sparse direction
@@ -250,48 +243,30 @@ def prune(X: WitnessGraph, phi_x: Optional[float] = None) -> PruneReport:
     if phi_x is None:
         phi_x = 1.0 / (6.0 * math.log(max(len(X.slots), 2)) + 6.0)
     target = phi_x / 6.0
-    real_edges = Counter(X.edges)
-    alive = list(X.slots)
-    pruned: list[int] = []
-    # volumes measured in the original fake-free witness
-    orig_deg = {v: 0 for v in X.slots}
-    for (u, v), c in real_edges.items():
-        orig_deg[u] += c
-        orig_deg[v] += c
-    # degrees of the alive vertices among themselves, kept up to date below
-    deg_now = dict(orig_deg)
-    while len(alive) > 1:
-        index = {v: i for i, v in enumerate(alive)}
-        eu, ev, ew = _edge_arrays(real_edges, index)
-        if eu.shape[0] == 0:
+    # the fake-free witness over slot positions; volumes are its degrees
+    W = X.matrix(X.edges)
+    alive = np.arange(len(X.slots))
+    pruned = np.zeros(len(X.slots), dtype=bool)
+    while alive.size > 1:
+        live = W[np.ix_(alive, alive)]
+        if not live.any():
             break
-        if len(alive) <= PRUNE_EXACT_LIMIT:
-            cross, vol, mask = _kernels.best_conductance_cut(len(alive), eu, ev, ew)
+        if alive.size <= PRUNE_EXACT_LIMIT:
+            cross, vol, mask = _kernels.best_conductance_cut(live)
         else:
-            cross, vol, mask = _spectral_conductance_cut(len(alive), eu, ev, ew)
+            cross, vol, mask = _spectral_conductance_cut(live)
         if cross < 0 or cross >= target * vol:
             break
-        inside = [alive[i] for i in range(len(alive)) if (mask >> i) & 1]
-        outside = [alive[i] for i in range(len(alive)) if not (mask >> i) & 1]
-        vol_in = sum(deg_now[v] for v in inside)
-        vol_out = sum(deg_now[v] for v in outside)
-        side = inside if vol_in <= vol_out else outside
-        pruned.extend(side)
-        drop = set(side)
-        alive = [v for v in alive if v not in drop]
-        kept: Counter = Counter()
-        for (u, v), c in real_edges.items():
-            if u in drop or v in drop:
-                deg_now[u] -= c
-                deg_now[v] -= c
-            else:
-                kept[u, v] = c
-        real_edges = kept
-    volume = sum(orig_deg[v] for v in pruned)
+        inside = np.array([mask >> i & 1 for i in range(alive.size)], dtype=bool)
+        deg = live.sum(axis=1)
+        side = inside if deg[inside].sum() <= deg[~inside].sum() else ~inside
+        pruned[alive[side]] = True
+        alive = alive[~side]
+    volume = int(W.sum(axis=1)[pruned].sum())
     fake_count = sum(X.fake.values())
     budget = (8.0 / phi_x) * fake_count
     return PruneReport(
-        pruned=canon(pruned),
+        pruned=canon(X.slots[i] for i in np.flatnonzero(pruned)),
         volume=volume,
         budget=budget,
         within_budget=volume <= budget,
@@ -317,36 +292,23 @@ def _power_direction(W, weights):
     return x
 
 
-def _spectral_conductance_cut(k, eu, ev, ew):
+def _spectral_conductance_cut(W):
     """Deterministic sweep cut by approximate Fiedler order, centred by the
-    degree-weighted mean."""
-    W = _kernels.weight_matrix(k, eu, ev, ew)
+    degree-weighted mean: (cut, smaller volume, mask) of the first prefix of
+    that order with the least conductance, or (-1, -1, 0) when no prefix
+    has volume on both sides."""
     deg = W.sum(axis=1)
-    x = _power_direction(W, deg)
-    order = np.argsort(x, kind="stable")
-    total = deg.sum()
-    best = (-1, 1, 0)
-    inside: set[int] = set()
-    mask = 0
-    vol_in = 0.0
-    cross = 0.0
-    adj = {i: [] for i in range(k)}
-    for u, v, w in zip(eu, ev, ew):
-        adj[int(u)].append((int(v), int(w)))
-        adj[int(v)].append((int(u), int(w)))
-    for idx in order[:-1]:
-        idx = int(idx)
-        inside.add(idx)
-        mask |= 1 << idx
-        vol_in += deg[idx]
-        for nbr, w in adj[idx]:
-            cross += w if nbr not in inside else -w
-        small = min(vol_in, total - vol_in)
-        if small <= 0:
-            continue
-        if best[0] < 0 or cross * best[1] < best[0] * small:
-            best = (int(cross), int(small), mask)
-    return best
+    order = np.argsort(_power_direction(W, deg), kind="stable")
+    # adding order[j] to the prefix order[:j] adds its degree minus twice
+    # its weight into the prefix to the cut
+    into = np.tril(W[np.ix_(order, order)], -1).sum(axis=1)
+    cuts = np.cumsum(deg[order] - 2 * into)[:-1]
+    vol_in = np.cumsum(deg[order])[:-1]
+    small = np.minimum(vol_in, deg.sum() - vol_in)
+    i = _kernels.first_min_ratio(cuts, small)
+    if i < 0:
+        return -1, -1, 0
+    return int(cuts[i]), int(small[i]), sum(1 << int(v) for v in order[: i + 1])
 
 
 # ---------------------------------------------------------------------------

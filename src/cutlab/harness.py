@@ -228,18 +228,14 @@ def reference_mincut(g: GraphInstance) -> tuple[int, tuple[int, ...]]:
     if len(comps) > 1:
         return 0, tuple(comps[0])
     if g.n <= 18:
-        eu, ev, ew = g.edge_arrays()
-        value, mask = _kernels.min_cut_scan(g.n, eu, ev, ew)
+        value, mask = _kernels.min_cut_scan(_kernels.weight_matrix(g.n, g.edges))
         return value, _mask_to_side(mask, g.n)
     return _stoer_wagner(g)
 
 
 def _stoer_wagner(g: GraphInstance) -> tuple[int, tuple[int, ...]]:
     n = g.n
-    W = np.zeros((n, n), dtype=np.int64)
-    for (u, v), w in g.edges.items():
-        W[u, v] = w
-        W[v, u] = w
+    W = _kernels.weight_matrix(n, g.edges)
     groups: list[list[int]] = [[v] for v in range(n)]
     active = list(range(n))
     best_val: Optional[int] = None
@@ -277,7 +273,7 @@ def reference_isolating(
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum isolating cut over all terminals of R by exhaustive scan."""
     R = sorted(R)
-    eu, ev, ew = g.edge_arrays()
+    W = _kernels.weight_matrix(g.n, g.edges)
     best = None
     best_side: tuple[int, ...] = ()
     for r in R:
@@ -285,7 +281,7 @@ def reference_isolating(
         for x in R:
             if x != r:
                 forbidden |= 1 << x
-        val, mask = _kernels.min_isolating(g.n, eu, ev, ew, r, forbidden)
+        val, mask = _kernels.min_isolating(W, r, forbidden)
         if best is None or val < best:
             best, best_side = val, _mask_to_side(mask, g.n)
     return int(best), best_side

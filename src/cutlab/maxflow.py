@@ -182,7 +182,8 @@ def dinitz_maxflow(
 
 def path_decomposition(f: Flow) -> list[tuple[tuple[int, ...], int]]:
     """Strip an integral s-t flow into at most |support| weighted paths;
-    cycles in the support are cancelled, not emitted."""
+    cycles met on the way are cancelled, and cycles off every s-t path are
+    left out, so no cycle is emitted."""
     out: dict[int, dict[int, int]] = {}
     for u, v, val in f.support():
         out.setdefault(u, {})[v] = val
@@ -218,19 +219,4 @@ def path_decomposition(f: Flow) -> list[tuple[tuple[int, ...], int]]:
         for a, b in zip(path, path[1:]):
             drop(a, b, amt)
         paths.append((tuple(path), amt))
-    # leftover support consists of cycles disjoint from every s-t walk
-    while out:
-        u = min(out)
-        walk = [u]
-        seen = {u: 0}
-        while True:
-            nxt = min(out[walk[-1]])
-            if nxt in seen:
-                cyc = walk[seen[nxt] :] + [nxt]
-                amt = min(out[a][b] for a, b in zip(cyc, cyc[1:]))
-                for a, b in zip(cyc, cyc[1:]):
-                    drop(a, b, amt)
-                break
-            walk.append(nxt)
-            seen[nxt] = len(walk) - 1
     return paths

@@ -127,8 +127,8 @@ def separation_check(instance: GraphInstance, R: Iterable[int], c: int) -> bool:
         if not (0 <= r < instance.n):
             raise QueryInputError(f"terminal {r} out of range")
         r_mask |= 1 << r
-    eu, ev, ew = instance.edge_arrays()
-    return _kernels.separation_violation(instance.n, eu, ev, ew, r_mask, c) == -1
+    W = _kernels.weight_matrix(instance.n, instance.edges)
+    return _kernels.separation_violation(W, r_mask, c) == -1
 
 
 # ---------------------------------------------------------------------------

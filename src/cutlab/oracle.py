@@ -28,8 +28,6 @@ import operator
 from contextlib import contextmanager
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from . import _kernels
 from ._kernels import ids_of
 
@@ -105,9 +103,14 @@ class GraphInstance:
     def __init__(self, n: int, edges: dict[tuple[int, int], int]):
         if type(n) is not int or n < 1:
             raise GraphFormatError(f"n must be an int >= 1, got {n!r}")
+        if not isinstance(edges, dict):
+            raise GraphFormatError("edges must be a dict {(u, v): w}")
         norm: dict[tuple[int, int], int] = {}
         total = 0
-        for (u, v), w in edges.items():
+        for key, w in edges.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise GraphFormatError(f"edge key {key!r} must be a pair (u, v)")
+            u, v = key
             if type(u) is not int or type(v) is not int:
                 raise GraphFormatError(f"vertex ids of edge ({u!r},{v!r}) must be ints")
             if u == v:
@@ -174,17 +177,6 @@ class GraphInstance:
         if not 0 <= v < self.n:  # a negative v would index from the end
             raise QueryInputError(f"vertex {v} outside [0, {self.n})")
         return sum(rows[v].bit_count() << k for k, rows in self._planes)
-
-    def edge_arrays(self):
-        m = max(len(self.edges), 1)
-        eu = np.zeros(m, dtype=np.int64)
-        ev = np.zeros(m, dtype=np.int64)
-        ew = np.zeros(m, dtype=np.int64)
-        for i, ((u, v), w) in enumerate(self.edges.items()):
-            eu[i], ev[i], ew[i] = u, v, w
-        if not self.edges:
-            return eu[:0], ev[:0], ew[:0]
-        return eu, ev, ew
 
     # -- plain text format: first line "n m", then m lines "u v [w]"
 
@@ -747,10 +739,11 @@ class CutCache:
         self._planes: list[list[int]] = []
         self._support = [0] * base.n
         self._unit_base = base.unit
-        # block totals that taught no pair: _blocks[u] maps a bitmask R of
-        # vertices to c(u, R); no key meets _keyed[u], the learned pairs of u
-        # when the table was last re-keyed (a subset of _known[u])
-        self._blocks: list[dict[int, int]] = [{} for _ in range(base.n)]
+        # block totals that taught no pair: _blocks[u], made on u's first
+        # store, maps a bitmask R of vertices to c(u, R); no key meets
+        # _keyed[u], the learned pairs of u when the table was last re-keyed
+        # (a subset of _known[u])
+        self._blocks: dict[int, dict[int, int]] = {}
         self._keyed = [0] * base.n
         self.logical_bis = 0
 
@@ -837,14 +830,14 @@ class CutCache:
         """Learn the block total c(u, block) = val by the rules of
         _learn_block, or else keep it in u's table."""
         if not self._learn_block(u, block, val):
-            self._blocks[u][block] = val
+            self._blocks.setdefault(u, {})[block] = val
 
     def _rekey(self, u: int) -> None:
         """Reduce the keys of u's table by the pairs learned since it was
         last keyed: each block loses its learned vertices and their learned
         capacity, and is learned or kept again. Repeats while that teaches
         new pairs of u."""
-        blocks, known = self._blocks[u], self._known
+        blocks, known = self._blocks.get(u, {}), self._known
         while self._keyed[u] != known[u]:
             K = self._keyed[u] = known[u]
             for R in [R for R in blocks if R & K]:
@@ -872,7 +865,7 @@ class CutCache:
         if not unknown:
             return total
         outer = None
-        blocks = self._blocks[u]
+        blocks = self._blocks.get(u)
         if blocks:
             known = self._known[u]
             if self._keyed[u] != known:

@@ -6,11 +6,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cutlab.config import DESK, PINNED
 from cutlab.expander import (
     CUT_PLAYER_EXACT_LIMIT,
+    PRUNE_EXACT_LIMIT,
     WitnessGraph,
     bisection_table,
     cut_player,
@@ -18,6 +20,8 @@ from cutlab.expander import (
     matching_player,
     one_step,
     prune,
+    _power_direction,
+    _spectral_conductance_cut,
 )
 from cutlab.harness import InstanceSpec, generate, reference_maxflow
 from cutlab.oracle import GraphInstance, InducedView, QueryInputError
@@ -32,6 +36,23 @@ def witness(slots, b, edges=None, fakes=None, rounds=0):
         X.fake.update(fakes)
     X.rounds = rounds
     return X
+
+
+def test_add_round_refuses_edges_off_the_slots_and_wrong_degrees():
+    """A round whose edges leave the slots, or whose slot degrees are not
+    b, is refused, and the witness is unchanged; a valid round is added."""
+    X = witness((0, 1, 2, 3), 1)
+    for matching, fakes in (
+        (Counter({(0, 5): 1, (1, 5): 1}), Counter({(2, 3): 1})),
+        (Counter({(0, 1): 1}), Counter({(2, 7): 1, (3, 7): 1})),
+        (Counter({(0, 1): 1, (1, 2): 1}), Counter({(2, 3): 1})),
+        (Counter({(0, 1): 1}), Counter()),
+    ):
+        with pytest.raises(QueryInputError):
+            X.add_round(matching, fakes)
+    assert not X.edges and not X.fake and X.rounds == 0
+    X.add_round(Counter({(0, 1): 1}), Counter({(2, 3): 1}))
+    assert X.rounds == 1 and cut_player(X) == ((0, 1), (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +221,84 @@ def test_prune_fake_joined_cliques():
     rep = prune(X)
     assert rep.pruned in ((0, 1, 2), (3, 4, 5))
     assert rep.within_budget
+
+
+def _reference_sweep(W):
+    """The sweep as a direct prefix loop over the Fiedler order: an
+    adjacency list and running cut and volume sums, keeping the first
+    prefix of strictly least cut/volume."""
+    k = W.shape[0]
+    deg = W.sum(axis=1)
+    order = np.argsort(_power_direction(W, deg), kind="stable")
+    total = deg.sum()
+    adj = {i: [(j, int(W[i, j])) for j in range(k) if W[i, j]] for i in range(k)}
+    best = (-1, -1, 0)
+    inside: set[int] = set()
+    mask = vol_in = cross = 0
+    for idx in order[:-1]:
+        idx = int(idx)
+        inside.add(idx)
+        mask |= 1 << idx
+        vol_in += int(deg[idx])
+        for nbr, w in adj[idx]:
+            cross += w if nbr not in inside else -w
+        small = min(vol_in, total - vol_in)
+        if small <= 0:
+            continue
+        if best[0] < 0 or cross * best[1] < best[0] * small:
+            best = (cross, int(small), mask)
+    return best
+
+
+def _seeded_matrix(k, seed, p, isolated=0, copies=1):
+    """Symmetric weights 0..3 on k slots: `copies` disjoint copies of one
+    random block (so prefixes tie), then `isolated` slots with no edge, the
+    slot ids shuffled."""
+    rng = random.Random(seed)
+    size = (k - isolated) // copies
+    block = np.zeros((size, size), dtype=np.int64)
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() < p:
+            block[i, j] = block[j, i] = rng.randint(1, 3)
+    W = np.zeros((k, k), dtype=np.int64)
+    for c in range(copies):
+        W[c * size : (c + 1) * size, c * size : (c + 1) * size] = block
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return W[np.ix_(perm, perm)]
+
+
+def test_spectral_sweep_matches_a_direct_prefix_loop():
+    """The prefix-sum sweep returns what a direct loop over the same order
+    returns, on seeded matrices with weights up to 3: sparse and dense,
+    with isolated slots, with disjoint equal copies whose prefixes tie, and
+    at k above PRUNE_EXACT_LIMIT, where pruning uses the sweep. A matrix
+    with no edge has no prefix of volume on both sides."""
+    cases = []
+    for seed in range(6):
+        for k in (2, 5, 9, 16, PRUNE_EXACT_LIMIT + 1, 24, 40):
+            cases.append(_seeded_matrix(k, seed, 0.3))
+            cases.append(_seeded_matrix(k, seed, 0.8, isolated=k // 4))
+        for k, copies in ((12, 3), (20, 4), (36, 2)):
+            cases.append(_seeded_matrix(k, seed, 0.6, copies=copies))
+            cases.append(_seeded_matrix(k, seed, 0.5, isolated=4, copies=copies))
+    tied = 0  # cases where more than one prefix has the least ratio
+    for W in cases:
+        if not W.any():
+            continue
+        got = _spectral_conductance_cut(W)
+        assert got == _reference_sweep(W), W
+        cross, vol, _ = got
+        deg = W.sum(axis=1)
+        order = np.argsort(_power_direction(W, deg), kind="stable")
+        least = 0
+        for j in range(1, W.shape[0]):
+            side, rest = order[:j], order[j:]
+            small = min(deg[side].sum(), deg[rest].sum())
+            least += bool(small) and W[np.ix_(side, rest)].sum() * vol == cross * small
+        tied += least > 1
+    assert tied >= 20
+    assert _spectral_conductance_cut(np.zeros((6, 6), dtype=np.int64)) == (-1, -1, 0)
 
 
 def test_prune_volume_budget_on_random_trials():

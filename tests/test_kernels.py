@@ -11,8 +11,8 @@ from cutlab.oracle import GraphInstance
 from conftest import random_graph
 
 
-def arrays(g):
-    return g.edge_arrays()
+def matrix(g):
+    return _kernels.weight_matrix(g.n, g.edges)
 
 
 def brute_min_cut(g):
@@ -104,11 +104,11 @@ def test_subset_cuts_match_every_set():
     rng = random.Random(4)
     for n in range(2, 13):
         for g in (GraphInstance(n, {}), random_graph(n, 0.5, n), random_graph(n, 0.5, n, W=9)):
-            eu, ev, ew = arrays(g)
+            W = matrix(g)
             order = rng.sample(range(g.n), rng.randint(1, g.n))
             base = sum(1 << v for v in range(g.n) if v not in order and rng.random() < 0.5)
             for vertices, base_mask in ((range(g.n), 0), (order, base)):
-                cuts = _kernels.subset_cuts(g.n, eu, ev, ew, vertices, base_mask)
+                cuts = _kernels.subset_cuts(W, vertices, base_mask)
                 assert cuts.shape == (1 << len(vertices),)
                 for m in range(1 << len(vertices)):
                     side = [v for v in range(g.n) if (base_mask >> v) & 1]
@@ -121,7 +121,7 @@ def test_min_isolating_every_forbidden_mask():
     # free vertices' subsets in binary-counting order
     for n in range(2, 8):
         g = random_graph(n, 0.6, n, W=3)
-        eu, ev, ew = arrays(g)
+        W = matrix(g)
         for r in range(g.n):
             for forbidden in range(1 << g.n):
                 if (forbidden >> r) & 1:
@@ -133,14 +133,14 @@ def test_min_isolating_every_forbidden_mask():
                     val = direct_cut(g, side)
                     if best is None or val < best[0]:
                         best = (val, sum(1 << v for v in side))
-                assert _kernels.min_isolating(g.n, eu, ev, ew, r, forbidden) == best
+                assert _kernels.min_isolating(W, r, forbidden) == best
 
 
 def test_min_cut_scan_vs_brute():
     for seed in range(4):
         g = random_graph(8, 0.45, seed, W=2)
-        eu, ev, ew = arrays(g)
-        val, mask = _kernels.min_cut_scan(g.n, eu, ev, ew)
+        W = matrix(g)
+        val, mask = _kernels.min_cut_scan(W)
         side = [v for v in range(g.n) if (mask >> v) & 1]
         assert val == brute_min_cut(g)
         assert g.cut_of(side) == val
@@ -149,10 +149,10 @@ def test_min_cut_scan_vs_brute():
 def test_separation_violation_vs_brute():
     for seed in range(4):
         g = random_graph(8, 0.4, seed)
-        eu, ev, ew = arrays(g)
+        W = matrix(g)
         r_mask = (1 << 0) | (1 << 5)
         for c in (0, 1, 2, 3):
-            got = _kernels.separation_violation(g.n, eu, ev, ew, r_mask, c)
+            got = _kernels.separation_violation(W, r_mask, c)
             brute = None
             for mask in range(1, 1 << (g.n - 1)):
                 side = [v for v in range(g.n) if (mask >> v) & 1]
@@ -166,11 +166,11 @@ def test_separation_violation_vs_brute():
 def test_min_isolating_vs_brute():
     for seed in range(3):
         g = random_graph(8, 0.5, seed)
-        eu, ev, ew = arrays(g)
+        W = matrix(g)
         R = [0, 3, 6]
         for r in R:
             forbidden = sum(1 << x for x in R if x != r)
-            val, mask = _kernels.min_isolating(g.n, eu, ev, ew, r, forbidden)
+            val, mask = _kernels.min_isolating(W, r, forbidden)
             best = None
             free = [v for v in range(g.n) if v != r and v not in R]
             for k in range(len(free) + 1):
@@ -188,11 +188,11 @@ def test_min_isolating_vs_brute():
 def test_expansion_violation_vs_brute():
     for seed in range(3):
         g = random_graph(8, 0.4, seed)
-        eu, ev, ew = arrays(g)
+        W = matrix(g)
         core = [0, 2, 4, 6]
         core_mask = sum(1 << v for v in core)
         num, den = 3, 2
-        got = _kernels.expansion_violation(g.n, eu, ev, ew, core_mask, num, den)
+        got = _kernels.expansion_violation(W, core_mask, num, den)
         brute = -1
         for mask in range(1, 1 << (g.n - 1)):
             side = [v for v in range(g.n) if (mask >> v) & 1]
@@ -207,8 +207,8 @@ def test_expansion_violation_vs_brute():
 def test_best_conductance_vs_brute():
     for seed in range(3):
         g = random_graph(7, 0.5, seed, W=2)
-        eu, ev, ew = arrays(g)
-        cross, vol, mask = _kernels.best_conductance_cut(g.n, eu, ev, ew)
+        W = matrix(g)
+        cross, vol, mask = _kernels.best_conductance_cut(W)
         deg = {v: g.degree(v) for v in range(g.n)}
         total = sum(deg.values())
         best = None

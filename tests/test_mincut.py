@@ -330,7 +330,7 @@ def test_grown_sweep_threshold_is_exact_at_every_tau(spec):
     exhaustive minimum cut is at most tau, with a side that cuts the graph
     at the value it reports."""
     g = _two_disjoint_k5() if spec == "two_disjoint_k5" else generate(spec)
-    lam, _ = _kernels.min_cut_scan(g.n, *g.edge_arrays())
+    lam, _ = _kernels.min_cut_scan(_kernels.weight_matrix(g.n, g.edges))
     view, _, cache = make_view(g)
     _, delta, _ = degrees(view, cache)
     for tau in range(delta):
